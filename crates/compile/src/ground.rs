@@ -18,7 +18,7 @@ use sekitei_model::{
 };
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Hard cap on level combinations per action schema — a guard against
 /// accidentally exponential level products, not a tuning knob.
@@ -87,20 +87,23 @@ pub fn compile(problem: &CppProblem) -> Result<PlanningTask, CompileError> {
         let _g = sekitei_obs::span("finalize");
         ctx.build_initial_state();
         ctx.build_goals();
-        ctx.finalize(start);
+        ctx.finalize();
     }
-    {
+    let symmetry = {
         let _g = sekitei_obs::span("symmetry");
-        ctx.task.orbits = crate::symmetry::node_orbits(&ctx.task, problem.network.num_nodes());
-        ctx.task.sig_classes =
-            crate::symmetry::signature_classes(&ctx.task, problem.network.num_nodes());
-    }
+        crate::symmetry::detect(&ctx.task, problem.network.num_nodes())
+    };
+    ctx.task.orbits = symmetry.orbits;
+    ctx.task.sig_classes = symmetry.sig_classes;
+    ctx.task.stats.compile_time = start.elapsed();
     sekitei_obs::event("ground_actions", ctx.task.num_actions() as u64);
     sekitei_obs::event("level_combos_pruned", ctx.pruned as u64);
     sekitei_obs::event(
         "symmetry_orbits",
         ctx.task.orbits.orbits().filter(|m| m.len() > 1).count() as u64,
     );
+    sekitei_obs::event("symmetry_swaps_checked", symmetry.swaps_checked);
+    sekitei_obs::event("symmetry_actions_checked", symmetry.actions_checked);
     Ok(ctx.task)
 }
 
@@ -848,7 +851,7 @@ impl<'p> Ctx<'p> {
         self.task.goal_props.dedup();
     }
 
-    fn finalize(&mut self, start: Instant) {
+    fn finalize(&mut self) {
         let np = self.task.props.len();
         self.task.init_mask = vec![false; np];
         for &p in &self.task.init_props {
@@ -878,7 +881,8 @@ impl<'p> Ctx<'p> {
             pruned: self.pruned,
             props: np,
             gvars: self.task.gvars.len(),
-            compile_time: start.elapsed(),
+            // stamped by `compile` once the symmetry pass is done
+            compile_time: Duration::ZERO,
         };
     }
 }

@@ -11,19 +11,34 @@
 //!
 //! The computation is a two-stage sieve:
 //!
-//! 1. **Candidate classes** by cheap invariant signature: initial node
-//!    resource values, the multiset of incident-link resource values,
-//!    per-node ground-action mention counts, and whether the node is
-//!    pinned by the initial state or the goal (source/client nodes are
-//!    never symmetric to anything).
-//! 2. **Exact verification**: for each candidate class with minimum
-//!    member `r`, every transposition `(r, x)` is checked to be a full
-//!    automorphism of the *compiled* task — it must map every ground
-//!    variable, every initial proposition/value and every goal onto
-//!    themselves, and map every ground action (kind, preconditions, adds,
+//! 1. **Candidate classes** by cheap invariant signature, one round with
+//!    no iterated refinement: initial node resource values, the multiset
+//!    of incident-link resource values, per-node ground-action mention
+//!    counts, and whether the node is pinned by the initial state or the
+//!    goal (source/client nodes are never symmetric to anything). The
+//!    classes themselves are the unverified [`signature_classes`].
+//! 2. **Exact verification**: the members of each candidate class are
+//!    chained onto representatives — a member joins the first orbit whose
+//!    representative `r` it swaps with, else founds a new one. A
+//!    transposition `(r, x)` passes when it is a full automorphism of the
+//!    *compiled* task: it maps every ground variable onto one with
+//!    bit-identical initial value, fixes the initial and goal proposition
+//!    sets, and maps every ground action (kind, preconditions, adds,
 //!    numeric conditions/effects, optimistic map, post levels, bitwise
-//!    cost) onto an existing ground action. Members that fail fall back
-//!    to singleton orbits.
+//!    cost) onto an existing ground action. Members that pass no swap stay
+//!    singleton orbits.
+//!
+//! Stage 2 checks a swap `(u, v)` only on the items that *mention* `u` or
+//! `v`. An item mentions a node directly (a placement's host, a crossing's
+//! endpoints), through a proposition or ground variable it reads or
+//! writes, or through the endpoints of a link it names. An item that
+//! mentions neither node is its own image, and the image of an item that
+//! mentions `u` or `v` mentions `v` or `u`, so the incident items alone
+//! decide the swap exactly. Initial and goal propositions mention only
+//! pinned nodes, which are never candidates, so every candidate swap fixes
+//! both sets. Ground variables are listed per node up front; actions are
+//! listed per node once the first swap passes the variable stage, and each
+//! swap fingerprints only the actions incident to its two nodes.
 //!
 //! Verified transpositions against a common representative compose:
 //! `(x, y) = (r, x)(r, y)(r, x)`, so every pairwise swap inside an orbit
@@ -37,7 +52,7 @@ use std::collections::HashMap;
 /// Node equivalence classes of a compiled task. Default = no nodes, every
 /// lookup returns an empty sibling list (safe for hand-built tasks that
 /// never ran [`node_orbits`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeOrbits {
     /// Orbit index per node.
     orbit_of: Vec<u32>,
@@ -85,6 +100,26 @@ impl NodeOrbits {
     pub fn orbits(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
         self.members.iter().map(|m| m.as_slice())
     }
+
+    /// The classes of two or more members in the given order (each sorted
+    /// ascending, pairwise disjoint), then every other node as its own
+    /// singleton, ascending.
+    fn from_classes(num_nodes: usize, classes: Vec<Vec<NodeId>>) -> NodeOrbits {
+        let mut orbit_of = vec![u32::MAX; num_nodes];
+        let mut members: Vec<Vec<NodeId>> = classes.into_iter().filter(|c| c.len() > 1).collect();
+        for (o, class) in members.iter().enumerate() {
+            for &n in class {
+                orbit_of[n.index()] = o as u32;
+            }
+        }
+        for (n, o) in orbit_of.iter_mut().enumerate() {
+            if *o == u32::MAX {
+                *o = members.len() as u32;
+                members.push(vec![NodeId::from_index(n)]);
+            }
+        }
+        NodeOrbits { orbit_of, members }
+    }
 }
 
 /// FNV-1a 64-bit running hash for structural action fingerprints.
@@ -115,31 +150,47 @@ impl Fnv {
 /// never appear under a cross action are inert to the task and map to
 /// themselves.
 struct LinkTable {
-    endpoints: HashMap<LinkId, (NodeId, NodeId)>,
+    /// Endpoints by link index; `None` for an inert link.
+    endpoints: Vec<Option<(NodeId, NodeId)>>,
     by_ends: HashMap<(NodeId, NodeId), Vec<LinkId>>,
 }
 
 impl LinkTable {
     fn build(task: &PlanningTask) -> LinkTable {
-        let mut endpoints = HashMap::new();
+        let mut endpoints = Vec::new();
         let mut by_ends: HashMap<(NodeId, NodeId), Vec<LinkId>> = HashMap::new();
         for act in &task.actions {
             if let ActionKind::Cross { dir, .. } = &act.kind {
                 let ends = (dir.from.min(dir.to), dir.from.max(dir.to));
-                if endpoints.insert(dir.link, ends).is_none() {
+                let l = dir.link.index();
+                if l >= endpoints.len() {
+                    endpoints.resize(l + 1, None);
+                }
+                if endpoints[l].replace(ends).is_none() {
                     by_ends.entry(ends).or_default().push(dir.link);
                 }
             }
         }
         LinkTable { endpoints, by_ends }
     }
+
+    fn ends(&self, l: LinkId) -> Option<(NodeId, NodeId)> {
+        self.endpoints.get(l.index()).copied().flatten()
+    }
+
+    /// The nodes `l` mentions: its endpoints, none for an inert link.
+    fn push_ends(&self, l: LinkId, out: &mut Vec<NodeId>) {
+        if let Some((a, b)) = self.ends(l) {
+            out.extend([a, b]);
+        }
+    }
 }
 
 /// The transposition `(u, v)` lifted to every ground id space. With
-/// `u == v` this is the identity (used to build the action fingerprint
-/// index). Every mapping returns `None` when the image does not exist in
-/// the compiled task — which makes the candidate transposition fail
-/// verification, never silently mismap.
+/// `u == v` this is the identity (used to fingerprint the actions a
+/// swap's images are looked up among). Every mapping returns `None` when
+/// the image does not exist in the compiled task — which makes the
+/// candidate transposition fail verification, never silently mismap.
 struct Swap<'t> {
     task: &'t PlanningTask,
     links: &'t LinkTable,
@@ -159,7 +210,7 @@ impl<'t> Swap<'t> {
     }
 
     fn link(&self, l: LinkId) -> Option<LinkId> {
-        let Some(&(a, b)) = self.links.endpoints.get(&l) else {
+        let Some((a, b)) = self.links.ends(l) else {
             return Some(l); // inert link: no action mentions it
         };
         let (ma, mb) = (self.node(a), self.node(b));
@@ -428,24 +479,14 @@ fn assign_tag(e: &Effect<GVarId>) -> u8 {
 /// Stage-1 sieve shared by [`node_orbits`] and [`signature_classes`]:
 /// group unpinned nodes by the cheap invariant signature (initial node
 /// resources, incident-link resource multiset, ground-action mention
-/// counts). Returns the groups; pinned and singleton-signature nodes are
-/// simply absent.
+/// counts). Returns the groups; pinned nodes are absent, and a node with a
+/// unique signature is a group of one.
 fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) -> Vec<Vec<NodeId>> {
     let mut pinned = vec![false; num_nodes];
-    let mark = |p: PropId, pinned: &mut Vec<bool>| {
-        let n = match task.prop(p) {
-            PropData::Placed { node, .. } => node,
-            PropData::Avail { node, .. } => node,
-        };
-        if n.index() < pinned.len() {
-            pinned[n.index()] = true;
+    for &p in task.init_props.iter().chain(&task.goal_props) {
+        if let Some(pin) = pinned.get_mut(prop_node(task, p).index()) {
+            *pin = true;
         }
-    };
-    for &p in &task.init_props {
-        mark(p, &mut pinned);
-    }
-    for &p in &task.goal_props {
-        mark(p, &mut pinned);
     }
 
     // per-node initial resource values
@@ -485,8 +526,9 @@ fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) ->
     // per-node action mention counts + incident link signature multiset
     let mut mentions = vec![(0u32, 0u32, 0u32); num_nodes]; // (place, cross-out, cross-in)
     let mut incident: Vec<Vec<u64>> = vec![Vec::new(); num_nodes];
-    for (&l, &(a, b)) in &links.endpoints {
-        let sig = link_sig.get(&l).copied().unwrap_or(0);
+    for (l, ends) in links.endpoints.iter().enumerate() {
+        let Some((a, b)) = *ends else { continue };
+        let sig = link_sig.get(&LinkId::from_index(l)).copied().unwrap_or(0);
         if a.index() < num_nodes {
             incident[a.index()].push(sig);
         }
@@ -544,76 +586,208 @@ fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) ->
     groups
 }
 
+/// The node a proposition mentions.
+fn prop_node(task: &PlanningTask, p: PropId) -> NodeId {
+    match task.prop(p) {
+        PropData::Placed { node, .. } | PropData::Avail { node, .. } => node,
+    }
+}
+
+/// Push the nodes ground variable `g` mentions.
+fn push_gvar_nodes(task: &PlanningTask, links: &LinkTable, g: GVarId, out: &mut Vec<NodeId>) {
+    match task.gvars[g.index()] {
+        GVarData::IfaceProp { node, .. } | GVarData::NodeRes { node, .. } => out.push(node),
+        GVarData::LinkRes { link, .. } => links.push_ends(link, out),
+    }
+}
+
+/// Push every node `act` mentions: in its kind, in its propositions, in
+/// the ground variables of its numeric parts, and through link endpoints.
+/// The swap maps exactly these fields, so an action that mentions neither
+/// swapped node is its own image.
+fn push_action_nodes(
+    task: &PlanningTask,
+    links: &LinkTable,
+    act: &GroundAction,
+    out: &mut Vec<NodeId>,
+) {
+    match &act.kind {
+        ActionKind::Place { node, .. } => out.push(*node),
+        ActionKind::Cross { dir, .. } => {
+            out.extend([dir.from, dir.to]);
+            links.push_ends(dir.link, out);
+        }
+    }
+    out.extend(act.preconds.iter().chain(&act.adds).map(|&p| prop_node(task, p)));
+    let mut var = |g: &GVarId| push_gvar_nodes(task, links, *g, out);
+    for c in &act.conditions {
+        c.for_each_var(&mut var);
+    }
+    for e in &act.effects {
+        e.for_each_var(&mut var);
+    }
+    for (g, _) in act.optimistic.iter().chain(&act.post) {
+        var(g);
+    }
+    for (g, _) in &act.levels {
+        var(g);
+    }
+}
+
+/// Item ids (ascending) per network node of every item that mentions the
+/// node; `mentions(i, out)` pushes item `i`'s nodes, duplicates allowed.
+/// Nodes outside the network are never swapped and are not listed.
+fn incidence(
+    num_nodes: usize,
+    num_items: usize,
+    mut mentions: impl FnMut(usize, &mut Vec<NodeId>),
+) -> Vec<Vec<u32>> {
+    let mut lists = vec![Vec::new(); num_nodes];
+    let mut nodes = Vec::new();
+    for i in 0..num_items {
+        nodes.clear();
+        mentions(i, &mut nodes);
+        for n in &nodes {
+            if let Some(list) = lists.get_mut(n.index()) {
+                if list.last() != Some(&(i as u32)) {
+                    list.push(i as u32);
+                }
+            }
+        }
+    }
+    lists
+}
+
+/// Do ground variables `i` and `j` start from bit-identical values?
+fn same_init(task: &PlanningTask, i: usize, j: usize) -> bool {
+    match (&task.init_values[i], &task.init_values[j]) {
+        (None, None) => true,
+        (Some(a), Some(b)) => a.lo.to_bits() == b.lo.to_bits() && a.hi.to_bits() == b.hi.to_bits(),
+        _ => false,
+    }
+}
+
+/// The incident-only transposition check (see the module doc), with its
+/// work counters.
+struct SwapCheck<'t> {
+    task: &'t PlanningTask,
+    links: &'t LinkTable,
+    /// Ground variables per network node.
+    vars: Vec<Vec<u32>>,
+    /// Ground actions per node, listed when the first swap passes the
+    /// variable stage.
+    actions: Option<Vec<Vec<u32>>>,
+    swaps_checked: u64,
+    actions_checked: u64,
+}
+
+impl<'t> SwapCheck<'t> {
+    fn new(task: &'t PlanningTask, links: &'t LinkTable, num_nodes: usize) -> SwapCheck<'t> {
+        let vars = incidence(num_nodes, task.gvars.len(), |g, out| {
+            push_gvar_nodes(task, links, GVarId::from_index(g), out)
+        });
+        SwapCheck { task, links, vars, actions: None, swaps_checked: 0, actions_checked: 0 }
+    }
+
+    /// Is the lifted transposition `(u, v)` a full automorphism of the
+    /// task? `u` and `v` are unpinned network nodes.
+    fn ok(&mut self, u: NodeId, v: NodeId) -> bool {
+        self.swaps_checked += 1;
+        let (task, links) = (self.task, self.links);
+        let swap = Swap { task, links, u, v };
+        // the swap is an involution, so totality plus matching initial
+        // values in one direction make it a bijection on the variables
+        for &g in self.vars[u.index()].iter().chain(&self.vars[v.index()]) {
+            match swap.gvar(GVarId::from_index(g as usize)) {
+                Some(h) if same_init(task, g as usize, h.index()) => {}
+                _ => return false,
+            }
+        }
+        let num_nodes = self.vars.len();
+        let by_node = self.actions.get_or_insert_with(|| {
+            incidence(num_nodes, task.actions.len(), |a, out| {
+                push_action_nodes(task, links, &task.actions[a], out)
+            })
+        });
+        let mut incident = [&by_node[u.index()][..], &by_node[v.index()][..]].concat();
+        incident.sort_unstable();
+        incident.dedup();
+        self.actions_checked += incident.len() as u64;
+        // the image of an incident action is incident, so the incident
+        // actions are the only candidates to look images up among
+        let identity = Swap { task, links, u, v: u };
+        let mut index: HashMap<u64, Vec<u32>> = HashMap::with_capacity(incident.len());
+        for &a in &incident {
+            if let Some(h) = identity.action_hash(&task.actions[a as usize]) {
+                index.entry(h).or_default().push(a);
+            }
+        }
+        incident.iter().all(|&a| {
+            let act = &task.actions[a as usize];
+            let cands = swap.action_hash(act).and_then(|h| index.get(&h));
+            cands.is_some_and(|c| {
+                c.iter().any(|&b| swap.mapped_equals(act, &task.actions[b as usize]))
+            })
+        })
+    }
+}
+
+/// Chain each candidate group's members onto representatives: a member
+/// joins the first orbit whose representative it swaps with per
+/// `swap_ok`, else founds a new one. A signature group can hold several
+/// genuine orbits (e.g. twin leaves of *different* parents all share one
+/// signature).
+fn verified_orbits(
+    groups: &[Vec<NodeId>],
+    num_nodes: usize,
+    mut swap_ok: impl FnMut(NodeId, NodeId) -> bool,
+) -> NodeOrbits {
+    let mut verified = Vec::new();
+    for group in groups.iter().filter(|g| g.len() > 1) {
+        let mut orbits: Vec<Vec<NodeId>> = Vec::new();
+        for &x in group {
+            match orbits.iter_mut().find(|orbit| swap_ok(orbit[0], x)) {
+                Some(orbit) => orbit.push(x),
+                None => orbits.push(vec![x]),
+            }
+        }
+        verified.extend(orbits);
+    }
+    NodeOrbits::from_classes(num_nodes, verified)
+}
+
+/// The outcome of one symmetry pass over a compiled task.
+pub(crate) struct Symmetry {
+    /// Verified orbits ([`node_orbits`]).
+    pub orbits: NodeOrbits,
+    /// Unverified signature classes ([`signature_classes`]).
+    pub sig_classes: NodeOrbits,
+    /// Candidate transpositions checked.
+    pub swaps_checked: u64,
+    /// Ground actions fingerprinted, summed over the swaps that reached
+    /// the action stage.
+    pub actions_checked: u64,
+}
+
+/// Run the two-stage sieve once: the link table and the signature groups
+/// feed both the verified orbits and the signature classes.
+pub(crate) fn detect(task: &PlanningTask, num_nodes: usize) -> Symmetry {
+    let links = LinkTable::build(task);
+    let groups = signature_groups(task, num_nodes, &links);
+    let mut check = SwapCheck::new(task, &links, num_nodes);
+    let orbits = verified_orbits(&groups, num_nodes, |u, v| check.ok(u, v));
+    Symmetry {
+        orbits,
+        sig_classes: NodeOrbits::from_classes(num_nodes, groups),
+        swaps_checked: check.swaps_checked,
+        actions_checked: check.actions_checked,
+    }
+}
+
 /// Compute the node orbits of a compiled task over a network of
 /// `num_nodes` nodes.
 pub fn node_orbits(task: &PlanningTask, num_nodes: usize) -> NodeOrbits {
-    if num_nodes == 0 {
-        return NodeOrbits::default();
-    }
-    let links = LinkTable::build(task);
-    let groups = signature_groups(task, num_nodes, &links);
-
-    // ---- stage 2: exact transposition verification ----
-    // fingerprint index of every action under the identity map
-    let identity = Swap { task, links: &links, u: NodeId::from_index(0), v: NodeId::from_index(0) };
-    let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-    let mut indexable = true;
-    for (i, act) in task.actions.iter().enumerate() {
-        match identity.action_hash(act) {
-            Some(h) => index.entry(h).or_default().push(i as u32),
-            None => {
-                indexable = false; // ambiguous multigraph link: bail out
-                break;
-            }
-        }
-    }
-
-    let mut orbit_of = vec![u32::MAX; num_nodes];
-    let mut members: Vec<Vec<NodeId>> = Vec::new();
-    let push_orbit = |orbit_of: &mut Vec<u32>, members: &mut Vec<Vec<NodeId>>, ns: Vec<NodeId>| {
-        let o = members.len() as u32;
-        for &n in &ns {
-            orbit_of[n.index()] = o;
-        }
-        members.push(ns);
-    };
-
-    if indexable {
-        for group in &groups {
-            if group.len() < 2 {
-                continue;
-            }
-            // a signature group can contain several genuine orbits (e.g.
-            // twin leaves of *different* parents all share one signature):
-            // chain representatives — each member joins the first orbit
-            // whose representative it verifiably swaps with, else founds a
-            // new one
-            let mut orbits: Vec<Vec<NodeId>> = Vec::new();
-            for &x in group.iter() {
-                let found = orbits.iter_mut().find(|orbit| {
-                    let swap = Swap { task, links: &links, u: orbit[0], v: x };
-                    transposition_ok(task, &swap, &index)
-                });
-                match found {
-                    Some(orbit) => orbit.push(x),
-                    None => orbits.push(vec![x]),
-                }
-            }
-            for orbit in orbits {
-                if orbit.len() > 1 {
-                    push_orbit(&mut orbit_of, &mut members, orbit);
-                }
-            }
-        }
-    }
-    // everything unassigned (pinned, failed, singleton-signature) becomes
-    // its own orbit
-    for n in 0..num_nodes {
-        if orbit_of[n] == u32::MAX {
-            push_orbit(&mut orbit_of, &mut members, vec![NodeId::from_index(n)]);
-        }
-    }
-    NodeOrbits { orbit_of, members }
+    detect(task, num_nodes).orbits
 }
 
 /// The stage-1 signature partition as a [`NodeOrbits`] — *unverified*
@@ -627,65 +801,204 @@ pub fn node_orbits(task: &PlanningTask, num_nodes: usize) -> NodeOrbits {
 /// state). Pinned nodes stay singletons, exactly as in the verified
 /// orbits.
 pub fn signature_classes(task: &PlanningTask, num_nodes: usize) -> NodeOrbits {
-    if num_nodes == 0 {
-        return NodeOrbits::default();
-    }
-    let links = LinkTable::build(task);
-    let mut orbit_of = vec![u32::MAX; num_nodes];
-    let mut members: Vec<Vec<NodeId>> = Vec::new();
-    for group in signature_groups(task, num_nodes, &links) {
-        if group.len() < 2 {
-            continue;
-        }
-        let o = members.len() as u32;
-        for &n in &group {
-            orbit_of[n.index()] = o;
-        }
-        members.push(group);
-    }
-    for (n, o) in orbit_of.iter_mut().enumerate() {
-        if *o == u32::MAX {
-            *o = members.len() as u32;
-            members.push(vec![NodeId::from_index(n)]);
-        }
-    }
-    NodeOrbits { orbit_of, members }
+    let groups = signature_groups(task, num_nodes, &LinkTable::build(task));
+    NodeOrbits::from_classes(num_nodes, groups)
 }
 
-/// Is the lifted transposition a full automorphism of the compiled task?
-fn transposition_ok(task: &PlanningTask, swap: &Swap<'_>, index: &HashMap<u64, Vec<u32>>) -> bool {
-    // ground variables must map bijectively with bit-identical initial
-    // values (the swap is an involution, so totality + value match in one
-    // direction suffices)
-    for i in 0..task.gvars.len() {
-        let Some(j) = swap.gvar(GVarId::from_index(i)) else { return false };
-        match (&task.init_values[i], &task.init_values[j.index()]) {
-            (None, None) => {}
-            (Some(a), Some(b))
-                if a.lo.to_bits() == b.lo.to_bits() && a.hi.to_bits() == b.hi.to_bits() => {}
-            _ => return false,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile;
+    use sekitei_model::{
+        media_domain_with, CmpOp, CppProblem, Goal, LevelScenario, LinkClass, MediaConfig,
+        StreamSource,
+    };
+    use sekitei_topology::generators::{self, Capacities, TransitStubConfig};
+    use sekitei_topology::scenarios::{self, RandomMediaConfig, RandomModel};
+    use LevelScenario::{A, C, E};
+
+    /// The reference: every candidate swap checked on every ground
+    /// variable, every initial and goal proposition and every ground
+    /// action, looked up in a fingerprint index of all actions.
+    fn transposition_ok(
+        task: &PlanningTask,
+        swap: &Swap<'_>,
+        index: &HashMap<u64, Vec<u32>>,
+    ) -> bool {
+        for i in 0..task.gvars.len() {
+            let Some(j) = swap.gvar(GVarId::from_index(i)) else { return false };
+            if !same_init(task, i, j.index()) {
+                return false;
+            }
+        }
+        for &p in &task.init_props {
+            match swap.prop(p) {
+                Some(q) if task.initially(q) => {}
+                _ => return false,
+            }
+        }
+        for &p in &task.goal_props {
+            match swap.prop(p) {
+                Some(q) if task.goal_props.binary_search(&q).is_ok() => {}
+                _ => return false,
+            }
+        }
+        for act in &task.actions {
+            let Some(h) = swap.action_hash(act) else { return false };
+            let Some(cands) = index.get(&h) else { return false };
+            if !cands.iter().any(|&c| swap.mapped_equals(act, &task.actions[c as usize])) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Orbits and signature classes as computed before the incident-only
+    /// check: a fingerprint index of every action, the full scan per
+    /// swap, and the orbits numbered in push order.
+    fn full_scan(task: &PlanningTask, num_nodes: usize) -> (NodeOrbits, NodeOrbits) {
+        let links = LinkTable::build(task);
+        let groups = signature_groups(task, num_nodes, &links);
+        let identity = Swap { task, links: &links, u: NodeId(0), v: NodeId(0) };
+        let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (i, act) in task.actions.iter().enumerate() {
+            let h = identity.action_hash(act).expect("the identity maps every action");
+            index.entry(h).or_default().push(i as u32);
+        }
+        let number = |classes: Vec<Vec<NodeId>>| {
+            let mut orbit_of = vec![u32::MAX; num_nodes];
+            let mut members: Vec<Vec<NodeId>> = Vec::new();
+            let singletons = (0..num_nodes).map(|n| vec![NodeId::from_index(n)]);
+            for ns in classes.into_iter().chain(singletons) {
+                if ns.iter().all(|n| orbit_of[n.index()] == u32::MAX) {
+                    for &n in &ns {
+                        orbit_of[n.index()] = members.len() as u32;
+                    }
+                    members.push(ns);
+                }
+            }
+            NodeOrbits { orbit_of, members }
+        };
+        let mut orbits = Vec::new();
+        for group in groups.iter().filter(|g| g.len() >= 2) {
+            let mut chained: Vec<Vec<NodeId>> = Vec::new();
+            for &x in group {
+                let found = chained.iter_mut().find(|orbit| {
+                    transposition_ok(task, &Swap { task, links: &links, u: orbit[0], v: x }, &index)
+                });
+                match found {
+                    Some(orbit) => orbit.push(x),
+                    None => chained.push(vec![x]),
+                }
+            }
+            orbits.extend(chained.into_iter().filter(|o| o.len() > 1));
+        }
+        let classes = groups.into_iter().filter(|g| g.len() >= 2).collect();
+        (number(orbits), number(classes))
+    }
+
+    /// Compile each problem and compare what `compile` stored with the
+    /// full-scan reference; returns the number of verified multi-node
+    /// orbits, so a grid can show it exercised passing swaps.
+    fn assert_matches_full_scan(problems: impl IntoIterator<Item = (String, CppProblem)>) -> usize {
+        let mut merged = 0;
+        for (name, p) in problems {
+            let task = compile(&p).unwrap();
+            let (orbits, classes) = full_scan(&task, p.network.num_nodes());
+            assert_eq!(task.orbits, orbits, "{name}: orbits differ from the full scan");
+            assert_eq!(task.sig_classes, classes, "{name}: signature classes differ");
+            merged += orbits.orbits().filter(|o| o.len() > 1).count();
+        }
+        merged
+    }
+
+    /// The Large problem on the transit-stub network of another seed.
+    fn transit_stub(seed: u64, sc: LevelScenario) -> CppProblem {
+        let ts = generators::transit_stub(&TransitStubConfig { seed, ..Default::default() });
+        let mut p = scenarios::large(sc);
+        p.sources[0].node = ts.members[0][0][1];
+        p.goals[0].node = ts.members[0][1][1];
+        p.network = ts.net;
+        p
+    }
+
+    /// Media delivery over a star: server on the hub `n0`, client on leaf
+    /// `n1`, leaves `n2..` interchangeable.
+    fn star(leaves: usize, sc: LevelScenario) -> CppProblem {
+        let domain = media_domain_with(MediaConfig::default(), sc);
+        CppProblem {
+            network: generators::star(1 + leaves, LinkClass::Lan, &Capacities::default()),
+            resources: domain.resources,
+            interfaces: domain.interfaces,
+            components: domain.components,
+            sources: vec![StreamSource::up_to("M", NodeId(0), "ibw", scenarios::SERVER_CAPACITY)],
+            pre_placed: vec![],
+            goals: vec![Goal { component: "Client".into(), node: NodeId(1) }],
         }
     }
-    // initial and goal propositions must be setwise invariant
-    for &p in &task.init_props {
-        match swap.prop(p) {
-            Some(q) if task.initially(q) => {}
-            _ => return false,
-        }
+
+    #[test]
+    fn transit_stub_orbits_match_the_full_scan() {
+        let grid = [A, C, E].into_iter().flat_map(|sc| {
+            (1..=16).map(move |seed| (format!("ts{seed}/{sc:?}"), transit_stub(seed, sc)))
+        });
+        assert!(assert_matches_full_scan(grid) > 0, "no transit-stub grid instance has twins");
     }
-    for &p in &task.goal_props {
-        match swap.prop(p) {
-            Some(q) if task.goal_props.binary_search(&q).is_ok() => {}
-            _ => return false,
-        }
+
+    #[test]
+    fn random_network_orbits_match_the_full_scan() {
+        let grid = [A, E].into_iter().flat_map(|sc| {
+            (8..=30).flat_map(move |nodes| {
+                [RandomModel::Waxman, RandomModel::BarabasiAlbert].map(|model| {
+                    let cfg = RandomMediaConfig {
+                        model,
+                        nodes,
+                        scenario: sc,
+                        seed: nodes as u64,
+                        ..Default::default()
+                    };
+                    (format!("{model:?}{nodes}/{sc:?}"), scenarios::random_media(&cfg))
+                })
+            })
+        });
+        assert_matches_full_scan(grid);
     }
-    // every ground action must map onto an existing ground action
-    for act in &task.actions {
-        let Some(h) = swap.action_hash(act) else { return false };
-        let Some(cands) = index.get(&h) else { return false };
-        if !cands.iter().any(|&c| swap.mapped_equals(act, &task.actions[c as usize])) {
-            return false;
-        }
+
+    #[test]
+    fn star_orbits_match_the_full_scan() {
+        let grid = (3..=8).map(|leaves| (format!("star{leaves}"), star(leaves, C)));
+        assert_eq!(assert_matches_full_scan(grid), 6, "every star's free leaves form one orbit");
     }
-    true
+
+    #[test]
+    fn reading_another_nodes_resource_breaks_its_symmetry() {
+        // leaves n2..n6 are interchangeable until one placement on n2 also
+        // reads a resource of n3: the action's kind names n2 only, so the
+        // swaps that move n3 must find it through the variable it reads
+        let p = star(6, C);
+        let mut task = compile(&p).unwrap();
+        let leaves: Vec<NodeId> = (2..7).map(NodeId).collect();
+        assert_eq!(task.orbits.siblings(NodeId(2)), leaves.as_slice());
+        let read = task
+            .gvars
+            .iter()
+            .position(|g| matches!(g, GVarData::NodeRes { node: NodeId(3), .. }))
+            .expect("n3 has a node resource");
+        let reader = task
+            .actions
+            .iter_mut()
+            .find(|a| matches!(a.kind, ActionKind::Place { node: NodeId(2), .. }))
+            .expect("n2 hosts a placement");
+        reader.conditions.push(Cond::new(
+            Expr::var(GVarId::from_index(read)),
+            CmpOp::Ge,
+            Expr::c(0.0),
+        ));
+
+        let sym = detect(&task, p.network.num_nodes());
+        assert_eq!(sym.orbits.siblings(NodeId(2)), &[NodeId(2)]);
+        assert_eq!(sym.orbits.siblings(NodeId(3)), &[NodeId(3)], "the swap moving n3 passed");
+        assert_eq!(sym.orbits.siblings(NodeId(5)), &leaves[2..]);
+        assert_eq!(sym.orbits, full_scan(&task, p.network.num_nodes()).0);
+    }
 }

@@ -130,7 +130,7 @@ pub struct CompileStats {
     pub props: usize,
     /// Ground numeric variables created.
     pub gvars: usize,
-    /// Compilation wall time.
+    /// Compilation wall time, symmetry detection included.
     pub compile_time: std::time::Duration,
 }
 

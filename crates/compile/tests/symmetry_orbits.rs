@@ -7,13 +7,38 @@
 //! transpositions really do map the ground action set onto itself
 //! (checked indirectly: every orbit survived exact verification).
 
-use sekitei_compile::{compile, GVarData, PropData};
+use sekitei_compile::{compile, GVarData, PlanningTask, PropData};
 use sekitei_model::{
     media_domain_with, CppProblem, Goal, Interval, LevelScenario, LinkClass, MediaConfig, NodeId,
     StreamSource,
 };
+use sekitei_obs::{Record, RecordKind};
 use sekitei_topology::generators::{self, Capacities};
 use sekitei_topology::scenarios;
+use std::sync::Mutex;
+
+/// Serializes the tests that drain the process-wide trace.
+static TRACE: Mutex<()> = Mutex::new(());
+
+/// Compile `p` with tracing on; returns the task and the records directly
+/// under its `compile` span (found through a test span, so records of
+/// tests compiling concurrently are left out).
+fn traced_compile(p: &CppProblem) -> (PlanningTask, Vec<Record>) {
+    let _serial = TRACE.lock().unwrap();
+    sekitei_obs::enable();
+    let root = sekitei_obs::span("test");
+    let root_id = root.id();
+    let task = compile(p).unwrap();
+    drop(root);
+    sekitei_obs::disable();
+    let records = sekitei_obs::take_trace().records;
+    let compile_id = records
+        .iter()
+        .find(|r| r.is_span() && r.name == "compile" && r.parent == root_id)
+        .expect("compile span")
+        .id;
+    (task, records.into_iter().filter(|r| r.parent == compile_id).collect())
+}
 
 /// Media delivery over a star: server on the hub `n0`, client on leaf
 /// `n1`, leaves `n2..` identical in every respect — the canonical
@@ -255,4 +280,42 @@ fn signature_class_members_share_resource_profiles() {
             assert_eq!(res_profile(&task, n), profile, "class {class:?} mixes capacities");
         }
     }
+}
+
+// ---- work and time accounting ----
+
+#[test]
+fn compile_time_covers_every_compile_phase() {
+    let (task, phases) = traced_compile(&scenarios::large(LevelScenario::C));
+    let mut sum = 0;
+    for name in ["ground-place", "ground-cross", "finalize", "symmetry"] {
+        let spans: Vec<&Record> = phases.iter().filter(|r| r.is_span() && r.name == name).collect();
+        assert_eq!(spans.len(), 1, "one {name} span under compile");
+        sum += spans[0].value;
+    }
+    let stamped = task.stats.compile_time.as_nanos() as u64;
+    assert!(stamped >= sum, "compile_time {stamped} ns < its phases' {sum} ns");
+}
+
+#[test]
+fn large_e_checks_under_a_tenth_of_its_actions() {
+    // a swap is checked only on the actions that mention a swapped node;
+    // the full scan fingerprinted every action once for its index and
+    // again for each of the two swaps that verify here
+    let (task, records) = traced_compile(&scenarios::large(LevelScenario::E));
+    let event = |name: &str| -> u64 {
+        records
+            .iter()
+            .filter(|r| r.kind == RecordKind::Event && r.name == name)
+            .map(|r| r.value)
+            .sum()
+    };
+    assert!(event("symmetry_swaps_checked") > 0, "no candidate swap checked");
+    let checked = event("symmetry_actions_checked");
+    assert!(checked > 0, "the verified twins must reach the action stage");
+    assert!(
+        checked * 10 < task.num_actions() as u64,
+        "{checked} of {} actions checked",
+        task.num_actions()
+    );
 }
