@@ -13,11 +13,12 @@
 
 use crate::task::{ActionKind, GVarData, GroundAction, PlanningTask, PropData};
 use sekitei_model::{
-    AssignOp, CompId, CppProblem, DirLink, GVarId, IfaceId, Interval, LevelSpec, Locus, ModelError,
-    NodeId, Placement, PropId, SpecVar,
+    AssignOp, CompId, Cond, CppProblem, DirLink, Effect, GVarId, IfaceId, Interval, LevelSpec,
+    Locus, ModelError, NodeId, Placement, PropId, SpecVar,
 };
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Hard cap on level combinations per action schema — a guard against
@@ -140,6 +141,24 @@ fn combo_count(dims: &[usize]) -> usize {
     dims.iter().product()
 }
 
+/// Values a resource with capacity `cap` may hold: a consumable resource
+/// may have been drained to anything below its capacity, a static
+/// property has exactly its declared value.
+fn available(consumable: bool, cap: f64) -> Interval {
+    if consumable {
+        Interval::new(0.0, cap)
+    } else {
+        Interval::point(cap)
+    }
+}
+
+/// The interval bound to `v` in a binding list, the last binding winning
+/// (as if the list were inserted into a map in order); unbound variables
+/// are only known to be non-negative.
+fn lookup(bindings: &[(GVarId, Interval)], v: GVarId) -> Interval {
+    bindings.iter().rev().find(|b| b.0 == v).map_or_else(Interval::nonneg, |b| b.1)
+}
+
 impl<'p> Ctx<'p> {
     // ------------------------------------------------------------- interning
 
@@ -235,13 +254,13 @@ impl<'p> Ctx<'p> {
         }
     }
 
-    /// `Avail` effect propositions with degradable downward closure.
-    fn avail_adds(&mut self, iface: IfaceId, node: NodeId, level: usize) -> Vec<PropId> {
-        let degradable = self.p.iface(iface).degradable;
-        let lo = if degradable { 0 } else { level };
-        (lo..=level)
-            .map(|l| self.intern_prop(PropData::Avail { iface, node, level: l as u8 }))
-            .collect()
+    /// Push the `Avail` effect propositions of producing `iface` at
+    /// `level` on `node`, with degradable downward closure.
+    fn avail_adds(&mut self, iface: IfaceId, node: NodeId, level: usize, adds: &mut Vec<PropId>) {
+        let lo = if self.p.iface(iface).degradable { 0 } else { level };
+        for l in lo..=level {
+            adds.push(self.intern_prop(PropData::Avail { iface, node, level: l as u8 }));
+        }
     }
 
     // ------------------------------------------------------ place grounding
@@ -249,7 +268,7 @@ impl<'p> Ctx<'p> {
     fn ground_place_actions(&mut self) -> Result<(), CompileError> {
         for ci in 0..self.p.components.len() {
             let comp = CompId::from_index(ci);
-            for node in self.p.network.node_ids().collect::<Vec<_>>() {
+            for node in self.p.network.node_ids() {
                 if let Placement::Only(names) = &self.p.components[ci].placement {
                     let nname = &self.p.network.node(node).name;
                     if !names.contains(nname) {
@@ -262,14 +281,20 @@ impl<'p> Ctx<'p> {
         Ok(())
     }
 
+    /// Ground one `place(comp, node)` schema instance: its formulas once,
+    /// then one action per feasible level combination, each sharing them.
+    /// Propositions are interned action by action, in emission order
+    /// (preconditions, `placed`, output closure); that order fixes every
+    /// `PropId`.
     fn ground_place_at(&mut self, comp: CompId, node: NodeId) -> Result<(), CompileError> {
-        let spec = self.p.component(comp).clone();
+        let p = self.p;
+        let spec = p.component(comp);
 
         // interface-name → id within this component's scope
         let req: Vec<IfaceId> =
-            spec.requires.iter().map(|n| self.p.iface_id(n).expect("validated")).collect();
+            spec.requires.iter().map(|n| p.iface_id(n).expect("validated")).collect();
         let outs: Vec<IfaceId> =
-            spec.implements.iter().map(|n| self.p.iface_id(n).expect("validated")).collect();
+            spec.implements.iter().map(|n| p.iface_id(n).expect("validated")).collect();
 
         // node resources mentioned anywhere in the schema's formulas
         let mut node_res: Vec<u16> = Vec::new();
@@ -291,13 +316,12 @@ impl<'p> Ctx<'p> {
 
         // ground the formulas once per (comp, node)
         let iface_in_scope: HashMap<&str, IfaceId> =
-            spec.scope().map(|n| (n, self.p.iface_id(n).expect("validated"))).collect();
+            spec.scope().map(|n| (n, p.iface_id(n).expect("validated"))).collect();
         let gv = |ctx: &mut Self, v: &SpecVar| -> GVarId {
             match v {
                 SpecVar::Iface { iface, prop } => {
                     let id = iface_in_scope[iface.as_str()];
-                    let pidx =
-                        ctx.p.iface(id).properties.iter().position(|p| p == prop).unwrap() as u8;
+                    let pidx = p.iface(id).properties.iter().position(|n| n == prop).unwrap() as u8;
                     ctx.intern_gvar(GVarData::IfaceProp { iface: id, prop: pidx, node })
                 }
                 SpecVar::Node { res } => {
@@ -307,9 +331,9 @@ impl<'p> Ctx<'p> {
                 SpecVar::Link { .. } => unreachable!("validated: no link vars in place formulas"),
             }
         };
-        let conditions: Vec<_> =
+        let conditions: Arc<[Cond<GVarId>]> =
             spec.conditions.iter().map(|c| c.map_vars(&mut |v| gv(self, v))).collect();
-        let effects: Vec<_> =
+        let effects: Arc<[Effect<GVarId>]> =
             spec.effects.iter().map(|e| e.map_vars(&mut |v| gv(self, v))).collect();
         let cost_expr = spec.cost.map_vars(&mut |v| gv(self, v));
 
@@ -319,14 +343,15 @@ impl<'p> Ctx<'p> {
             .iter()
             .map(|&r| self.intern_gvar(GVarData::NodeRes { res: r, node }))
             .collect();
-        let res_specs: Vec<LevelSpec> =
-            node_res.iter().map(|&r| self.p.resources[r as usize].levels.clone()).collect();
-        let res_caps: Vec<f64> = node_res
+        let res_specs: Vec<&LevelSpec> =
+            node_res.iter().map(|&r| &p.resources[r as usize].levels).collect();
+        let res_avail: Vec<Interval> = node_res
             .iter()
-            .map(|&r| self.p.network.node_capacity(node, &self.p.resources[r as usize].name))
+            .map(|&r| {
+                let res = &p.resources[r as usize];
+                available(res.consumable, p.network.node_capacity(node, &res.name))
+            })
             .collect();
-        let res_static: Vec<bool> =
-            node_res.iter().map(|&r| !self.p.resources[r as usize].consumable).collect();
         let out_vars: Vec<Option<GVarId>> =
             outs.iter().map(|&o| self.primary_var(o, node)).collect();
         let out_specs: Vec<LevelSpec> = outs.iter().map(|&o| self.primary_levels(o)).collect();
@@ -334,206 +359,153 @@ impl<'p> Ctx<'p> {
         let dims: Vec<usize> = in_specs
             .iter()
             .map(LevelSpec::num_levels)
-            .chain(res_specs.iter().map(LevelSpec::num_levels))
+            .chain(res_specs.iter().map(|s| s.num_levels()))
             .collect();
         let count = combo_count(&dims);
         if count > MAX_COMBOS {
             return Err(CompileError::TooManyCombinations {
-                schema: format!("place({},{})", spec.name, self.p.network.node(node).name),
+                schema: format!("place({},{})", spec.name, p.network.node(node).name),
                 count,
             });
         }
 
-        let comp_name = spec.name.clone();
-        let node_name = self.p.network.node(node).name.clone();
-        let mut emitted: Vec<GroundAction> = Vec::new();
+        let node_name = &p.network.node(node).name;
+        // per-combination scratch; each action copies out what it keeps
+        let mut optimistic: Vec<(GVarId, Interval)> = Vec::new();
+        let mut levels: Vec<(GVarId, u8)> = Vec::new();
+        let mut produced: Vec<(GVarId, Interval)> = Vec::new();
+        let mut out_options: Vec<Vec<usize>> = Vec::new();
+        let mut full: Vec<(GVarId, Interval)> = Vec::new();
+        let mut name = String::new();
 
         for_each_combo(&dims, |combo| {
             let (in_levels, res_levels) = combo.split_at(in_specs.len());
 
             // optimistic map for this level assignment
-            let mut map: HashMap<GVarId, Interval> = HashMap::new();
-            let mut optimistic: Vec<(GVarId, Interval)> = Vec::new();
-            let mut levels: Vec<(GVarId, u8)> = Vec::new();
+            optimistic.clear();
+            levels.clear();
             for (k, &l) in in_levels.iter().enumerate() {
                 if let Some(v) = in_vars[k] {
-                    let iv = in_specs[k].requirement(l);
-                    map.insert(v, iv);
-                    optimistic.push((v, iv));
+                    optimistic.push((v, in_specs[k].requirement(l)));
                     levels.push((v, l as u8));
                 }
             }
-            let mut feasible = true;
             for (k, &l) in res_levels.iter().enumerate() {
-                // a consumable resource may have been drained to any
-                // value below its capacity; a static property has exactly
-                // its declared value
-                let avail = if res_static[k] {
-                    Interval::point(res_caps[k])
-                } else {
-                    Interval::new(0.0, res_caps[k])
-                };
-                let iv = res_specs[k].requirement(l).intersect(&avail);
+                let iv = res_specs[k].requirement(l).intersect(&res_avail[k]);
                 if iv.is_empty() {
-                    feasible = false;
-                    break;
+                    self.pruned += 1;
+                    return;
                 }
-                map.insert(res_vars[k], iv);
                 optimistic.push((res_vars[k], iv));
                 if !res_specs[k].is_trivial() {
                     levels.push((res_vars[k], l as u8));
                 }
             }
-            if !feasible {
-                self.pruned += 1;
-                return;
-            }
 
-            let mut env = |v: &GVarId| map.get(v).copied().unwrap_or_else(Interval::nonneg);
+            let mut env = |v: &GVarId| lookup(&optimistic, *v);
             if !conditions.iter().all(|c| c.possibly(&mut env)) {
                 self.pruned += 1;
                 return;
             }
 
             // evaluate effects against the pre-state
-            let mut produced: HashMap<GVarId, Interval> = HashMap::new();
-            for eff in &effects {
-                let val = {
-                    let mut env = |v: &GVarId| map.get(v).copied().unwrap_or_else(Interval::nonneg);
-                    eff.value.eval_interval(&mut env)
-                };
+            produced.clear();
+            for eff in effects.iter() {
+                let val = eff.value.eval_interval(&mut env);
                 match eff.op {
-                    AssignOp::Set => {
-                        produced.insert(eff.target, val);
-                    }
+                    AssignOp::Set => produced.push((eff.target, val)),
                     AssignOp::Sub => {
-                        let pre = map.get(&eff.target).copied().unwrap_or_else(Interval::nonneg);
-                        let post = pre.sub(&val).clamp_nonneg();
-                        if post.is_empty() {
-                            feasible = false;
-                            break;
+                        if lookup(&optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
+                            self.pruned += 1;
+                            return;
                         }
                     }
                     AssignOp::Add => {}
                 }
             }
-            if !feasible {
-                self.pruned += 1;
-                return;
-            }
 
             // enumerate output levels from the computed ranges
-            let mut out_options: Vec<Vec<usize>> = Vec::with_capacity(outs.len());
+            out_options.clear();
             for (k, ov) in out_vars.iter().enumerate() {
-                match ov {
-                    Some(v) => {
-                        let computed = produced.get(v).copied().unwrap_or_else(Interval::nonneg);
-                        let opts = out_specs[k].intersecting_half_open(&computed);
-                        if opts.is_empty() {
-                            feasible = false;
-                            break;
-                        }
-                        out_options.push(opts);
-                    }
-                    None => out_options.push(vec![0]),
+                let opts = match ov {
+                    Some(v) => out_specs[k].intersecting_half_open(&lookup(&produced, *v)),
+                    None => vec![0],
+                };
+                if opts.is_empty() {
+                    self.pruned += 1;
+                    return;
                 }
-            }
-            if !feasible {
-                self.pruned += 1;
-                return;
+                out_options.push(opts);
             }
 
             let out_dims: Vec<usize> = out_options.iter().map(Vec::len).collect();
             for_each_combo(&out_dims, |out_combo| {
-                let out_levels: Vec<usize> =
-                    out_combo.iter().enumerate().map(|(k, &i)| out_options[k][i]).collect();
+                let out_level = |k: usize| out_options[k][out_combo[k]];
 
                 // full map including produced outputs, for the cost bound
-                let mut full = map.clone();
-                let mut post: Vec<(GVarId, Interval)> = Vec::new();
+                full.clone_from(&optimistic);
+                let mut post = Vec::with_capacity(outs.len());
+                let mut lv = Vec::with_capacity(levels.len() + outs.len());
+                lv.extend_from_slice(&levels);
                 for (k, ov) in out_vars.iter().enumerate() {
-                    if let Some(v) = ov {
-                        let claimed = out_specs[k].requirement(out_levels[k]);
-                        let computed = produced.get(v).copied().unwrap_or_else(Interval::nonneg);
-                        full.insert(*v, computed.intersect(&claimed));
-                        post.push((*v, claimed));
+                    if let Some(v) = *ov {
+                        let claimed = out_specs[k].requirement(out_level(k));
+                        full.push((v, lookup(&produced, v).intersect(&claimed)));
+                        post.push((v, claimed));
+                        lv.push((v, out_level(k) as u8));
                     }
                 }
-                let cost = {
-                    let mut env =
-                        |v: &GVarId| full.get(v).copied().unwrap_or_else(Interval::nonneg);
-                    cost_expr.eval_interval(&mut env).lo.max(0.0)
-                };
+                let cost = cost_expr.eval_interval(&mut |v| lookup(&full, *v)).lo.max(0.0);
 
-                let mut lv = levels.clone();
-                for (k, ov) in out_vars.iter().enumerate() {
-                    if let Some(v) = ov {
-                        lv.push((*v, out_levels[k] as u8));
+                name.clear();
+                let _ = write!(name, "place({},{node_name})", spec.name);
+                let mut sep = '[';
+                for (k, &l) in in_levels.iter().enumerate() {
+                    if !in_specs[k].is_trivial() {
+                        let _ = write!(name, "{sep}{}={l}", p.iface(req[k]).name);
+                        sep = ',';
                     }
                 }
+                for (k, &o) in outs.iter().enumerate() {
+                    if !out_specs[k].is_trivial() {
+                        let _ = write!(name, "{sep}→{}={}", p.iface(o).name, out_level(k));
+                        sep = ',';
+                    }
+                }
+                if sep == ',' {
+                    name.push(']');
+                }
 
-                let lv_str: Vec<String> = in_levels
+                let mut preconds: Vec<PropId> = req
                     .iter()
-                    .enumerate()
-                    .filter(|(k, _)| !in_specs[*k].is_trivial())
-                    .map(|(k, &l)| format!("{}={}", self.p.iface(req[k]).name, l))
-                    .chain(
-                        out_levels
-                            .iter()
-                            .enumerate()
-                            .filter(|(k, _)| !out_specs[*k].is_trivial())
-                            .map(|(k, &l)| format!("→{}={}", self.p.iface(outs[k]).name, l)),
-                    )
+                    .zip(in_levels)
+                    .map(|(&r, &l)| {
+                        self.intern_prop(PropData::Avail { iface: r, node, level: l as u8 })
+                    })
                     .collect();
-                let name = if lv_str.is_empty() {
-                    format!("place({comp_name},{node_name})")
-                } else {
-                    format!("place({comp_name},{node_name})[{}]", lv_str.join(","))
-                };
+                preconds.sort_unstable();
+                preconds.dedup();
+                let mut adds = vec![self.intern_prop(PropData::Placed { comp, node })];
+                for (k, &o) in outs.iter().enumerate() {
+                    self.avail_adds(o, node, out_level(k), &mut adds);
+                }
+                adds.sort_unstable();
+                adds.dedup();
 
-                emitted.push(GroundAction {
-                    name,
+                self.task.actions.push(GroundAction {
+                    name: name.clone(),
                     kind: ActionKind::Place { comp, node },
-                    preconds: Vec::new(), // filled below (needs &mut self)
-                    adds: Vec::new(),
-                    conditions: conditions.clone(),
-                    effects: effects.clone(),
+                    preconds,
+                    adds,
+                    conditions: Arc::clone(&conditions),
+                    effects: Arc::clone(&effects),
                     optimistic: optimistic.clone(),
                     post,
                     levels: lv,
                     cost,
                 });
-                // stash the level choices for pre/add construction
-                let idx = emitted.len() - 1;
-                emitted[idx].preconds =
-                    in_levels.to_vec().iter().map(|&l| PropId(l as u32)).collect();
-                emitted[idx].adds = out_levels.iter().map(|&l| PropId(l as u32)).collect();
             });
         });
-
-        // second pass: translate the stashed level choices into real props
-        for mut act in emitted {
-            let in_levels: Vec<usize> = act.preconds.iter().map(|p| p.0 as usize).collect();
-            let out_levels: Vec<usize> = act.adds.iter().map(|p| p.0 as usize).collect();
-            let mut preconds: Vec<PropId> = req
-                .iter()
-                .zip(&in_levels)
-                .map(|(&r, &l)| {
-                    self.intern_prop(PropData::Avail { iface: r, node, level: l as u8 })
-                })
-                .collect();
-            preconds.sort_unstable();
-            preconds.dedup();
-            let mut adds = vec![self.intern_prop(PropData::Placed { comp, node })];
-            for (&o, &l) in outs.iter().zip(&out_levels) {
-                adds.extend(self.avail_adds(o, node, l));
-            }
-            adds.sort_unstable();
-            adds.dedup();
-            act.preconds = preconds;
-            act.adds = adds;
-            self.task.actions.push(act);
-        }
         Ok(())
     }
 
@@ -542,15 +514,20 @@ impl<'p> Ctx<'p> {
     fn ground_cross_actions(&mut self) -> Result<(), CompileError> {
         for ii in 0..self.p.interfaces.len() {
             let iface = IfaceId::from_index(ii);
-            for dir in self.p.network.directed_links().collect::<Vec<_>>() {
+            for dir in self.p.network.directed_links() {
                 self.ground_cross_at(iface, dir)?;
             }
         }
         Ok(())
     }
 
+    /// Ground one `cross(iface, link)` schema instance in one direction:
+    /// its formulas once, then one action per feasible level combination,
+    /// each sharing them. Propositions are interned action by action, in
+    /// emission order (precondition, then output closure).
     fn ground_cross_at(&mut self, iface: IfaceId, dir: DirLink) -> Result<(), CompileError> {
-        let spec = self.p.iface(iface).clone();
+        let p = self.p;
+        let spec = p.iface(iface);
 
         // link resources mentioned in cross formulas
         let mut link_res: Vec<u16> = Vec::new();
@@ -575,8 +552,7 @@ impl<'p> Ctx<'p> {
         let gv = |ctx: &mut Self, v: &SpecVar, write: bool| -> GVarId {
             match v {
                 SpecVar::Iface { prop, .. } => {
-                    let pidx =
-                        ctx.p.iface(iface).properties.iter().position(|p| p == prop).unwrap() as u8;
+                    let pidx = spec.properties.iter().position(|n| n == prop).unwrap() as u8;
                     let node = if write { dir.to } else { dir.from };
                     ctx.intern_gvar(GVarData::IfaceProp { iface, prop: pidx, node })
                 }
@@ -587,9 +563,9 @@ impl<'p> Ctx<'p> {
                 SpecVar::Node { .. } => unreachable!("validated: no node vars in cross formulas"),
             }
         };
-        let conditions: Vec<_> =
+        let conditions: Arc<[Cond<GVarId>]> =
             spec.cross_conditions.iter().map(|c| c.map_vars(&mut |v| gv(self, v, false))).collect();
-        let effects: Vec<_> = spec
+        let effects: Arc<[Effect<GVarId>]> = spec
             .cross_effects
             .iter()
             .map(|e| {
@@ -597,7 +573,7 @@ impl<'p> Ctx<'p> {
                 // link-resource targets are consumed in place; interface
                 // targets materialize on the destination node
                 let target = gv(self, &e.target, matches!(e.target, SpecVar::Iface { .. }));
-                sekitei_model::Effect { target, op: e.op, value }
+                Effect { target, op: e.op, value }
             })
             .collect();
         let cost_expr = spec.cross_cost.map_vars(&mut |v| gv(self, v, false));
@@ -609,17 +585,18 @@ impl<'p> Ctx<'p> {
             .iter()
             .map(|&r| self.intern_gvar(GVarData::LinkRes { res: r, link: dir.link }))
             .collect();
-        let res_specs: Vec<LevelSpec> =
-            link_res.iter().map(|&r| self.p.resources[r as usize].levels.clone()).collect();
-        let res_caps: Vec<f64> = link_res
+        let res_specs: Vec<&LevelSpec> =
+            link_res.iter().map(|&r| &p.resources[r as usize].levels).collect();
+        let res_avail: Vec<Interval> = link_res
             .iter()
-            .map(|&r| self.p.network.link_capacity(dir.link, &self.p.resources[r as usize].name))
+            .map(|&r| {
+                let res = &p.resources[r as usize];
+                available(res.consumable, p.network.link_capacity(dir.link, &res.name))
+            })
             .collect();
-        let res_static: Vec<bool> =
-            link_res.iter().map(|&r| !self.p.resources[r as usize].consumable).collect();
 
         let dims: Vec<usize> = std::iter::once(level_spec.num_levels())
-            .chain(res_specs.iter().map(LevelSpec::num_levels))
+            .chain(res_specs.iter().map(|s| s.num_levels()))
             .collect();
         let count = combo_count(&dims);
         if count > MAX_COMBOS {
@@ -629,76 +606,47 @@ impl<'p> Ctx<'p> {
             });
         }
 
-        let iface_name = spec.name.clone();
-        let from_name = self.p.network.node(dir.from).name.clone();
-        let to_name = self.p.network.node(dir.to).name.clone();
-        struct Pending {
-            l_in: usize,
-            l_out: usize,
-            link_levels: Vec<usize>,
-            optimistic: Vec<(GVarId, Interval)>,
-            post: Vec<(GVarId, Interval)>,
-            levels: Vec<(GVarId, u8)>,
-            cost: f64,
-        }
-        let mut emitted: Vec<Pending> = Vec::new();
+        let from_name = &p.network.node(dir.from).name;
+        let to_name = &p.network.node(dir.to).name;
+        // per-combination scratch; each action copies out what it keeps
+        let mut optimistic: Vec<(GVarId, Interval)> = Vec::new();
+        let mut levels: Vec<(GVarId, u8)> = Vec::new();
+        let mut name = String::new();
 
         for_each_combo(&dims, |combo| {
             let l_in = combo[0];
             let link_levels = &combo[1..];
 
-            let mut map: HashMap<GVarId, Interval> = HashMap::new();
-            let mut optimistic: Vec<(GVarId, Interval)> = Vec::new();
-            let mut levels: Vec<(GVarId, u8)> = Vec::new();
-            let iv_in = level_spec.requirement(l_in);
+            optimistic.clear();
+            levels.clear();
             if let Some(v) = in_var {
-                map.insert(v, iv_in);
-                optimistic.push((v, iv_in));
+                optimistic.push((v, level_spec.requirement(l_in)));
                 if !level_spec.is_trivial() {
                     levels.push((v, l_in as u8));
                 }
             }
-            let mut feasible = true;
             for (k, &l) in link_levels.iter().enumerate() {
-                // a consumable resource may have been drained to any
-                // value below its capacity; a static property has exactly
-                // its declared value
-                let avail = if res_static[k] {
-                    Interval::point(res_caps[k])
-                } else {
-                    Interval::new(0.0, res_caps[k])
-                };
-                let iv = res_specs[k].requirement(l).intersect(&avail);
+                let iv = res_specs[k].requirement(l).intersect(&res_avail[k]);
                 if iv.is_empty() {
-                    feasible = false;
-                    break;
+                    self.pruned += 1;
+                    return;
                 }
-                map.insert(res_vars[k], iv);
                 optimistic.push((res_vars[k], iv));
                 if !res_specs[k].is_trivial() {
                     levels.push((res_vars[k], l as u8));
                 }
             }
-            if !feasible {
+
+            let mut env = |v: &GVarId| lookup(&optimistic, *v);
+            if !conditions.iter().all(|c| c.possibly(&mut env)) {
                 self.pruned += 1;
                 return;
             }
 
-            {
-                let mut env = |v: &GVarId| map.get(v).copied().unwrap_or_else(Interval::nonneg);
-                if !conditions.iter().all(|c| c.possibly(&mut env)) {
-                    self.pruned += 1;
-                    return;
-                }
-            }
-
             // computed delivery range of the primary property
             let mut delivered = Interval::nonneg();
-            for eff in &effects {
-                let val = {
-                    let mut env = |v: &GVarId| map.get(v).copied().unwrap_or_else(Interval::nonneg);
-                    eff.value.eval_interval(&mut env)
-                };
+            for eff in effects.iter() {
+                let val = eff.value.eval_interval(&mut env);
                 match eff.op {
                     AssignOp::Set => {
                         if Some(eff.target) == out_var {
@@ -706,24 +654,16 @@ impl<'p> Ctx<'p> {
                         }
                     }
                     AssignOp::Sub => {
-                        let pre = map.get(&eff.target).copied().unwrap_or_else(Interval::nonneg);
-                        if pre.sub(&val).clamp_nonneg().is_empty() {
-                            feasible = false;
-                            break;
+                        if lookup(&optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
+                            self.pruned += 1;
+                            return;
                         }
                     }
                     AssignOp::Add => {}
                 }
             }
-            if !feasible {
-                self.pruned += 1;
-                return;
-            }
 
-            let cost = {
-                let mut env = |v: &GVarId| map.get(v).copied().unwrap_or_else(Interval::nonneg);
-                cost_expr.eval_interval(&mut env).lo.max(0.0)
-            };
+            let cost = cost_expr.eval_interval(&mut env).lo.max(0.0);
 
             let out_opts = if out_var.is_some() {
                 level_spec.intersecting_half_open(&delivered)
@@ -735,18 +675,47 @@ impl<'p> Ctx<'p> {
                 return;
             }
             for l_out in out_opts {
-                let mut post = Vec::new();
-                let mut lv = levels.clone();
-                if let Some(v) = out_var {
-                    post.push((v, level_spec.requirement(l_out)));
-                    if !level_spec.is_trivial() {
-                        lv.push((v, l_out as u8));
+                let post = match out_var {
+                    Some(v) => vec![(v, level_spec.requirement(l_out))],
+                    None => Vec::new(),
+                };
+                let mut lv = Vec::with_capacity(levels.len() + 1);
+                lv.extend_from_slice(&levels);
+                if let (Some(v), false) = (out_var, level_spec.is_trivial()) {
+                    lv.push((v, l_out as u8));
+                }
+
+                name.clear();
+                let _ = write!(name, "cross({},{from_name}→{to_name})", spec.name);
+                let mut sep = '[';
+                if !level_spec.is_trivial() {
+                    let _ = write!(name, "{sep}in={l_in},out={l_out}");
+                    sep = ',';
+                }
+                for (k, &l) in link_levels.iter().enumerate() {
+                    if !res_specs[k].is_trivial() {
+                        let _ = write!(name, "{sep}{}={l}", p.resources[link_res[k] as usize].name);
+                        sep = ',';
                     }
                 }
-                emitted.push(Pending {
-                    l_in,
-                    l_out,
-                    link_levels: link_levels.to_vec(),
+                if sep == ',' {
+                    name.push(']');
+                }
+
+                let pre =
+                    self.intern_prop(PropData::Avail { iface, node: dir.from, level: l_in as u8 });
+                let mut adds = Vec::with_capacity(l_out + 1);
+                self.avail_adds(iface, dir.to, l_out, &mut adds);
+                adds.sort_unstable();
+                adds.dedup();
+
+                self.task.actions.push(GroundAction {
+                    name: name.clone(),
+                    kind: ActionKind::Cross { iface, dir },
+                    preconds: vec![pre],
+                    adds,
+                    conditions: Arc::clone(&conditions),
+                    effects: Arc::clone(&effects),
                     optimistic: optimistic.clone(),
                     post,
                     levels: lv,
@@ -754,61 +723,28 @@ impl<'p> Ctx<'p> {
                 });
             }
         });
-
-        for pend in emitted {
-            let pre =
-                self.intern_prop(PropData::Avail { iface, node: dir.from, level: pend.l_in as u8 });
-            let mut adds = self.avail_adds(iface, dir.to, pend.l_out);
-            adds.sort_unstable();
-            adds.dedup();
-            let mut lv_str = Vec::new();
-            if !level_spec.is_trivial() {
-                lv_str.push(format!("in={},out={}", pend.l_in, pend.l_out));
-            }
-            for (k, &l) in pend.link_levels.iter().enumerate() {
-                if !res_specs[k].is_trivial() {
-                    lv_str.push(format!("{}={l}", self.p.resources[link_res[k] as usize].name));
-                }
-            }
-            let name = if lv_str.is_empty() {
-                format!("cross({iface_name},{from_name}→{to_name})")
-            } else {
-                format!("cross({iface_name},{from_name}→{to_name})[{}]", lv_str.join(","))
-            };
-            self.task.actions.push(GroundAction {
-                name,
-                kind: ActionKind::Cross { iface, dir },
-                preconds: vec![pre],
-                adds,
-                conditions: conditions.clone(),
-                effects: effects.clone(),
-                optimistic: pend.optimistic,
-                post: pend.post,
-                levels: pend.levels,
-                cost: pend.cost,
-            });
-        }
         Ok(())
     }
 
     // --------------------------------------------------------- init & goals
 
     fn build_initial_state(&mut self) {
+        let p = self.p;
         // stream sources: every level their producible range reaches
-        for s in self.p.sources.clone() {
-            let iface = self.p.iface_id(&s.iface).expect("validated");
+        for s in &p.sources {
+            let iface = p.iface_id(&s.iface).expect("validated");
             let spec = self.primary_levels(iface);
-            if let Some(primary) = self.p.iface(iface).properties.first().cloned() {
-                let range = s.properties.get(&primary).copied().unwrap_or_else(Interval::nonneg);
+            let props = &p.iface(iface).properties;
+            if let Some(primary) = props.first() {
+                let range = s.properties.get(primary).copied().unwrap_or_else(Interval::nonneg);
                 for l in spec.intersecting(&range) {
-                    let p =
+                    let pid =
                         self.intern_prop(PropData::Avail { iface, node: s.node, level: l as u8 });
-                    self.task.init_props.push(p);
+                    self.task.init_props.push(pid);
                 }
                 // initial values for every declared source property (the
                 // primary gets its producible range; further properties —
                 // e.g. accumulated latency — default to a point 0)
-                let props: Vec<String> = self.p.iface(iface).properties.clone();
                 for (pi, pname) in props.iter().enumerate() {
                     let v = self.intern_gvar(GVarData::IfaceProp {
                         iface,
@@ -828,24 +764,25 @@ impl<'p> Ctx<'p> {
                     self.task.init_values[v.index()] = Some(value);
                 }
             } else {
-                let p = self.intern_prop(PropData::Avail { iface, node: s.node, level: 0 });
-                self.task.init_props.push(p);
+                let pid = self.intern_prop(PropData::Avail { iface, node: s.node, level: 0 });
+                self.task.init_props.push(pid);
             }
         }
-        for pp in self.p.pre_placed.clone() {
-            let comp = self.p.comp_id(&pp.component).expect("validated");
-            let p = self.intern_prop(PropData::Placed { comp, node: pp.node });
-            self.task.init_props.push(p);
+        for pp in &p.pre_placed {
+            let comp = p.comp_id(&pp.component).expect("validated");
+            let pid = self.intern_prop(PropData::Placed { comp, node: pp.node });
+            self.task.init_props.push(pid);
         }
         self.task.init_props.sort_unstable();
         self.task.init_props.dedup();
     }
 
     fn build_goals(&mut self) {
-        for g in self.p.goals.clone() {
-            let comp = self.p.comp_id(&g.component).expect("validated");
-            let p = self.intern_prop(PropData::Placed { comp, node: g.node });
-            self.task.goal_props.push(p);
+        let p = self.p;
+        for g in &p.goals {
+            let comp = p.comp_id(&g.component).expect("validated");
+            let pid = self.intern_prop(PropData::Placed { comp, node: g.node });
+            self.task.goal_props.push(pid);
         }
         self.task.goal_props.sort_unstable();
         self.task.goal_props.dedup();

@@ -343,13 +343,13 @@ impl<'t> Swap<'t> {
                 h.u32(p);
             }
         }
-        for c in &act.conditions {
+        for c in act.conditions.iter() {
             h.u8(0xc0);
             self.hash_expr(&c.lhs, &mut h)?;
             h.u8(cmp_tag(c));
             self.hash_expr(&c.rhs, &mut h)?;
         }
-        for e in &act.effects {
+        for e in act.effects.iter() {
             h.u8(0xe0);
             h.u32(self.gvar(e.target)?.index() as u32);
             h.u8(assign_tag(e));
@@ -420,7 +420,7 @@ impl<'t> Swap<'t> {
             a.conditions.iter().map(|c| c.map_vars(&mut map_var)).collect();
         let effs: Vec<Effect<GVarId>> =
             a.effects.iter().map(|e| e.map_vars(&mut map_var)).collect();
-        if !ok || conds != b.conditions || effs != b.effects {
+        if !ok || *conds != *b.conditions || *effs != *b.effects {
             return false;
         }
         let sort_ivs = |g: &[(GVarId, Interval)], mapped: bool| -> Option<Vec<(u32, u64, u64)>> {
@@ -620,10 +620,10 @@ fn push_action_nodes(
     }
     out.extend(act.preconds.iter().chain(&act.adds).map(|&p| prop_node(task, p)));
     let mut var = |g: &GVarId| push_gvar_nodes(task, links, *g, out);
-    for c in &act.conditions {
+    for c in act.conditions.iter() {
         c.for_each_var(&mut var);
     }
-    for e in &act.effects {
+    for e in act.effects.iter() {
         e.for_each_var(&mut var);
     }
     for (g, _) in act.optimistic.iter().chain(&act.post) {
@@ -989,11 +989,11 @@ mod tests {
             .iter_mut()
             .find(|a| matches!(a.kind, ActionKind::Place { node: NodeId(2), .. }))
             .expect("n2 hosts a placement");
-        reader.conditions.push(Cond::new(
-            Expr::var(GVarId::from_index(read)),
-            CmpOp::Ge,
-            Expr::c(0.0),
-        ));
+        // formulas are shared by level variants: give only this action
+        // the extra condition
+        let mut conditions = reader.conditions.to_vec();
+        conditions.push(Cond::new(Expr::var(GVarId::from_index(read)), CmpOp::Ge, Expr::c(0.0)));
+        reader.conditions = conditions.into();
 
         let sym = detect(&task, p.network.num_nodes());
         assert_eq!(sym.orbits.siblings(NodeId(2)), &[NodeId(2)]);

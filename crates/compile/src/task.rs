@@ -18,6 +18,7 @@ use sekitei_model::{
 };
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A ground proposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,10 +104,12 @@ pub struct GroundAction {
     pub preconds: Vec<PropId>,
     /// Propositional add effects (sorted; includes degradable closure).
     pub adds: Vec<PropId>,
-    /// Numeric preconditions, over ground variables.
-    pub conditions: Vec<Cond<GVarId>>,
+    /// Numeric preconditions, over ground variables. Shared (never
+    /// copied) by every level variant of one schema instance.
+    pub conditions: Arc<[Cond<GVarId>]>,
     /// Numeric effects (all value expressions read the pre-state).
-    pub effects: Vec<Effect<GVarId>>,
+    /// Shared like `conditions`.
+    pub effects: Arc<[Effect<GVarId>]>,
     /// Optimistic resource map: interval assumed for each variable the
     /// action *reads or consumes*, from its level assignment (paper §3.1).
     pub optimistic: Vec<(GVarId, Interval)>,

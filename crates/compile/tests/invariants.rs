@@ -3,9 +3,9 @@
 //! compiled task must be a faithful skeleton of the problem.
 
 use proptest::prelude::*;
-use sekitei_compile::{compile, ActionKind, GVarData, PlanningTask, PropData};
-use sekitei_model::{CppProblem, Interval, LevelScenario, MediaConfig};
-use sekitei_topology::scenarios;
+use sekitei_compile::{compile, ActionKind, GVarData, NodeOrbits, PlanningTask, PropData};
+use sekitei_model::{CppProblem, Expr, GVarId, Interval, LevelScenario, MediaConfig};
+use sekitei_topology::scenarios::{self, RandomMediaConfig, RandomModel};
 
 fn check_invariants(_p: &CppProblem, task: &PlanningTask) -> Result<(), TestCaseError> {
     // proposition table is consistent with the index
@@ -65,10 +65,10 @@ fn check_invariants(_p: &CppProblem, task: &PlanningTask) -> Result<(), TestCase
             }
         }
         // every numeric variable referenced is interned
-        for c in &a.conditions {
+        for c in a.conditions.iter() {
             c.for_each_var(&mut |v| assert!(v.index() < task.gvars.len()));
         }
-        for e in &a.effects {
+        for e in a.effects.iter() {
             e.for_each_var(&mut |v| assert!(v.index() < task.gvars.len()));
         }
     }
@@ -263,4 +263,270 @@ fn rigid_interfaces_skip_degradable_closure() {
                 > 1
     });
     assert!(closure_found);
+}
+
+/// FNV-1a over every field of a compiled task, floats by their bits and
+/// every list length-prefixed. Unlike [`PlanningTask::fingerprint`], which
+/// hashes names, costs and the initial state only, this pins the numeric
+/// formulas, optimistic maps, level assignments and symmetry classes too.
+struct Digest(u64);
+
+impl Digest {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn idx(&mut self, i: usize) {
+        self.u64(i as u64);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.idx(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    fn interval(&mut self, iv: Interval) {
+        self.f64(iv.lo);
+        self.f64(iv.hi);
+    }
+
+    fn bindings(&mut self, list: &[(GVarId, Interval)]) {
+        self.idx(list.len());
+        for &(v, iv) in list {
+            self.idx(v.index());
+            self.interval(iv);
+        }
+    }
+
+    fn expr(&mut self, e: &Expr<GVarId>) {
+        let (tag, kids): (u8, [Option<&Expr<GVarId>>; 2]) = match e {
+            Expr::Const(c) => {
+                self.bytes(&[0]);
+                return self.f64(*c);
+            }
+            Expr::Var(v) => {
+                self.bytes(&[1]);
+                return self.idx(v.index());
+            }
+            Expr::Add(a, b) => (2, [Some(a), Some(b)]),
+            Expr::Sub(a, b) => (3, [Some(a), Some(b)]),
+            Expr::Mul(a, b) => (4, [Some(a), Some(b)]),
+            Expr::Div(a, b) => (5, [Some(a), Some(b)]),
+            Expr::Min(a, b) => (6, [Some(a), Some(b)]),
+            Expr::Max(a, b) => (7, [Some(a), Some(b)]),
+            Expr::Neg(a) => (8, [Some(a), None]),
+        };
+        self.bytes(&[tag]);
+        for k in kids.into_iter().flatten() {
+            self.expr(k);
+        }
+    }
+
+    fn orbits(&mut self, o: &NodeOrbits) {
+        self.idx(o.num_nodes());
+        self.idx(o.orbit_count());
+        for members in o.orbits() {
+            self.idx(members.len());
+            for n in members {
+                self.idx(n.index());
+            }
+        }
+    }
+
+    fn task(&mut self, t: &PlanningTask) {
+        self.idx(t.actions.len());
+        for a in &t.actions {
+            self.str(&a.name);
+            match &a.kind {
+                ActionKind::Place { comp, node } => {
+                    self.bytes(&[0]);
+                    self.idx(comp.index());
+                    self.idx(node.index());
+                }
+                ActionKind::Cross { iface, dir } => {
+                    self.bytes(&[1]);
+                    self.idx(iface.index());
+                    self.idx(dir.link.index());
+                    self.idx(dir.from.index());
+                    self.idx(dir.to.index());
+                }
+            }
+            for group in [&a.preconds, &a.adds] {
+                self.idx(group.len());
+                for p in group {
+                    self.idx(p.index());
+                }
+            }
+            self.idx(a.conditions.len());
+            for c in a.conditions.iter() {
+                self.expr(&c.lhs);
+                self.str(&format!("{:?}", c.op));
+                self.expr(&c.rhs);
+            }
+            self.idx(a.effects.len());
+            for e in a.effects.iter() {
+                self.idx(e.target.index());
+                self.str(&format!("{:?}", e.op));
+                self.expr(&e.value);
+            }
+            self.bindings(&a.optimistic);
+            self.bindings(&a.post);
+            self.idx(a.levels.len());
+            for &(v, l) in &a.levels {
+                self.idx(v.index());
+                self.bytes(&[l]);
+            }
+            self.f64(a.cost);
+        }
+        self.idx(t.props.len());
+        for (p, name) in t.props.iter().zip(&t.prop_names) {
+            match *p {
+                PropData::Placed { comp, node } => {
+                    self.bytes(&[0]);
+                    self.idx(comp.index());
+                    self.idx(node.index());
+                }
+                PropData::Avail { iface, node, level } => {
+                    self.bytes(&[1]);
+                    self.idx(iface.index());
+                    self.idx(node.index());
+                    self.bytes(&[level]);
+                }
+            }
+            self.str(name);
+        }
+        self.idx(t.gvars.len());
+        for (g, name) in t.gvars.iter().zip(&t.gvar_names) {
+            match *g {
+                GVarData::IfaceProp { iface, prop, node } => {
+                    self.bytes(&[0, prop]);
+                    self.idx(iface.index());
+                    self.idx(node.index());
+                }
+                GVarData::NodeRes { res, node } => {
+                    self.bytes(&[1]);
+                    self.idx(res as usize);
+                    self.idx(node.index());
+                }
+                GVarData::LinkRes { res, link } => {
+                    self.bytes(&[2]);
+                    self.idx(res as usize);
+                    self.idx(link.index());
+                }
+            }
+            self.str(name);
+        }
+        for list in [&t.init_props, &t.goal_props] {
+            self.idx(list.len());
+            for p in list {
+                self.idx(p.index());
+            }
+        }
+        self.idx(t.init_mask.len());
+        for &m in &t.init_mask {
+            self.bytes(&[m as u8]);
+        }
+        self.idx(t.init_values.len());
+        for v in &t.init_values {
+            match v {
+                None => self.bytes(&[0]),
+                Some(iv) => {
+                    self.bytes(&[1]);
+                    self.interval(*iv);
+                }
+            }
+        }
+        for p in 0..t.num_props() {
+            let achievers = t.achievers(sekitei_model::PropId(p as u32));
+            self.idx(achievers.len());
+            for a in achievers {
+                self.idx(a.index());
+            }
+        }
+        self.orbits(&t.orbits);
+        self.orbits(&t.sig_classes);
+        let s = &t.stats;
+        for n in [s.actions, s.pruned, s.props, s.gvars] {
+            self.idx(n);
+        }
+    }
+}
+
+/// Structural digests of the Table 2 grid and a seeded random-network
+/// grid, recorded before the grounder shared formulas across level
+/// variants. Compilation must reproduce every field bit for bit.
+const TASK_DIGESTS: &[(&str, u64)] = &[
+    ("tiny/A", 0xd052332af3b16385),
+    ("small/A", 0x68ee1a40b99f1bbb),
+    ("large/A", 0xbe1252c15905f834),
+    ("tiny/B", 0x35e18bb9fa92409a),
+    ("small/B", 0x5ab90a58e773f3ef),
+    ("large/B", 0x1fe58e466e7eb65a),
+    ("tiny/C", 0xcfa3c497915f92b9),
+    ("small/C", 0x112fd810934bcfdd),
+    ("large/C", 0x1ceb8de9e1c2fe33),
+    ("tiny/D", 0x93d09e4ac17c5a55),
+    ("small/D", 0x15b1b28db5120d16),
+    ("large/D", 0x6197c11c8615c727),
+    ("tiny/E", 0x5245d0ebe8e07102),
+    ("small/E", 0xc53c7ba02ee9ab8e),
+    ("large/E", 0x39fbe016ee33048f),
+    ("Waxman10/A", 0x461ea54f35731698),
+    ("Waxman10/C", 0xcd9c55d30f03d0f2),
+    ("Waxman10/E", 0xfc4f0ce94ab80310),
+    ("Waxman16/A", 0x6c23f0c34b231550),
+    ("Waxman16/C", 0x7413ac01c2f4412a),
+    ("Waxman16/E", 0x8be2793dc50018e9),
+    ("BarabasiAlbert10/A", 0xc80f729bba8e27bc),
+    ("BarabasiAlbert10/C", 0x06bbbbfdb56c4256),
+    ("BarabasiAlbert10/E", 0xcf25e6c58c761858),
+    ("BarabasiAlbert16/A", 0x864f1a319bc97843),
+    ("BarabasiAlbert16/C", 0x3ef556a259fe22ed),
+    ("BarabasiAlbert16/E", 0x3f3bfc8afe5acf3d),
+];
+
+#[test]
+fn compiled_tasks_match_their_recorded_digests() {
+    let mut grid: Vec<(String, CppProblem)> = Vec::new();
+    for sc in LevelScenario::ALL {
+        grid.push((format!("tiny/{sc:?}"), scenarios::tiny(sc)));
+        grid.push((format!("small/{sc:?}"), scenarios::small(sc)));
+        grid.push((format!("large/{sc:?}"), scenarios::large(sc)));
+    }
+    for model in [RandomModel::Waxman, RandomModel::BarabasiAlbert] {
+        for nodes in [10, 16] {
+            for sc in [LevelScenario::A, LevelScenario::C, LevelScenario::E] {
+                let cfg = RandomMediaConfig {
+                    model,
+                    nodes,
+                    scenario: sc,
+                    seed: 7 + nodes as u64,
+                    ..Default::default()
+                };
+                grid.push((format!("{model:?}{nodes}/{sc:?}"), scenarios::random_media(&cfg)));
+            }
+        }
+    }
+    let got: Vec<(String, u64)> = grid
+        .iter()
+        .map(|(name, p)| {
+            let mut d = Digest(0xcbf29ce484222325);
+            d.task(&compile(p).unwrap());
+            (name.clone(), d.0)
+        })
+        .collect();
+    let want: Vec<(String, u64)> = TASK_DIGESTS.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    let table: String = got.iter().map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n")).collect();
+    assert!(got == want, "compiled task digests changed; now:\n{table}");
 }

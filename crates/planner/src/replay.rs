@@ -159,7 +159,7 @@ fn step_action<S: IvStore>(
 
     // 3. effects: evaluate every value against the pre-state, then apply
     vals.clear();
-    for e in &act.effects {
+    for e in act.effects.iter() {
         let mut env = |v: &GVarId| map.read(*v).unwrap_or_else(Interval::nonneg);
         vals.push(e.value.eval_interval(&mut env));
     }
@@ -289,10 +289,10 @@ impl ReplayIndex {
             for &(v, _) in &act.optimistic {
                 buf.push(v);
             }
-            for c in &act.conditions {
+            for c in act.conditions.iter() {
                 c.for_each_var(&mut |v| buf.push(*v));
             }
-            for e in &act.effects {
+            for e in act.effects.iter() {
                 e.for_each_var(&mut |v| buf.push(*v));
             }
             for &(v, _) in &act.post {
