@@ -31,10 +31,9 @@
 //! The incumbent cell has a single writer (the SLS thread), and the SLS
 //! schedule is fixed work, not wall-clock work — so for a fixed
 //! `sls_seed` the final incumbent is a pure function of the problem,
-//! byte-identical across runs and `--search-threads` counts. The exact
-//! lane's *counters* can vary under an armed cutoff (where the
-//! trajectory ends depends on when improvements land), but the returned
-//! plan and gap cannot:
+//! byte-identical across runs. The exact lane's *counters* can vary
+//! under an armed cutoff (where the trajectory ends depends on when
+//! improvements land), but the returned plan and gap cannot:
 //!
 //! * With no deadline the cutoff is unarmed and every ending is
 //!   deterministic.

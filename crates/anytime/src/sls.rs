@@ -25,7 +25,7 @@
 //! simulator ([`sekitei_sim::validate_plan`]). The incumbent cost cell is
 //! written by this thread alone — the exact RG lane only reads it — so
 //! for a fixed seed the entire incumbent trajectory is a pure function of
-//! the problem, byte-identical across runs and RG thread counts.
+//! the problem, byte-identical across runs.
 
 use sekitei_compile::{ActionKind, PlanningTask};
 use sekitei_model::{ActionId, CppProblem, PropId};

@@ -17,14 +17,8 @@
 //! on a budget (Large/A burns its full 2M-node cap), so their `wall_ms`
 //! measures the budget, not the instance.
 //!
-//! `rg-par2` / `rg-par4` time the batch-synchronous parallel search
-//! (`--search-threads`) on the Small and Large topologies. They measure
-//! the *full* search wall: SLRG queries interleave with expansion across
-//! the workers, so the sequential `slrg`/`rg` split is impossible —
-//! compare them against the sequential `slrg + rg` sum.
-//!
-//! `rg-prune` is the same full sequential search wall with the pruning
-//! layer on (dominance + symmetry breaking + g-aware reopening, the
+//! `rg-prune` is the full search wall (SLRG queries included) with the
+//! pruning layer on (dominance + symmetry breaking + g-aware reopening, the
 //! `PlannerConfig` default); compare its node counts against the `rg`
 //! rows to see what the layer removes. The budget-exhausted rows are the
 //! headline: Small/A and Large/A terminate via drain mode instead of
@@ -99,24 +93,6 @@ fn run_once(size: NetSize, sc: LevelScenario) -> [PhaseRow; 4] {
         PhaseRow { wall_ms: slrg_ms, nodes: slrg.stats().nodes, budget_exhausted: false },
         PhaseRow { wall_ms: rg_ms, nodes: r.nodes_created, budget_exhausted: r.budget_exhausted },
     ]
-}
-
-/// One parallel-search run (`rg-parN`): the full search wall on `threads`
-/// workers. The result (plan, counters, bound) is bit-identical to the
-/// sequential search; only the wall clock differs.
-fn run_par(size: NetSize, sc: LevelScenario, threads: usize) -> PhaseRow {
-    let p = scenarios::problem(size, sc);
-    let task = compile(&p).expect("scenario compiles");
-    let plrg = Plrg::build(&task);
-    let mut slrg = Slrg::new(&task, &plrg, 50_000);
-    let cfg = RgConfig::default();
-    let t = Instant::now();
-    let r = rg::search_with_threads(&task, &plrg, &mut slrg, &cfg, threads);
-    PhaseRow {
-        wall_ms: t.elapsed().as_secs_f64() * 1e3,
-        nodes: r.nodes_created,
-        budget_exhausted: r.budget_exhausted,
-    }
 }
 
 /// One pruned-search run (`rg-prune`): the full sequential search wall
@@ -347,30 +323,6 @@ fn main() {
             }
             let label = format!("{}/{}", size.label(), sc.label());
             for (phase, row) in PHASES.iter().zip(best.unwrap()) {
-                println!("{:<10}{:<9}{:>12.3}{:>10}", label, phase, row.wall_ms, row.nodes);
-                records.push((label.clone(), phase, row));
-            }
-        }
-    }
-
-    // parallel search on the two sizes where the frontier is wide enough
-    // to matter; Tiny searches finish in microseconds and would only
-    // measure round-barrier overhead
-    const PAR_PHASES: [(&str, usize); 2] = [("rg-par2", 2), ("rg-par4", 4)];
-    for size in [NetSize::Small, NetSize::Large] {
-        for sc in LevelScenario::ALL {
-            let label = format!("{}/{}", size.label(), sc.label());
-            for (phase, threads) in PAR_PHASES {
-                let mut best: Option<PhaseRow> = None;
-                for _ in 0..REPS {
-                    let row = run_par(size, sc, threads);
-                    best = Some(match best {
-                        None => row,
-                        Some(b) if row.wall_ms < b.wall_ms => row,
-                        Some(b) => b,
-                    });
-                }
-                let row = best.unwrap();
                 println!("{:<10}{:<9}{:>12.3}{:>10}", label, phase, row.wall_ms, row.nodes);
                 records.push((label.clone(), phase, row));
             }

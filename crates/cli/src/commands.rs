@@ -9,17 +9,15 @@ use sekitei_topology::scenarios::{self, NetSize};
 const USAGE: &str = "usage:
   sekitei plan (<spec-file> | --scenario <size-level>) [--plrg-heuristic]
                [--no-replay-pruning] [--no-prune] [--max-nodes N]
-               [--deadline-ms N] [--search-threads N] [--degrade]
-               [--anytime] [--sls-seed N] [--sls-restarts N]
-               [--validate] [--quiet] [--profile] [--trace-json FILE]
-               [--emit-cert FILE]
-  sekitei batch <spec-file>... [--threads N] [--search-threads N]
-               [--no-prune] [--validate] [--quiet] [--profile]
+               [--deadline-ms N] [--degrade] [--anytime] [--sls-seed N]
+               [--sls-restarts N] [--validate] [--quiet] [--profile]
                [--trace-json FILE] [--emit-cert FILE]
+  sekitei batch <spec-file>... [--threads N] [--no-prune] [--validate]
+               [--quiet] [--profile] [--trace-json FILE] [--emit-cert FILE]
   sekitei serve [--addr HOST:PORT] [--workers N] [--shards N] [--queue-cap N]
                [--cache-cap N] [--cache-file FILE] [--max-nodes N]
-               [--deadline-ms N] [--search-threads N] [--no-degrade]
-               [--anytime] [--sls-seed N] [--sls-restarts N]
+               [--deadline-ms N] [--no-degrade] [--anytime] [--sls-seed N]
+               [--sls-restarts N]
   sekitei request (<spec-file> | --stats | --metrics | --flight | --shutdown)
                [--addr HOST:PORT] [--profile] [--priority <high|normal|low>]
   sekitei loadgen [--addr HOST:PORT] [--requests N] [--connections N]
@@ -35,9 +33,9 @@ const USAGE: &str = "usage:
                [--keep-cost X] [--migration-factor Y] [--validate]
   sekitei churn [--scenario <tiny|small|large>] [--level <A|B|C|D|E>]
                [--seed N] [--events N] [--trace FILE] [--emit-trace]
-               [--max-nodes N] [--deadline-ms N] [--search-threads N]
-               [--no-degrade] [--anytime] [--sls-seed N] [--sls-restarts N]
-               [--keep-cost X] [--migration-factor Y] [--quiet]
+               [--max-nodes N] [--deadline-ms N] [--no-degrade] [--anytime]
+               [--sls-seed N] [--sls-restarts N] [--keep-cost X]
+               [--migration-factor Y] [--quiet]
                [--profile] [--trace-json FILE] [--emit-cert FILE]
   sekitei doctor <spec-file>
   sekitei suggest <spec-file> [--headroom H] [--apply]
@@ -78,67 +76,34 @@ fn load(path: &str) -> Result<CppProblem, String> {
     sekitei_spec::parse_problem(&src).map_err(|e| format!("{path}: {e}"))
 }
 
-fn parse_config(flags: &[String]) -> Result<(PlannerConfig, bool, bool), String> {
-    let mut cfg = PlannerConfig::default();
-    let mut validate = false;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
-            "--plrg-heuristic" => cfg.heuristic = Heuristic::PlrgMax,
-            "--no-replay-pruning" => cfg.replay_pruning = false,
-            "--no-prune" => {
-                // escape hatch for the search-quality pruning layer:
-                // dominance, symmetry breaking and g-aware reopening off
-                cfg.dominance = false;
-                cfg.symmetry = false;
-                cfg.reopen = false;
-            }
-            "--validate" => validate = true,
-            "--quiet" => quiet = true,
-            "--max-nodes" => {
-                i += 1;
-                let v = flags.get(i).ok_or("--max-nodes needs a value")?;
-                cfg.max_nodes = v.parse().map_err(|_| format!("bad --max-nodes value `{v}`"))?;
-            }
-            "--deadline-ms" => {
-                i += 1;
-                let v = flags.get(i).ok_or("--deadline-ms needs a value")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --deadline-ms value `{v}`"))?;
-                cfg.deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--search-threads" => {
-                i += 1;
-                let v = flags.get(i).ok_or("--search-threads needs a value")?;
-                cfg.search_threads = parse_search_threads(v)?;
-            }
-            "--degrade" => cfg.degrade = true,
-            "--anytime" => cfg.anytime = true,
-            "--sls-seed" => {
-                i += 1;
-                let v = flags.get(i).ok_or("--sls-seed needs a value")?;
-                cfg.sls_seed = v.parse().map_err(|_| format!("bad --sls-seed value `{v}`"))?;
-            }
-            "--sls-restarts" => {
-                i += 1;
-                let v = flags.get(i).ok_or("--sls-restarts needs a value")?;
-                cfg.sls_restarts =
-                    v.parse().map_err(|_| format!("bad --sls-restarts value `{v}`"))?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+/// Parse one of the planner flags that `plan`, `serve` and `churn` share
+/// (`--max-nodes`, `--deadline-ms`, `--anytime`, `--sls-seed`,
+/// `--sls-restarts`) at `args[*i]` into `cfg`; a flag that takes a value
+/// leaves `*i` on it. `Ok(false)` when `args[*i]` is not one of them.
+/// `--deadline-ms` is a wall-clock budget and forfeits run-to-run
+/// reproducibility; `--max-nodes` bounds the search deterministically.
+fn parse_planner_flag(
+    cfg: &mut PlannerConfig,
+    args: &[String],
+    i: &mut usize,
+) -> Result<bool, String> {
+    fn value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+        let flag = &args[*i];
+        *i += 1;
+        let v = args.get(*i).ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
+    }
+    match args[*i].as_str() {
+        "--max-nodes" => cfg.max_nodes = value(args, i)?,
+        "--deadline-ms" => {
+            cfg.deadline = Some(std::time::Duration::from_millis(value(args, i)?));
         }
-        i += 1;
+        "--anytime" => cfg.anytime = true,
+        "--sls-seed" => cfg.sls_seed = value(args, i)?,
+        "--sls-restarts" => cfg.sls_restarts = value(args, i)?,
+        _ => return Ok(false),
     }
-    Ok((cfg, validate, quiet))
-}
-
-/// Parse a `--search-threads` value: a positive worker count (`1` is the
-/// sequential search; any count returns bit-identical plans and bounds).
-fn parse_search_threads(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("bad --search-threads value `{v}` (need a positive integer)")),
-    }
+    Ok(true)
 }
 
 /// Observability surface shared by `plan`, `batch` and `churn`: `--profile`
@@ -265,52 +230,62 @@ fn write_cert(path: &str, cert: Option<&sekitei_cert::PlanCertificate>) -> Resul
     Ok(())
 }
 
-fn cmd_plan(args: &[String]) -> Result<(), String> {
-    let mut path: Option<String> = None;
-    let mut scenario: Option<(NetSize, LevelScenario)> = None;
-    let mut emit_cert: Option<String> = None;
-    let mut obs = ObsOpts::default();
-    let mut flags: Vec<String> = Vec::new();
+/// Everything `plan` reads from its command line.
+#[derive(Default)]
+struct PlanArgs {
+    cfg: PlannerConfig,
+    validate: bool,
+    quiet: bool,
+    path: Option<String>,
+    scenario: Option<(NetSize, LevelScenario)>,
+    emit_cert: Option<String>,
+    obs: ObsOpts,
+}
+
+fn parse_plan_args(args: &[String]) -> Result<PlanArgs, String> {
+    let mut a = PlanArgs::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scenario" => {
                 i += 1;
                 let v = args.get(i).ok_or("--scenario needs a value like small-b")?;
-                scenario = Some(parse_size_level(v)?);
+                a.scenario = Some(parse_size_level(v)?);
             }
             "--emit-cert" => {
                 i += 1;
-                emit_cert = Some(args.get(i).ok_or("--emit-cert needs a file path")?.clone());
+                a.emit_cert = Some(args.get(i).ok_or("--emit-cert needs a file path")?.clone());
             }
             "--trace-json" => {
                 i += 1;
-                obs.trace_json = Some(args.get(i).ok_or("--trace-json needs a file path")?.clone());
+                a.obs.trace_json =
+                    Some(args.get(i).ok_or("--trace-json needs a file path")?.clone());
             }
-            "--profile" => obs.profile = true,
-            f if f.starts_with("--") => {
-                flags.push(f.to_string());
-                // value-taking planner flags: keep the value with its flag
-                if matches!(
-                    f,
-                    "--max-nodes"
-                        | "--deadline-ms"
-                        | "--search-threads"
-                        | "--sls-seed"
-                        | "--sls-restarts"
-                ) {
-                    i += 1;
-                    if let Some(v) = args.get(i) {
-                        flags.push(v.clone());
-                    }
-                }
+            "--profile" => a.obs.profile = true,
+            "--plrg-heuristic" => a.cfg.heuristic = Heuristic::PlrgMax,
+            "--no-replay-pruning" => a.cfg.replay_pruning = false,
+            "--no-prune" => {
+                // escape hatch for the search-quality pruning layer:
+                // dominance, symmetry breaking and g-aware reopening off
+                a.cfg.dominance = false;
+                a.cfg.symmetry = false;
+                a.cfg.reopen = false;
             }
-            f if path.is_none() => path = Some(f.to_string()),
+            "--degrade" => a.cfg.degrade = true,
+            "--validate" => a.validate = true,
+            "--quiet" => a.quiet = true,
+            _ if parse_planner_flag(&mut a.cfg, args, &mut i)? => {}
+            f if f.starts_with("--") => return Err(format!("unknown flag `{f}`")),
+            f if a.path.is_none() => a.path = Some(f.to_string()),
             f => return Err(format!("unexpected argument `{f}`\n{USAGE}")),
         }
         i += 1;
     }
-    let (cfg, validate, quiet) = parse_config(&flags)?;
+    Ok(a)
+}
+
+fn cmd_plan(args: &[String]) -> Result<(), String> {
+    let PlanArgs { cfg, validate, quiet, path, scenario, emit_cert, obs } = parse_plan_args(args)?;
     let problem = match (path, scenario) {
         (Some(p), None) => load(&p)?,
         (None, Some((size, level))) => scenarios::problem(size, level),
@@ -350,13 +325,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                 i += 1;
                 let v = args.get(i).ok_or("--threads needs a value")?;
                 threads = Some(v.parse().map_err(|_| format!("bad --threads value `{v}`"))?);
-            }
-            "--search-threads" => {
-                // intra-search workers, orthogonal to the per-instance
-                // `--threads` fan-out
-                i += 1;
-                let v = args.get(i).ok_or("--search-threads needs a value")?;
-                cfg.search_threads = parse_search_threads(v)?;
             }
             "--no-prune" => {
                 cfg.dominance = false;
@@ -464,37 +432,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 let v = need(args.get(i), "--cache-cap")?;
                 cfg.cache_cap = v.parse().map_err(|_| format!("bad --cache-cap value `{v}`"))?;
             }
-            "--max-nodes" => {
-                i += 1;
-                let v = need(args.get(i), "--max-nodes")?;
-                cfg.planner.max_nodes =
-                    v.parse().map_err(|_| format!("bad --max-nodes value `{v}`"))?;
-            }
-            "--deadline-ms" => {
-                i += 1;
-                let v = need(args.get(i), "--deadline-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --deadline-ms value `{v}`"))?;
-                cfg.planner.deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--search-threads" => {
-                i += 1;
-                cfg.planner.search_threads =
-                    parse_search_threads(&need(args.get(i), "--search-threads")?)?;
-            }
             "--no-degrade" => cfg.planner.degrade = false,
-            "--anytime" => cfg.planner.anytime = true,
-            "--sls-seed" => {
-                i += 1;
-                let v = need(args.get(i), "--sls-seed")?;
-                cfg.planner.sls_seed =
-                    v.parse().map_err(|_| format!("bad --sls-seed value `{v}`"))?;
-            }
-            "--sls-restarts" => {
-                i += 1;
-                let v = need(args.get(i), "--sls-restarts")?;
-                cfg.planner.sls_restarts =
-                    v.parse().map_err(|_| format!("bad --sls-restarts value `{v}`"))?;
-            }
+            _ if parse_planner_flag(&mut cfg.planner, args, &mut i)? => {}
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -1132,42 +1071,7 @@ fn cmd_churn(args: &[String]) -> Result<(), String> {
                 i += 1;
                 emit_cert = Some(need(args.get(i), "--emit-cert")?);
             }
-            "--max-nodes" => {
-                i += 1;
-                let v = need(args.get(i), "--max-nodes")?;
-                cfg.planner.max_nodes =
-                    v.parse().map_err(|_| format!("bad --max-nodes value `{v}`"))?;
-            }
-            "--deadline-ms" => {
-                // wall-clock budget per repair; forfeits run-to-run
-                // reproducibility (the deterministic default bounds search
-                // with --max-nodes instead)
-                i += 1;
-                let v = need(args.get(i), "--deadline-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --deadline-ms value `{v}`"))?;
-                cfg.planner.deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--search-threads" => {
-                // parallel repair search: bit-identical plans at any
-                // count, so churn determinism is unaffected
-                i += 1;
-                cfg.planner.search_threads =
-                    parse_search_threads(&need(args.get(i), "--search-threads")?)?;
-            }
             "--no-degrade" => cfg.planner.degrade = false,
-            "--anytime" => cfg.planner.anytime = true,
-            "--sls-seed" => {
-                i += 1;
-                let v = need(args.get(i), "--sls-seed")?;
-                cfg.planner.sls_seed =
-                    v.parse().map_err(|_| format!("bad --sls-seed value `{v}`"))?;
-            }
-            "--sls-restarts" => {
-                i += 1;
-                let v = need(args.get(i), "--sls-restarts")?;
-                cfg.planner.sls_restarts =
-                    v.parse().map_err(|_| format!("bad --sls-restarts value `{v}`"))?;
-            }
             "--keep-cost" => {
                 i += 1;
                 let v = need(args.get(i), "--keep-cost")?;
@@ -1185,6 +1089,7 @@ fn cmd_churn(args: &[String]) -> Result<(), String> {
                 obs.trace_json = Some(need(args.get(i), "--trace-json")?);
             }
             "--profile" => obs.profile = true,
+            _ if parse_planner_flag(&mut cfg.planner, args, &mut i)? => {}
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -1320,9 +1225,9 @@ mod tests {
         .unwrap();
         dispatch(&[s(&["batch"]), vec![sp], s(&["--no-prune", "--quiet"])].concat()).unwrap();
         // and the flag actually flips the config off
-        let (cfg, _, _) = parse_config(&s(&["--no-prune"])).unwrap();
+        let cfg = parse_plan_args(&s(&["--no-prune"])).unwrap().cfg;
         assert!(!cfg.dominance && !cfg.symmetry && !cfg.reopen);
-        let (cfg, _, _) = parse_config(&[]).unwrap();
+        let cfg = parse_plan_args(&[]).unwrap().cfg;
         assert!(cfg.dominance && cfg.symmetry && cfg.reopen, "pruning defaults on");
     }
 
@@ -1729,38 +1634,25 @@ mod tests {
     }
 
     #[test]
-    fn search_threads_flag() {
-        // the parallel search through every front-end that exposes it
-        dispatch(&s(&["plan", "--scenario", "tiny-c", "--search-threads", "4", "--quiet"]))
-            .unwrap();
-        dispatch(&s(&["plan", "--scenario", "tiny-c", "--search-threads", "1", "--quiet"]))
-            .unwrap();
-        let dir = std::env::temp_dir();
-        let spec_path = dir.join("sekitei_cli_search_threads.spec");
-        let p = scenarios::tiny(LevelScenario::B);
-        std::fs::write(&spec_path, sekitei_spec::print_problem(&p)).unwrap();
-        let sp = spec_path.to_str().unwrap().to_string();
-        dispatch(&[s(&["batch"]), vec![sp], s(&["--search-threads", "2", "--quiet"])].concat())
-            .unwrap();
-        dispatch(&s(&[
-            "churn",
-            "--scenario",
-            "tiny",
-            "--seed",
-            "7",
-            "--events",
-            "5",
-            "--search-threads",
-            "2",
-            "--quiet",
-        ]))
-        .unwrap();
-        // error paths: zero, junk and missing values
-        assert!(dispatch(&s(&["plan", "--scenario", "tiny-c", "--search-threads", "0"])).is_err());
-        assert!(dispatch(&s(&["plan", "--scenario", "tiny-c", "--search-threads", "x"])).is_err());
-        assert!(dispatch(&s(&["plan", "--scenario", "tiny-c", "--search-threads"])).is_err());
-        assert!(dispatch(&s(&["serve", "--search-threads", "0"])).is_err());
-        assert!(dispatch(&s(&["serve", "--max-nodes", "many"])).is_err());
-        assert!(dispatch(&s(&["churn", "--search-threads", "zero"])).is_err());
+    fn planner_flag_errors() {
+        // the planner flags `plan`, `serve` and `churn` share reject a
+        // missing and a junk value with the same texts on every command;
+        // every command fails before planning, serving or churning
+        let prefixes: [&[&str]; 3] = [&["plan", "--scenario", "tiny-c"], &["serve"], &["churn"]];
+        for prefix in prefixes {
+            for flag in ["--max-nodes", "--deadline-ms", "--sls-seed", "--sls-restarts"] {
+                let missing = dispatch(&s(&[prefix, &[flag]].concat())).unwrap_err();
+                assert_eq!(missing, format!("{flag} needs a value"), "{prefix:?}");
+                let junk = dispatch(&s(&[prefix, &[flag, "many"]].concat())).unwrap_err();
+                assert_eq!(junk, format!("bad {flag} value `many`"), "{prefix:?}");
+            }
+        }
+        // no command takes `--search-threads`: one search runs on one thread
+        let prefixes: [&[&str]; 4] =
+            [&["plan", "--scenario", "tiny-c"], &["batch"], &["serve"], &["churn"]];
+        for prefix in prefixes {
+            let err = dispatch(&s(&[prefix, &["--search-threads", "2"]].concat())).unwrap_err();
+            assert_eq!(err, "unknown flag `--search-threads`", "{prefix:?}");
+        }
     }
 }

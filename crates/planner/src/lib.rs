@@ -30,7 +30,6 @@ mod prune;
 pub mod reference;
 pub mod replay;
 pub mod rg;
-pub mod rg_par;
 pub mod setkey;
 pub mod slrg;
 pub mod viz;
@@ -90,13 +89,6 @@ pub struct PlannerConfig {
     /// [`concretize_relaxed`], tagged [`Plan::degraded`], instead of no
     /// plan at all.
     pub degrade: bool,
-    /// RG search worker threads. `1` (the default) runs the plain
-    /// sequential search; `>= 2` runs the batch-synchronous parallel
-    /// search ([`rg_par`]), whose returned plan, cost bound and counters
-    /// are bit-identical to the sequential path for every thread count —
-    /// only wall-clock and the purely observational `par_*` trace
-    /// metrics differ.
-    pub search_threads: usize,
     /// Drain-mode duplicate detection ([`RgConfig::dominance`]): once the
     /// drain trigger fires on a budget-bound run, drop nodes whose open
     /// set was already reached with no-larger cost. Inert on runs that
@@ -124,8 +116,7 @@ pub struct PlannerConfig {
     /// Seed of the anytime SLS lane's `SplitMix64` stream
     /// (`sekitei-util`). With a fixed seed the lane's full rollout
     /// schedule — and therefore the final incumbent, the returned plan
-    /// and the reported gap — is byte-identical across runs and thread
-    /// counts.
+    /// and the reported gap — is byte-identical across runs.
     pub sls_seed: u64,
     /// Restart count of the anytime SLS lane (each restart runs a fixed
     /// rollout schedule with simulated-annealing-style acceptance).
@@ -142,7 +133,6 @@ impl Default for PlannerConfig {
             replay_pruning: true,
             deadline: None,
             degrade: false,
-            search_threads: 1,
             dominance: true,
             symmetry: true,
             reopen: true,
@@ -404,14 +394,7 @@ impl Planner {
             let r = {
                 let _g = sekitei_obs::span("rg");
                 let search_t0 = sekitei_obs::now_ns();
-                let r = rg::search_with_threads_bounded(
-                    &task,
-                    &plrg,
-                    &mut slrg,
-                    &rg_cfg,
-                    self.config.search_threads,
-                    incumbent,
-                );
+                let r = rg::search_bounded(&task, &plrg, &mut slrg, &rg_cfg, incumbent);
                 // SLRG queries and candidate concretization interleave with
                 // RG expansions, so their externally-measured totals enter
                 // the trace as aggregate child spans of "rg" — self-time
@@ -448,26 +431,6 @@ impl Planner {
                     }
                     if r.incumbent_cutoff {
                         sekitei_obs::event("incumbent_cutoff", 1);
-                    }
-                    if r.par_rounds > 0 {
-                        // parallel-search phase breakdown: fan-out and
-                        // commit wall time enter as aggregate child spans
-                        // of "rg" (count = rounds), like "slrg" above
-                        sekitei_obs::aggregate(
-                            "rg_round_expand",
-                            search_t0,
-                            r.par_expand_time.as_nanos() as u64,
-                            r.par_rounds as u64,
-                        );
-                        sekitei_obs::aggregate(
-                            "rg_round_merge",
-                            search_t0,
-                            r.par_merge_time.as_nanos() as u64,
-                            r.par_rounds as u64,
-                        );
-                        sekitei_obs::event("rg_par_rounds", r.par_rounds as u64);
-                        sekitei_obs::event("rg_par_batch_nodes", r.par_batch_nodes as u64);
-                        sekitei_obs::event("rg_spec_waste", r.par_spec_waste as u64);
                     }
                 }
                 r

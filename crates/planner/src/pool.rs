@@ -36,10 +36,9 @@ fn hash_props(props: &[PropId]) -> u64 {
     h
 }
 
-/// Regression merge shared by [`SetPool::regress`] and
-/// [`StagePool::regress`]: `out = (set \ adds) ∪ {p ∈ preconds :
-/// ¬initially(p)}` via a single three-pointer merge over the three sorted
-/// inputs.
+/// The merge behind [`SetPool::regress`]: `out = (set \ adds) ∪
+/// {p ∈ preconds : ¬initially(p)}` via a single three-pointer merge over
+/// the three sorted inputs.
 fn regress_merge(
     set: &[PropId],
     adds: &[PropId],
@@ -178,19 +177,6 @@ impl SetPool {
         self.intern_sorted(&props)
     }
 
-    /// Read-only probe: the id of a canonical (sorted, deduplicated) slice
-    /// if it is already interned. Never mutates the pool, so it is safe on
-    /// a shared reference while other readers hold set slices — the lookup
-    /// the parallel search's frozen-pool rounds are built on.
-    pub fn lookup_sorted(&self, props: &[PropId]) -> Option<SetId> {
-        debug_assert!(props.windows(2).all(|w| w[0] < w[1]), "set must be sorted+deduped");
-        let cands = self.table.get(&hash_props(props))?;
-        cands.iter().copied().find(|&id| {
-            let (s, e) = self.spans[id.index()];
-            &self.props[s as usize..e as usize] == props
-        })
-    }
-
     /// Regression over an action: intern `(set \ adds) ∪ {p ∈ preconds :
     /// ¬initially(p)}`. All three inputs are sorted, so the result is
     /// produced by a single three-pointer merge into the reusable scratch
@@ -205,140 +191,6 @@ impl SetPool {
         let mut out = std::mem::take(&mut self.scratch);
         regress_merge(self.props_of(id), adds, preconds, initially, &mut out);
         let rid = self.intern_sorted(&out);
-        self.scratch = out;
-        rid
-    }
-}
-
-/// Identity of a set addressed through a [`StagePool`]: either a set of
-/// the frozen base pool (`raw < base_len`, convertible back to a [`SetId`]
-/// via [`StagePool::as_base`]) or a set staged locally this round
-/// (`raw ≥ base_len`). Ids are only meaningful against the
-/// (`StagePool`, base `SetPool`, `base_len`) triple they came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StagedId(u32);
-
-/// A per-worker staging overlay over a *frozen* base [`SetPool`].
-///
-/// During a batch-synchronous round of the parallel RG search the global
-/// pool is read-only (workers hold shared references into it); any set a
-/// worker produces that the base does not already contain is interned into
-/// its private stage instead. [`StagePool::intern_sorted`] first probes the
-/// base — sets already known globally resolve to their *global* id, so the
-/// round-barrier merge only has to re-intern the genuinely fresh sets, and
-/// does so in the canonical commit order, which makes the resulting
-/// `SetId → props` mapping identical to what sequential interning of the
-/// same canonical sequence would have produced (see
-/// `tests/pool_shard.rs`).
-///
-/// `reset` re-freezes the overlay against the (possibly grown) base at the
-/// start of each round; staged ids never outlive the round they were
-/// created in.
-pub struct StagePool {
-    base_len: u32,
-    props: Vec<PropId>,
-    spans: Vec<(u32, u32)>,
-    /// Content hash → candidate *staged* raw ids (base hits resolve
-    /// through the base pool's own table).
-    table: HashMap<u64, Vec<u32>>,
-    scratch: Vec<PropId>,
-}
-
-impl Default for StagePool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StagePool {
-    /// New empty overlay (freeze it with [`StagePool::reset`] before use).
-    pub fn new() -> Self {
-        StagePool {
-            base_len: 0,
-            props: Vec::new(),
-            spans: Vec::new(),
-            table: HashMap::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Drop all staged sets and re-freeze against a base pool of
-    /// `base_len` sets. Invalidates every previously returned [`StagedId`].
-    pub fn reset(&mut self, base_len: usize) {
-        self.base_len = base_len as u32;
-        self.props.clear();
-        self.spans.clear();
-        self.table.clear();
-    }
-
-    /// Number of sets staged since the last reset.
-    pub fn staged(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// View a frozen base id through the overlay.
-    pub fn adopt(&self, id: SetId) -> StagedId {
-        debug_assert!(id.0 < self.base_len, "id interned after the freeze");
-        StagedId(id.0)
-    }
-
-    /// The base id of an overlay id, `None` if it is staged locally.
-    pub fn as_base(&self, id: StagedId) -> Option<SetId> {
-        (id.0 < self.base_len).then_some(SetId(id.0))
-    }
-
-    /// Member propositions of an overlay set (sorted).
-    pub fn props_of<'a>(&'a self, base: &'a SetPool, id: StagedId) -> &'a [PropId] {
-        match self.as_base(id) {
-            Some(b) => base.props_of(b),
-            None => {
-                let (s, e) = self.spans[(id.0 - self.base_len) as usize];
-                &self.props[s as usize..e as usize]
-            }
-        }
-    }
-
-    /// Intern a canonical slice: resolves to the frozen base when the set
-    /// is already known globally, stages it locally otherwise.
-    pub fn intern_sorted(&mut self, base: &SetPool, props: &[PropId]) -> StagedId {
-        if let Some(id) = base.lookup_sorted(props) {
-            if id.0 < self.base_len {
-                return StagedId(id.0);
-            }
-            // interned into the base after the freeze (single-threaded use
-            // of a stale overlay): stage it rather than alias the frozen
-            // prefix
-        }
-        let h = hash_props(props);
-        if let Some(cands) = self.table.get(&h) {
-            for &raw in cands {
-                let (s, e) = self.spans[raw as usize];
-                if &self.props[s as usize..e as usize] == props {
-                    return StagedId(self.base_len + raw);
-                }
-            }
-        }
-        let start = self.props.len() as u32;
-        self.props.extend_from_slice(props);
-        let raw = self.spans.len() as u32;
-        self.spans.push((start, self.props.len() as u32));
-        self.table.entry(h).or_default().push(raw);
-        StagedId(self.base_len + raw)
-    }
-
-    /// Regression over an action, mirroring [`SetPool::regress`] but
-    /// against the frozen base + local stage.
-    pub fn regress(
-        &mut self,
-        base: &SetPool,
-        id: StagedId,
-        adds: &[PropId],
-        preconds: &[PropId],
-        initially: impl FnMut(PropId) -> bool,
-    ) -> StagedId {
-        let mut out = std::mem::take(&mut self.scratch);
-        regress_merge(self.props_of(base, id), adds, preconds, initially, &mut out);
-        let rid = self.intern_sorted(base, &out);
         self.scratch = out;
         rid
     }
@@ -396,55 +248,6 @@ mod tests {
             let rid = pool.regress(sid, &adds, &pre, |p| init.contains(&p));
             assert_eq!(pool.props_of(rid), want.props(), "case {set:?} {adds:?} {pre:?}");
         }
-    }
-
-    #[test]
-    fn lookup_sorted_probes_without_interning() {
-        let mut pool = SetPool::new();
-        let a = pool.intern(ids(&[1, 2, 3]));
-        assert_eq!(pool.lookup_sorted(&ids(&[1, 2, 3])), Some(a));
-        assert_eq!(pool.lookup_sorted(&ids(&[1, 2])), None);
-        assert_eq!(pool.lookup_sorted(&[]), Some(SetId::EMPTY));
-        assert_eq!(pool.len(), 2, "lookup must not intern");
-    }
-
-    #[test]
-    fn stage_pool_resolves_base_and_stages_fresh() {
-        let mut pool = SetPool::new();
-        let known = pool.intern(ids(&[1, 2, 3]));
-        let mut stage = StagePool::new();
-        stage.reset(pool.len());
-        // a known set resolves straight to its base id
-        let k = stage.intern_sorted(&pool, &ids(&[1, 2, 3]));
-        assert_eq!(stage.as_base(k), Some(known));
-        assert_eq!(stage.staged(), 0);
-        // a fresh set stages locally, dedups, and round-trips its props
-        let f1 = stage.intern_sorted(&pool, &ids(&[4, 5]));
-        let f2 = stage.intern_sorted(&pool, &ids(&[4, 5]));
-        assert_eq!(f1, f2);
-        assert!(stage.as_base(f1).is_none());
-        assert_eq!(stage.staged(), 1);
-        assert_eq!(stage.props_of(&pool, f1), ids(&[4, 5]).as_slice());
-        assert_eq!(pool.len(), 2, "staging must not touch the base");
-        // reset invalidates the stage but keeps resolving against the base
-        stage.reset(pool.len());
-        assert_eq!(stage.staged(), 0);
-        let k2 = stage.intern_sorted(&pool, &ids(&[1, 2, 3]));
-        assert_eq!(stage.as_base(k2), Some(known));
-    }
-
-    #[test]
-    fn stage_regress_matches_pool_regress() {
-        let mut pool = SetPool::new();
-        let base = pool.intern(ids(&[1, 2, 3, 7]));
-        let adds = ids(&[2, 9]);
-        let pre = ids(&[4, 5, 7]);
-        let init = ids(&[5]);
-        let mut stage = StagePool::new();
-        stage.reset(pool.len());
-        let staged = stage.regress(&pool, stage.adopt(base), &adds, &pre, |p| init.contains(&p));
-        let want = pool.regress(base, &adds, &pre, |p| init.contains(&p));
-        assert_eq!(stage.props_of(&pool, staged), pool.props_of(want));
     }
 
     #[test]

@@ -1,12 +1,6 @@
-//! Search-quality pruning primitives shared by the sequential and
-//! parallel RG paths: the drain-mode dominance table over interned open
-//! sets and the epoch-stamped used-node marker behind orbit symmetry
-//! breaking.
-//!
-//! Both structures are *decision* state only — they never touch the set
-//! pool, the heuristic memo or the node arena — so the parallel search can
-//! keep them committer-owned and replay every verdict in commit order,
-//! preserving thread-count determinism (see `crates/planner/src/rg_par.rs`).
+//! Search-quality pruning primitives of the RG search: the drain-mode
+//! dominance table over interned open sets and the epoch-stamped
+//! used-node marker behind orbit symmetry breaking.
 //!
 //! # Why there is no witness dominance outside drain mode
 //!
@@ -41,8 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper-bound hook for the anytime portfolio: a shared monotone incumbent
 /// cost (f64 bits in an atomic, `+∞` when no incumbent exists) published
-/// by the stochastic local-search lane and consulted by both RG paths at
-/// pop/commit time.
+/// by the stochastic local-search lane and consulted by the RG search at
+/// every pop.
 ///
 /// Soundness: A* pops nodes in nondecreasing `f` order, so when the node
 /// in hand satisfies `f > incumbent` *strictly*, every plan the remaining
@@ -54,12 +48,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// found and preferred.
 ///
 /// The cutoff *terminates* the search rather than skipping individual
-/// nodes: a skip would perturb the FIFO tie-break counters and desync the
-/// sequential trajectory the parallel path replays. Termination leaves
-/// the committed prefix byte-identical to an unbounded run; only where
-/// the trajectory *ends* depends on the incumbent's arrival time, and the
-/// planner facade's final-selection rule makes the returned plan and gap
-/// invariant to that timing (see `crates/anytime`).
+/// nodes. Termination leaves the explored prefix byte-identical to an
+/// unbounded run: only where the trajectory *ends* depends on the
+/// incumbent's arrival time, and the planner facade's final-selection
+/// rule makes the returned plan and gap invariant to that timing (see
+/// `crates/anytime`). A per-node skip would let that timing reorder the
+/// rest of the trajectory instead.
 #[derive(Clone, Copy)]
 pub struct IncumbentBound<'a>(Option<&'a AtomicU64>);
 

@@ -254,10 +254,8 @@ impl IvStore for DenseStore {
 /// way the accept/prune outcome is identical to
 /// `replay_tail(task, &child_tail, None).is_err()`.
 pub struct ReplayScratch {
-    /// The task's touched-variable index, shared (it is immutable after
-    /// construction) so the parallel search's per-worker scratches pay for
-    /// it once.
-    index: std::sync::Arc<ReplayIndex>,
+    /// The task's touched-variable index.
+    index: ReplayIndex,
     store: DenseStore,
     /// `tail_stamp[v] == tail_epoch` ⇔ `v` is touched by the current
     /// expansion's parent tail.
@@ -269,9 +267,8 @@ pub struct ReplayScratch {
 
 /// The immutable per-task half of [`ReplayScratch`]: per-action
 /// touched-variable lists in CSR form (`var_off[a]..var_off[a+1]` bounds
-/// action `a`'s slice of `var_flat`). Build once, share via `Arc` across
-/// however many per-worker scratches a parallel search spins up.
-pub struct ReplayIndex {
+/// action `a`'s slice of `var_flat`).
+struct ReplayIndex {
     var_flat: Vec<GVarId>,
     var_off: Vec<u32>,
     num_vars: usize,
@@ -279,7 +276,7 @@ pub struct ReplayIndex {
 
 impl ReplayIndex {
     /// Precompute the touched-variable index for a task.
-    pub fn new(task: &PlanningTask) -> Self {
+    fn new(task: &PlanningTask) -> Self {
         let mut var_flat = Vec::new();
         let mut var_off = Vec::with_capacity(task.num_actions() + 1);
         var_off.push(0u32);
@@ -311,14 +308,7 @@ impl ReplayScratch {
     /// Precompute the touched-variable index for a task and wrap it in a
     /// private scratch.
     pub fn new(task: &PlanningTask) -> Self {
-        Self::with_index(std::sync::Arc::new(ReplayIndex::new(task)))
-    }
-
-    /// A scratch over an existing shared index. The mutable state
-    /// (interval store, tail stamps) is private to this scratch; rollback
-    /// between expansions is an O(1) epoch bump, so per-worker scratches
-    /// checkpoint and discard replay state without any copying.
-    pub fn with_index(index: std::sync::Arc<ReplayIndex>) -> Self {
+        let index = ReplayIndex::new(task);
         let num_vars = index.num_vars;
         ReplayScratch {
             index,

@@ -224,26 +224,10 @@ pub struct RgResult {
     pub concretize_time: std::time::Duration,
     /// Candidate plans validated (accepted + rejected).
     pub concretize_calls: usize,
-    /// Batch-synchronous rounds executed by the parallel search
-    /// ([`crate::rg_par`]); 0 for the sequential path. Purely
-    /// observational, like the remaining `par_*` fields.
-    pub par_rounds: usize,
-    /// Frontier entries committed across all parallel rounds (divide by
-    /// `par_rounds` for the realized batch width).
-    pub par_batch_nodes: usize,
-    /// Speculative expansions computed by workers but never consumed by
-    /// the commit loop before the search ended.
-    pub par_spec_waste: usize,
-    /// Cumulative wall time of the parallel fan-out phases (packet build,
-    /// dispatch, worker expansion, result collection).
-    pub par_expand_time: std::time::Duration,
-    /// Cumulative wall time of the commit/merge phases (ordered re-intern
-    /// of staged sets, memo merge, heap pushes).
-    pub par_merge_time: std::time::Duration,
 }
 
 impl RgResult {
-    pub(crate) fn empty() -> RgResult {
+    fn empty() -> RgResult {
         RgResult {
             plan: None,
             nodes_created: 0,
@@ -264,59 +248,21 @@ impl RgResult {
             fallback: None,
             concretize_time: std::time::Duration::ZERO,
             concretize_calls: 0,
-            par_rounds: 0,
-            par_batch_nodes: 0,
-            par_spec_waste: 0,
-            par_expand_time: std::time::Duration::ZERO,
-            par_merge_time: std::time::Duration::ZERO,
         }
     }
 }
 
-pub(crate) struct RgNode {
-    pub(crate) action: ActionId,
-    pub(crate) parent: u32, // u32::MAX = root
-    pub(crate) set: SetId,
-    pub(crate) g: f64,
+struct RgNode {
+    action: ActionId,
+    parent: u32, // u32::MAX = root
+    set: SetId,
+    g: f64,
     /// Tail length (root = 0); lets drain mode apply its depth horizon
     /// without walking the parent chain.
-    pub(crate) depth: u32,
+    depth: u32,
 }
 
-pub(crate) const ROOT: u32 = u32::MAX;
-
-/// Run the RG search on `threads` worker threads. `threads <= 1` is the
-/// plain sequential [`search`]; more dispatches to the batch-synchronous
-/// parallel search ([`crate::rg_par`]), whose returned plan, counters and
-/// admissible bound are identical to the sequential path for every thread
-/// count (see `tests/thread_equivalence.rs`).
-pub fn search_with_threads(
-    task: &PlanningTask,
-    plrg: &Plrg,
-    slrg: &mut Slrg<'_>,
-    cfg: &RgConfig,
-    threads: usize,
-) -> RgResult {
-    search_with_threads_bounded(task, plrg, slrg, cfg, threads, IncumbentBound::none())
-}
-
-/// [`search_with_threads`] with an anytime incumbent upper bound shared
-/// with a concurrently-running SLS lane (see [`crate::prune::IncumbentBound`]
-/// for the soundness and determinism contract).
-pub fn search_with_threads_bounded(
-    task: &PlanningTask,
-    plrg: &Plrg,
-    slrg: &mut Slrg<'_>,
-    cfg: &RgConfig,
-    threads: usize,
-    incumbent: IncumbentBound<'_>,
-) -> RgResult {
-    if threads <= 1 {
-        search_bounded(task, plrg, slrg, cfg, incumbent)
-    } else {
-        crate::rg_par::search(task, plrg, slrg, cfg, threads, incumbent)
-    }
-}
+const ROOT: u32 = u32::MAX;
 
 /// Run the RG search.
 pub fn search(task: &PlanningTask, plrg: &Plrg, slrg: &mut Slrg<'_>, cfg: &RgConfig) -> RgResult {
@@ -385,8 +331,8 @@ pub fn search_bounded(
     let dom_on = cfg.dominance && cfg.replay_pruning;
     let sym_on = cfg.symmetry && task.orbits.nontrivial();
     // drain mode escalates duplicate detection and coarsens symmetry; the
-    // flip is a pure function of committed counters, so the parallel path
-    // replays it deterministically in commit order
+    // flip reads only the reject and node counters, never the clock, so
+    // it engages at the same pop on every run
     let drain_enabled = dom_on && cfg.reopen;
     let sym_drain_on = cfg.symmetry && task.sig_classes.nontrivial();
     let mut drain = false;
@@ -523,9 +469,8 @@ pub fn search_bounded(
             if parent_tail.contains(&a) {
                 continue;
             }
-            // symmetry breaking runs before regression so pruned children
-            // never intern sets (keeps the pool identical across thread
-            // counts in the parallel path)
+            // symmetry breaking runs before regression so a shadowed child
+            // costs neither a set interning nor an SLRG query
             if sym_here && used.shadowed_by_sibling(task, orbit_table, a) {
                 result.symmetry_pruned += 1;
                 continue;
@@ -595,13 +540,13 @@ pub fn search_bounded(
 
 /// Plan tail of a node in execution order: the node's own action runs
 /// first, the root's child's action runs last.
-pub(crate) fn collect_tail(nodes: &[RgNode], idx: u32) -> Vec<ActionId> {
+fn collect_tail(nodes: &[RgNode], idx: u32) -> Vec<ActionId> {
     let mut tail = Vec::new();
     collect_tail_into(nodes, idx, &mut tail);
     tail
 }
 
-pub(crate) fn collect_tail_into(nodes: &[RgNode], mut idx: u32, tail: &mut Vec<ActionId>) {
+fn collect_tail_into(nodes: &[RgNode], mut idx: u32, tail: &mut Vec<ActionId>) {
     tail.clear();
     loop {
         let n = &nodes[idx as usize];
@@ -613,7 +558,7 @@ pub(crate) fn collect_tail_into(nodes: &[RgNode], mut idx: u32, tail: &mut Vec<A
     }
 }
 
-pub(crate) fn select_prop(plrg: &Plrg, props: &[PropId]) -> PropId {
+fn select_prop(plrg: &Plrg, props: &[PropId]) -> PropId {
     *props
         .iter()
         .max_by(|&&a, &&b| {

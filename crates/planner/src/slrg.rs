@@ -92,13 +92,6 @@ impl<'t> Slrg<'t> {
         self.stats
     }
 
-    /// The per-query expansion budget this oracle was created with (lets
-    /// the parallel search build worker-private oracles that answer
-    /// bit-identically).
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// The shared set arena.
     pub fn pool(&self) -> &SetPool {
         &self.pool
@@ -137,38 +130,6 @@ impl<'t> Slrg<'t> {
     pub fn achievement_cost(&mut self, set: &SetKey) -> SetCost {
         let id = self.pool.intern_sorted(set.props());
         self.achievement_cost_id(id)
-    }
-
-    /// [`Slrg::achievement_cost`] over an already-canonical (sorted,
-    /// deduplicated) slice — skips the [`SetKey`] allocation.
-    pub fn achievement_cost_sorted(&mut self, props: &[PropId]) -> SetCost {
-        let id = self.pool.intern_sorted(props);
-        self.achievement_cost_id(id)
-    }
-
-    /// Read-only memo snapshot: the memoized cost of an interned set, if
-    /// any. Never runs a query, never touches the pool, the `best_g`
-    /// arrays or the statistics — safe to call concurrently from many
-    /// reader threads between the parallel search's mutation barriers.
-    /// The returned value, when present, is bit-identical to what
-    /// [`Slrg::achievement_cost_id`] would return: query results are a
-    /// pure function of `(task, plrg, budget, set)`.
-    pub fn cached_cost_id(&self, id: SetId) -> Option<SetCost> {
-        if id == SetId::EMPTY {
-            return Some(SetCost { bound: 0.0, exact: true });
-        }
-        self.cache.get(id.index()).copied().flatten()
-    }
-
-    /// Merge an externally computed query result into the memo (the
-    /// parallel search's round barrier publishes worker-computed child
-    /// costs this way). First write wins: by purity a duplicate insert
-    /// carries the identical value, so keeping the incumbent preserves
-    /// the sequential memo's contents exactly where they overlap.
-    pub fn memo_insert(&mut self, id: SetId, c: SetCost) {
-        if self.cache.get(id.index()).copied().flatten().is_none() {
-            self.cache_put(id, c);
-        }
     }
 
     /// Minimum logical cost of achieving an interned set.

@@ -90,7 +90,7 @@ fn figure1_all_scenarios_keep_reference_costs() {
 fn large_solved_scenarios_keep_reference_costs() {
     // Large/A is excluded: the reference burns its full 2M-node budget
     // there (minutes in the boxed implementation); its pruned-search
-    // behavior is pinned by `thread_equivalence` and the bench trajectory
+    // behavior is pinned by the bench trajectory
     for sc in [LevelScenario::B, LevelScenario::C, LevelScenario::D, LevelScenario::E] {
         let task = compile(&scenarios::large(sc)).unwrap();
         assert_cost_preserved(&task, &format!("large/{sc:?}"));
