@@ -536,14 +536,16 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     // Trace state is process-global; tests that drain it must not run
-    // concurrently with each other.
+    // concurrently with each other. A failed test poisons the lock; the
+    // rest take it anyway, so one failure reports once.
     static SERIAL: Mutex<()> = Mutex::new(());
 
     #[test]
     fn spans_nest_and_drain() {
-        let _s = SERIAL.lock().unwrap();
+        let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         enable();
         let _ = take_trace(); // start from a clean window
         {
@@ -569,7 +571,7 @@ mod tests {
 
     #[test]
     fn aggregates_count_against_parent_self_time() {
-        let _s = SERIAL.lock().unwrap();
+        let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         enable();
         let _ = take_trace();
         {
@@ -590,7 +592,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        let _s = SERIAL.lock().unwrap();
+        let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = take_trace();
         {
             let _g = span("invisible");
@@ -603,7 +605,7 @@ mod tests {
 
     #[test]
     fn json_lines_parse_shape() {
-        let _s = SERIAL.lock().unwrap();
+        let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         enable();
         let _ = take_trace();
         {
@@ -622,7 +624,7 @@ mod tests {
 
     #[test]
     fn phase_table_sums_within_total() {
-        let _s = SERIAL.lock().unwrap();
+        let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         enable();
         let _ = take_trace();
         {
@@ -631,7 +633,12 @@ mod tests {
                 let _a = span("pt_a");
                 std::hint::black_box(0);
             }
+            // the aggregate claims 500 ns inside the root, so let that
+            // much time really pass before recording it
             let t = now_ns();
+            while now_ns() < t + 500 {
+                std::hint::spin_loop();
+            }
             aggregate("pt_b", t, 500, 3);
         }
         let trace = take_trace();
@@ -646,7 +653,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_and_counts() {
-        let _s = SERIAL.lock().unwrap();
+        let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         enable();
         let _ = take_trace();
         for i in 0..(RING_CAP as u64 + 100) {

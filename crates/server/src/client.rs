@@ -3,9 +3,10 @@
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, Priority, Request, Response,
-    ServedVia, StatsSnapshot,
+    ServedVia,
 };
 use sekitei_model::CppProblem;
+use sekitei_obs::Exposition;
 use sekitei_spec::{SpecError, WireOutcome, WirePhase};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -111,14 +112,12 @@ impl Connection {
         self.plan_bytes(&sekitei_spec::encode(problem))
     }
 
-    /// Fetch the serving counters.
+    /// Fetch the serving counters, summarized from the metrics exposition.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        match self.exchange(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            Response::Rejected(m) => Err(ClientError::Rejected(m)),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            _ => Err(ClientError::Unexpected("non-stats")),
-        }
+        let text = self.metrics()?;
+        sekitei_obs::parse_exposition(&text)
+            .and_then(|e| StatsSnapshot::from_exposition(&e))
+            .map_err(|e| ClientError::Protocol(SpecError::wire(format!("metrics: {e}"))))
     }
 
     /// Fetch the live metrics exposition text (scrape without restart).
@@ -139,6 +138,129 @@ impl Connection {
             Response::Error(m) => Err(ClientError::Server(m)),
             _ => Err(ClientError::Unexpected("non-flight")),
         }
+    }
+}
+
+/// The serving counters as `sekitei request --stats` prints them: a
+/// client-side summary of the server's metrics exposition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StatsSnapshot {
+    /// Plan requests answered (any tier, including degraded).
+    pub served: u64,
+    /// Requests answered straight from the outcome cache.
+    pub cache_hits: u64,
+    /// Requests that skipped grounding/leveling via the compiled-task tier
+    /// but still ran the search.
+    pub task_cache_hits: u64,
+    /// Requests that paid the full decode + compile + search path.
+    pub cache_misses: u64,
+    /// Responses served through the graceful-degradation path.
+    pub degraded: u64,
+    /// Requests answered by joining an in-flight search for the same
+    /// fingerprint (single-flight coalescing): one search ran, its
+    /// encoded bytes fanned out to these joiners.
+    pub coalesced: u64,
+    /// Connections turned away by admission control (queue full).
+    pub rejected: u64,
+    /// Plan requests shed by the priority gate under queue pressure
+    /// (answered `Rejected` without running the planner).
+    pub queue_shed: u64,
+    /// Median plan latency since startup, microseconds (histogram bucket
+    /// lower bound; see `sekitei_obs::HistogramSnapshot::quantile`).
+    pub p50_us: u64,
+    /// 95th-percentile plan latency, microseconds.
+    pub p95_us: u64,
+    /// 99th-percentile plan latency, microseconds.
+    pub p99_us: u64,
+    /// Slowest plan latency observed, microseconds.
+    pub max_us: u64,
+    /// Median time connections waited in the accept queue, microseconds.
+    pub queue_p50_us: u64,
+    /// 99th-percentile queue wait, microseconds.
+    pub queue_p99_us: u64,
+    /// Outcome-class partition of served plan requests: each request lands
+    /// in exactly one class (precedence: error > cached > deadline_hit >
+    /// budget_exhausted > degraded > exact), so these six sum to the plan
+    /// requests handled. `exact` includes proven-infeasible answers — "no
+    /// plan exists" is an exact result.
+    pub class_exact: u64,
+    /// Computed plans served through the graceful-degradation path.
+    pub class_degraded: u64,
+    /// Requests answered from encoded bytes without a search: outcome-cache
+    /// hits plus coalesced joins (`cache_hits + coalesced`).
+    pub class_cached: u64,
+    /// Computed outcomes that exhausted a search budget (non-deadline).
+    pub class_budget_exhausted: u64,
+    /// Computed outcomes cut short by the wall-clock deadline.
+    pub class_deadline_hit: u64,
+    /// Plan requests answered with an error response.
+    pub class_error: u64,
+}
+
+impl StatsSnapshot {
+    /// Summarize a parsed metrics exposition. Counters are read by their
+    /// registry names; percentiles are histogram bucket lower bounds and
+    /// `max_us` the histogram's exact maximum. A metric the exposition
+    /// lacks is an error naming it, never a silent 0.
+    pub fn from_exposition(e: &Exposition) -> Result<StatsSnapshot, String> {
+        let counter = |name| e.counters.get(name).copied().ok_or(format!("no counter {name}"));
+        let histogram = |name| e.histograms.get(name).ok_or(format!("no histogram {name}"));
+        let (latency, queue_wait) = (histogram("latency_us")?, histogram("queue_wait_us")?);
+        Ok(StatsSnapshot {
+            served: counter("served")?,
+            cache_hits: counter("cache_hits")?,
+            task_cache_hits: counter("task_cache_hits")?,
+            cache_misses: counter("cache_misses")?,
+            degraded: counter("degraded")?,
+            coalesced: counter("coalesced")?,
+            rejected: counter("rejected")?,
+            queue_shed: counter("queue_shed")?,
+            p50_us: latency.quantile(0.50),
+            p95_us: latency.quantile(0.95),
+            p99_us: latency.quantile(0.99),
+            max_us: latency.max,
+            queue_p50_us: queue_wait.quantile(0.50),
+            queue_p99_us: queue_wait.quantile(0.99),
+            class_exact: counter("class_exact")?,
+            class_degraded: counter("class_degraded")?,
+            class_cached: counter("class_cached")?,
+            class_budget_exhausted: counter("class_budget_exhausted")?,
+            class_deadline_hit: counter("class_deadline_hit")?,
+            class_error: counter("class_error")?,
+        })
+    }
+}
+
+impl std::fmt::Display for StatsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "served {} (cache {} / task {} / full {}), degraded {}, coalesced {}, \
+             rejected {}, shed {}, \
+             latency p50 {}µs p95 {}µs p99 {}µs max {}µs, queue p50 {}µs p99 {}µs, \
+             classes exact {} / degraded {} / cached {} / budget_exhausted {} / \
+             deadline_hit {} / error {}",
+            self.served,
+            self.cache_hits,
+            self.task_cache_hits,
+            self.cache_misses,
+            self.degraded,
+            self.coalesced,
+            self.rejected,
+            self.queue_shed,
+            self.p50_us,
+            self.p95_us,
+            self.p99_us,
+            self.max_us,
+            self.queue_p50_us,
+            self.queue_p99_us,
+            self.class_exact,
+            self.class_degraded,
+            self.class_cached,
+            self.class_budget_exhausted,
+            self.class_deadline_hit,
+            self.class_error,
+        )
     }
 }
 
@@ -187,5 +309,38 @@ pub fn request_shutdown(addr: impl ToSocketAddrs) -> Result<(), ClientError> {
         Response::Rejected(m) => Err(ClientError::Rejected(m)),
         Response::Error(m) => Err(ClientError::Server(m)),
         _ => Err(ClientError::Unexpected("non-bye")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshot_display_carries_greppable_facets() {
+        let snap = StatsSnapshot {
+            served: 10,
+            coalesced: 2,
+            rejected: 2,
+            queue_shed: 1,
+            ..StatsSnapshot::default()
+        };
+        let text = snap.to_string();
+        for token in ["coalesced 2", "shed 1", "rejected 2", "served 10"] {
+            assert!(text.contains(token), "missing {token:?} in {text:?}");
+        }
+    }
+
+    #[test]
+    fn missing_metric_is_named_not_zeroed() {
+        let text = sekitei_obs::expose(crate::ServerStats::default().registry());
+        let full = sekitei_obs::parse_exposition(&text).unwrap();
+        assert_eq!(StatsSnapshot::from_exposition(&full), Ok(StatsSnapshot::default()));
+        let (mut no_counter, mut no_histogram) = (full.clone(), full);
+        no_counter.counters.remove("coalesced");
+        no_histogram.histograms.remove("latency_us");
+        let err = |e| StatsSnapshot::from_exposition(e).unwrap_err();
+        assert_eq!(err(&no_counter), "no counter coalesced");
+        assert_eq!(err(&no_histogram), "no histogram latency_us");
     }
 }

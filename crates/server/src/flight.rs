@@ -43,10 +43,10 @@ pub enum OutcomeClass {
     /// Plan served through the graceful-degradation / anytime-incumbent
     /// path.
     Degraded,
-    /// Answered from the outcome cache. Flight records keep the *content*
-    /// class of the cached outcome instead (the replayed bytes have one);
-    /// this class appears in the stats partition, where the cache hit is
-    /// the event of interest.
+    /// Answered from encoded bytes without a search: an outcome-cache hit
+    /// or a coalesced join (`cache_hits + coalesced`). Flight records keep
+    /// the *content* class of those bytes instead; this class appears in
+    /// the stats partition, where skipping the search is the event.
     Cached,
     /// A search budget (nodes/rejects) was exhausted.
     BudgetExhausted,

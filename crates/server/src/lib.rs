@@ -7,7 +7,7 @@
 //!
 //! - [`protocol`] — length-prefixed frames carrying `spec::wire` payloads
 //!   (`SKT1` problems in, `SKO1` outcomes out) plus small control frames
-//!   (`/stats`, shutdown).
+//!   (metrics, flight recorder, shutdown).
 //! - [`cache`] — two content-addressed tiers keyed by the hash of the
 //!   encoded problem: compiled tasks (skip grounding/leveling) and
 //!   completed outcomes (skip everything), the outcome tier under CLOCK
@@ -32,7 +32,8 @@
 //! The telemetry plane ties these together: plan requests carry a
 //! client-assigned trace id that the server echoes, tags onto its spans,
 //! and writes into every flight record; `Metrics` control frames scrape
-//! the live [`ServerStats`] registry as a text exposition; and profile
+//! the live [`ServerStats`] registry as a text exposition, the one wire
+//! form of the serving counters (`--stats` summarizes it); and profile
 //! replies return the per-phase self-time table (`SKP1`) so a client can
 //! stitch server phases into its own trace.
 
@@ -52,7 +53,7 @@ pub mod stats;
 pub use cache::{content_hash, BoundedCache, ClockCache};
 pub use client::{
     request_flight_recorder, request_metrics, request_plan, request_shutdown, request_stats,
-    ClientError, Connection, ServedOutcome,
+    ClientError, Connection, ServedOutcome, StatsSnapshot,
 };
 pub use convert::outcome_to_wire;
 pub use flight::{
@@ -65,7 +66,7 @@ pub use persist::{
 };
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, frame_into, read_frame,
-    write_frame, Priority, Request, Response, ServedVia, StatsSnapshot, MAX_FRAME,
+    write_frame, Priority, Request, Response, ServedVia, MAX_FRAME,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use stats::ServerStats;

@@ -112,8 +112,6 @@ pub enum Request {
         /// The `SKT1` problem bytes.
         problem: Vec<u8>,
     },
-    /// Return the serving counters.
-    Stats,
     /// Stop accepting connections and shut the service down.
     Shutdown,
     /// Return the full metrics registry in text exposition form
@@ -124,8 +122,8 @@ pub enum Request {
     FlightRecorder,
 }
 
+// Tag 1, the retired fixed-word stats frame, stays unassigned both ways.
 const REQ_PLAN: u8 = 0;
-const REQ_STATS: u8 = 1;
 const REQ_SHUTDOWN: u8 = 2;
 const REQ_METRICS: u8 = 3;
 const REQ_FLIGHT: u8 = 4;
@@ -145,7 +143,6 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
             b.extend_from_slice(problem);
             b
         }
-        Request::Stats => vec![REQ_STATS],
         Request::Shutdown => vec![REQ_SHUTDOWN],
         Request::Metrics => vec![REQ_METRICS],
         Request::FlightRecorder => vec![REQ_FLIGHT],
@@ -177,155 +174,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, SpecError> {
                 problem,
             })
         }
-        Some((&REQ_STATS, [])) => Ok(Request::Stats),
         Some((&REQ_SHUTDOWN, [])) => Ok(Request::Shutdown),
         Some((&REQ_METRICS, [])) => Ok(Request::Metrics),
         Some((&REQ_FLIGHT, [])) => Ok(Request::FlightRecorder),
         Some((&t, _)) => Err(SpecError::wire(format!("bad request tag {t}"))),
         None => Err(SpecError::wire("empty request")),
-    }
-}
-
-/// A snapshot of the serving counters (the `/stats` control response).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Plan requests answered (any tier, including degraded).
-    pub served: u64,
-    /// Requests answered straight from the outcome cache.
-    pub cache_hits: u64,
-    /// Requests that skipped grounding/leveling via the compiled-task tier
-    /// but still ran the search.
-    pub task_cache_hits: u64,
-    /// Requests that paid the full decode + compile + search path.
-    pub cache_misses: u64,
-    /// Responses served through the graceful-degradation path.
-    pub degraded: u64,
-    /// Requests answered by joining an in-flight search for the same
-    /// fingerprint (single-flight coalescing): one search ran, its
-    /// encoded bytes fanned out to these joiners.
-    pub coalesced: u64,
-    /// Connections turned away by admission control (queue full).
-    pub rejected: u64,
-    /// Plan requests shed by the priority gate under queue pressure
-    /// (answered `Rejected` without running the planner).
-    pub queue_shed: u64,
-    /// Median plan latency since startup, microseconds (histogram bucket
-    /// lower bound; see `sekitei_obs::Histogram::quantile`).
-    pub p50_us: u64,
-    /// 95th-percentile plan latency, microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile plan latency, microseconds.
-    pub p99_us: u64,
-    /// Slowest plan latency observed, microseconds.
-    pub max_us: u64,
-    /// Median time connections waited in the accept queue, microseconds.
-    pub queue_p50_us: u64,
-    /// 99th-percentile queue wait, microseconds.
-    pub queue_p99_us: u64,
-    /// Outcome-class partition of served plan requests: each request lands
-    /// in exactly one class (precedence: error > cached > deadline_hit >
-    /// budget_exhausted > degraded > exact), so these six sum to the plan
-    /// requests handled. `exact` includes proven-infeasible answers — "no
-    /// plan exists" is an exact result.
-    pub class_exact: u64,
-    /// Computed plans served through the graceful-degradation path.
-    pub class_degraded: u64,
-    /// Requests answered from the outcome cache (same event as
-    /// `cache_hits`, counted here as a class for the partition).
-    pub class_cached: u64,
-    /// Computed outcomes that exhausted a search budget (non-deadline).
-    pub class_budget_exhausted: u64,
-    /// Computed outcomes cut short by the wall-clock deadline.
-    pub class_deadline_hit: u64,
-    /// Plan requests answered with an error response.
-    pub class_error: u64,
-}
-
-impl StatsSnapshot {
-    /// Field count of the wire encoding (each a big-endian `u64`).
-    pub const WIRE_WORDS: usize = 20;
-
-    fn wire_words(&self) -> [u64; Self::WIRE_WORDS] {
-        [
-            self.served,
-            self.cache_hits,
-            self.task_cache_hits,
-            self.cache_misses,
-            self.degraded,
-            self.coalesced,
-            self.rejected,
-            self.queue_shed,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-            self.queue_p50_us,
-            self.queue_p99_us,
-            self.class_exact,
-            self.class_degraded,
-            self.class_cached,
-            self.class_budget_exhausted,
-            self.class_deadline_hit,
-            self.class_error,
-        ]
-    }
-
-    fn from_wire_words(w: &[u64; Self::WIRE_WORDS]) -> Self {
-        StatsSnapshot {
-            served: w[0],
-            cache_hits: w[1],
-            task_cache_hits: w[2],
-            cache_misses: w[3],
-            degraded: w[4],
-            coalesced: w[5],
-            rejected: w[6],
-            queue_shed: w[7],
-            p50_us: w[8],
-            p95_us: w[9],
-            p99_us: w[10],
-            max_us: w[11],
-            queue_p50_us: w[12],
-            queue_p99_us: w[13],
-            class_exact: w[14],
-            class_degraded: w[15],
-            class_cached: w[16],
-            class_budget_exhausted: w[17],
-            class_deadline_hit: w[18],
-            class_error: w[19],
-        }
-    }
-}
-
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "served {} (cache {} / task {} / full {}), degraded {}, coalesced {}, \
-             rejected {}, shed {}, \
-             latency p50 {}µs p95 {}µs p99 {}µs max {}µs, queue p50 {}µs p99 {}µs, \
-             classes exact {} / degraded {} / cached {} / budget_exhausted {} / \
-             deadline_hit {} / error {}",
-            self.served,
-            self.cache_hits,
-            self.task_cache_hits,
-            self.cache_misses,
-            self.degraded,
-            self.coalesced,
-            self.rejected,
-            self.queue_shed,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-            self.queue_p50_us,
-            self.queue_p99_us,
-            self.class_exact,
-            self.class_degraded,
-            self.class_cached,
-            self.class_budget_exhausted,
-            self.class_deadline_hit,
-            self.class_error,
-        )
     }
 }
 
@@ -381,6 +234,9 @@ impl std::fmt::Display for ServedVia {
 }
 
 /// A server response.
+// Boxing the large `Outcome` would cost every plan reply an allocation
+// and break callers that keep decoded outcomes by value.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// A planning outcome; `served_via` reports whether it came from a
@@ -397,8 +253,6 @@ pub enum Response {
         /// The outcome payload.
         outcome: WireOutcome,
     },
-    /// The serving counters.
-    Stats(StatsSnapshot),
     /// Admission control turned the request away.
     Rejected(String),
     /// The request failed (malformed problem, compile error, …).
@@ -412,7 +266,6 @@ pub enum Response {
 }
 
 pub(crate) const RESP_OUTCOME: u8 = 0;
-const RESP_STATS: u8 = 1;
 const RESP_REJECTED: u8 = 2;
 const RESP_ERROR: u8 = 3;
 const RESP_BYE: u8 = 4;
@@ -463,14 +316,6 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
             b.extend_from_slice(&encode_outcome(outcome));
             b
         }
-        Response::Stats(s) => {
-            let mut b = Vec::with_capacity(1 + StatsSnapshot::WIRE_WORDS * 8);
-            b.push(RESP_STATS);
-            for v in s.wire_words() {
-                b.extend_from_slice(&v.to_be_bytes());
-            }
-            b
-        }
         Response::Rejected(msg) => {
             let mut b = vec![RESP_REJECTED];
             put_str(&mut b, msg);
@@ -518,20 +363,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, SpecError> {
                 phases,
                 outcome: decode_outcome(&rest[phase_len..])?,
             })
-        }
-        Some((&RESP_STATS, rest)) => {
-            if rest.len() != StatsSnapshot::WIRE_WORDS * 8 {
-                return Err(SpecError::wire(format!(
-                    "bad stats length {} (expected {})",
-                    rest.len(),
-                    StatsSnapshot::WIRE_WORDS * 8
-                )));
-            }
-            let mut words = [0u64; StatsSnapshot::WIRE_WORDS];
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = u64::from_be_bytes(rest[i * 8..i * 8 + 8].try_into().unwrap());
-            }
-            Ok(Response::Stats(StatsSnapshot::from_wire_words(&words)))
         }
         Some((&RESP_REJECTED, rest)) => Ok(Response::Rejected(get_str(rest)?)),
         Some((&RESP_ERROR, rest)) => Ok(Response::Error(get_str(rest)?)),
@@ -593,14 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_display_carries_greppable_facets() {
-        let text = sample_snapshot().to_string();
-        for token in ["coalesced 2", "shed 1", "rejected 2", "served 10"] {
-            assert!(text.contains(token), "missing {token:?} in {text:?}");
-        }
-    }
-
-    #[test]
     fn frame_rejects_oversized_length() {
         let big = (MAX_FRAME + 1).to_be_bytes();
         let mut r = &big[..];
@@ -626,7 +449,6 @@ mod tests {
                 problem: problem.clone(),
             },
             Request::Plan { trace_id: 7, profile: false, priority: Priority::Low, problem },
-            Request::Stats,
             Request::Shutdown,
             Request::Metrics,
             Request::FlightRecorder,
@@ -665,34 +487,8 @@ mod tests {
         v1_style.extend_from_slice(b"SKT1");
         assert!(decode_request(&v1_style).is_err());
         // control requests reject trailing bytes
-        assert!(decode_request(&[REQ_STATS, 0]).is_err());
         assert!(decode_request(&[REQ_METRICS, 0]).is_err());
         assert!(decode_request(&[REQ_FLIGHT, 0]).is_err());
-    }
-
-    fn sample_snapshot() -> StatsSnapshot {
-        StatsSnapshot {
-            served: 10,
-            cache_hits: 4,
-            task_cache_hits: 3,
-            cache_misses: 3,
-            degraded: 1,
-            coalesced: 2,
-            rejected: 2,
-            queue_shed: 1,
-            p50_us: 900,
-            p95_us: 20_000,
-            p99_us: 45_000,
-            max_us: 120_000,
-            queue_p50_us: 15,
-            queue_p99_us: 250,
-            class_exact: 5,
-            class_degraded: 1,
-            class_cached: 4,
-            class_budget_exhausted: 2,
-            class_deadline_hit: 1,
-            class_error: 3,
-        }
     }
 
     #[test]
@@ -722,7 +518,6 @@ mod tests {
                 outcome: outcome.clone(),
             },
             Response::Outcome { served_via: ServedVia::Computed, trace_id: 0, phases, outcome },
-            Response::Stats(sample_snapshot()),
             Response::Rejected("queue full".into()),
             Response::Error("bad magic".into()),
             Response::Bye,
@@ -731,24 +526,6 @@ mod tests {
         ] {
             assert_eq!(decode_response(&encode_response(&r)).unwrap(), r);
         }
-    }
-
-    #[test]
-    fn stats_frame_is_length_checked() {
-        // The widened frame is exactly 1 tag byte + 20 u64 words.
-        let encoded = encode_response(&Response::Stats(sample_snapshot()));
-        assert_eq!(encoded.len(), 1 + StatsSnapshot::WIRE_WORDS * 8);
-        assert_eq!(encoded.len(), 1 + 20 * 8);
-        // The pre-widening 12/18-word frames and off-by-one-word frames
-        // must be rejected, not silently zero-filled or truncated.
-        for words in [12usize, 18, 19, 21] {
-            let mut short = vec![RESP_STATS];
-            short.extend(vec![0u8; words * 8]);
-            let err = decode_response(&short).unwrap_err();
-            assert!(err.to_string().contains("stats length"), "words={words}: {err}");
-        }
-        // And a byte-level truncation inside the last word too.
-        assert!(decode_response(&encoded[..encoded.len() - 1]).is_err());
     }
 
     #[test]
@@ -765,7 +542,6 @@ mod tests {
         bad_phase_len.extend_from_slice(&0u64.to_be_bytes());
         bad_phase_len.extend_from_slice(&100u32.to_be_bytes());
         assert!(decode_response(&bad_phase_len).is_err());
-        assert!(decode_response(&[RESP_STATS, 0, 0]).is_err());
         assert!(decode_response(&[RESP_BYE, 0]).is_err());
         assert!(decode_response(&[RESP_METRICS, 0]).is_err()); // truncated string
     }

@@ -12,11 +12,11 @@
 //! encoded `SKO1` bytes when it publishes — one search, N answers
 //! (the `coalesced` facet in stats).
 //!
-//! Control requests (`Stats`, `Metrics`, `FlightRecorder`) aggregate
-//! across shards: counters sum, histograms merge exactly
-//! (`Histogram::merge`), flight rings interleave on a shared global
-//! sequence counter — byte-for-byte indistinguishable from a single
-//! unsharded server that saw the same traffic in the same order.
+//! Control requests (`Metrics`, which `--stats` summarizes, and
+//! `FlightRecorder`) aggregate across shards: counters sum, histograms
+//! merge exactly (`Histogram::merge`), flight rings interleave on a
+//! shared global sequence counter — byte-for-byte indistinguishable from
+//! a single unsharded server that saw the same traffic in the same order.
 //!
 //! Determinism argument: sharding moves *where* a request is handled,
 //! never *what* it computes. Outcomes are pure functions of (problem
@@ -385,12 +385,6 @@ fn handle_conn(state: &ServeState, shard: &ShardState, stream: TcpStream, queue_
             // connection serving — a garbled control frame must never take
             // the server (or even the connection) down.
             Err(e) => (encode_response(&Response::Error(e.to_string())), false),
-            Ok(Request::Stats) => {
-                let shard_stats: Vec<_> =
-                    state.shards.iter().map(|sh| Arc::clone(&sh.stats)).collect();
-                let snap = ServerStats::merged_snapshot(&shard_stats);
-                (encode_response(&Response::Stats(snap)), false)
-            }
             Ok(Request::Metrics) => {
                 let shard_stats: Vec<_> =
                     state.shards.iter().map(|sh| Arc::clone(&sh.stats)).collect();

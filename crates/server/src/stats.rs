@@ -8,9 +8,11 @@
 //! window-fill assumptions — at the cost of the window's recency bias:
 //! the histogram summarizes the server's lifetime, which is what the
 //! stats protocol reports were already treated as.
+//!
+//! The registry is the only store of the serving counters, and its
+//! exposition their only wire form; `--stats` summarizes it client-side.
 
 use crate::flight::OutcomeClass;
-use crate::protocol::StatsSnapshot;
 use sekitei_obs::{Counter, Gauge, Histogram, MetricView, MetricsRegistry};
 use std::fmt;
 use std::sync::Arc;
@@ -29,8 +31,7 @@ pub struct ServerStats {
     queue_shed: Arc<Counter>,
     queue_shed_low: Arc<Counter>,
     queue_shed_normal: Arc<Counter>,
-    /// One counter per outcome class, indexed in the order the
-    /// `StatsSnapshot` wire fields list them.
+    /// One counter per outcome class.
     class_exact: Arc<Counter>,
     class_degraded: Arc<Counter>,
     class_cached: Arc<Counter>,
@@ -91,7 +92,7 @@ impl Default for ServerStats {
 
 impl fmt::Debug for ServerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ServerStats({:?})", self.snapshot())
+        write!(f, "ServerStats({})", sekitei_obs::expose(&self.registry))
     }
 }
 
@@ -151,9 +152,9 @@ impl ServerStats {
     }
 
     /// Count one plan request's outcome class. Each request lands in
-    /// exactly one class (`Cached` for outcome-cache hits, otherwise the
-    /// content class of the computed outcome), so the six class counters
-    /// partition the plan requests handled.
+    /// exactly one class (`Cached` for cache hits and coalesced joins,
+    /// otherwise the content class of the computed outcome), so the six
+    /// class counters partition the plan requests handled.
     pub fn record_class(&self, class: OutcomeClass) {
         match class {
             OutcomeClass::Exact => self.class_exact.inc(),
@@ -176,62 +177,6 @@ impl ServerStats {
         &self.registry
     }
 
-    /// Snapshot every counter plus latency and queue-wait summaries.
-    /// Percentiles are histogram bucket lower bounds (within 1/32
-    /// relative error); an empty population reports 0 everywhere.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            served: self.served.get(),
-            cache_hits: self.cache_hits.get(),
-            task_cache_hits: self.task_cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            degraded: self.degraded.get(),
-            coalesced: self.coalesced.get(),
-            rejected: self.rejected.get(),
-            queue_shed: self.queue_shed.get(),
-            p50_us: self.latency_us.quantile(0.50),
-            p95_us: self.latency_us.quantile(0.95),
-            p99_us: self.latency_us.quantile(0.99),
-            max_us: self.latency_us.max(),
-            queue_p50_us: self.queue_wait_us.quantile(0.50),
-            queue_p99_us: self.queue_wait_us.quantile(0.99),
-            class_exact: self.class_exact.get(),
-            class_degraded: self.class_degraded.get(),
-            class_cached: self.class_cached.get(),
-            class_budget_exhausted: self.class_budget_exhausted.get(),
-            class_deadline_hit: self.class_deadline_hit.get(),
-            class_error: self.class_error.get(),
-        }
-    }
-
-    /// Aggregate per-shard stats into one snapshot: counters sum,
-    /// histograms merge exactly (`Histogram::merge` adds bucket counts),
-    /// and percentiles are derived from the merged populations — the
-    /// result is identical to what a single global `ServerStats` would
-    /// have reported for the same traffic.
-    pub fn merged_snapshot(shards: &[Arc<ServerStats>]) -> StatsSnapshot {
-        let merged = ServerStats::default();
-        for s in shards {
-            merged.served.add(s.served.get());
-            merged.cache_hits.add(s.cache_hits.get());
-            merged.task_cache_hits.add(s.task_cache_hits.get());
-            merged.cache_misses.add(s.cache_misses.get());
-            merged.degraded.add(s.degraded.get());
-            merged.coalesced.add(s.coalesced.get());
-            merged.rejected.add(s.rejected.get());
-            merged.queue_shed.add(s.queue_shed.get());
-            merged.class_exact.add(s.class_exact.get());
-            merged.class_degraded.add(s.class_degraded.get());
-            merged.class_cached.add(s.class_cached.get());
-            merged.class_budget_exhausted.add(s.class_budget_exhausted.get());
-            merged.class_deadline_hit.add(s.class_deadline_hit.get());
-            merged.class_error.add(s.class_error.get());
-            merged.latency_us.merge(&s.latency_us);
-            merged.queue_wait_us.merge(&s.queue_wait_us);
-        }
-        merged.snapshot()
-    }
-
     /// Aggregate per-shard registries into one scrape-ready registry:
     /// same-named counters sum, gauges sum (queue depth across shards is
     /// the total backlog), histograms merge. Walks each source registry
@@ -252,7 +197,14 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::StatsSnapshot;
     use sekitei_obs::{bucket_bounds, bucket_index};
+
+    /// The registry as `sekitei request --stats` sees it.
+    fn view(registry: &MetricsRegistry) -> StatsSnapshot {
+        let text = sekitei_obs::expose(registry);
+        StatsSnapshot::from_exposition(&sekitei_obs::parse_exposition(&text).unwrap()).unwrap()
+    }
 
     #[test]
     fn percentiles_over_population() {
@@ -260,7 +212,7 @@ mod tests {
         for us in 1..=100 {
             s.record_served(us);
         }
-        let snap = s.snapshot();
+        let snap = view(s.registry());
         assert_eq!(snap.served, 100);
         // below 64 µs the histogram is exact; above, within one bucket
         assert_eq!(snap.p50_us, 50);
@@ -272,7 +224,7 @@ mod tests {
 
     #[test]
     fn empty_population_yields_zero_percentiles() {
-        let snap = ServerStats::default().snapshot();
+        let snap = view(ServerStats::default().registry());
         assert_eq!((snap.p50_us, snap.p95_us, snap.p99_us, snap.max_us), (0, 0, 0, 0));
         assert_eq!((snap.queue_p50_us, snap.queue_p99_us), (0, 0));
     }
@@ -284,13 +236,13 @@ mod tests {
         // percentile of N samples is always over exactly N samples
         let s = ServerStats::default();
         s.record_served(10);
-        let snap = s.snapshot();
+        let snap = view(s.registry());
         assert_eq!(snap.p50_us, 10, "a single sample is every percentile");
         assert_eq!(snap.p99_us, 10);
         assert_eq!(snap.max_us, 10);
         s.record_served(30);
         s.record_served(20);
-        let snap = s.snapshot();
+        let snap = view(s.registry());
         assert_eq!(snap.p50_us, 20);
         assert_eq!(snap.p99_us, 30);
     }
@@ -301,7 +253,7 @@ mod tests {
         s.record_queue_wait(5);
         s.record_queue_wait(7);
         s.record_served(1_000);
-        let snap = s.snapshot();
+        let snap = view(s.registry());
         assert_eq!(snap.queue_p50_us, 5);
         assert_eq!(snap.queue_p99_us, 7);
         assert!(snap.p50_us >= 1_000 - 1_000 / 32, "latency unaffected by queue waits");
@@ -344,7 +296,7 @@ mod tests {
         ] {
             s.record_class(class);
         }
-        let snap = s.snapshot();
+        let snap = view(s.registry());
         assert_eq!(snap.class_exact, 2);
         assert_eq!(snap.class_degraded, 1);
         assert_eq!(snap.class_cached, 1);
@@ -369,7 +321,7 @@ mod tests {
         s.record_shed(Priority::Low);
         s.record_shed(Priority::Normal);
         s.record_shed(Priority::Low);
-        let snap = s.snapshot();
+        let snap = view(s.registry());
         assert_eq!(snap.coalesced, 2);
         assert_eq!(snap.queue_shed, 3);
         let parsed = sekitei_obs::parse_exposition(&sekitei_obs::expose(s.registry())).unwrap();
@@ -380,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_snapshot_equals_single_stats_over_same_traffic() {
+    fn merged_view_equals_single_stats_over_same_traffic() {
         let a = Arc::new(ServerStats::default());
         let b = Arc::new(ServerStats::default());
         let single = ServerStats::default();
@@ -396,13 +348,13 @@ mod tests {
         single.record_queue_wait(90);
         b.record_cache_hit();
         single.record_cache_hit();
-        let merged = ServerStats::merged_snapshot(&[a.clone(), b.clone()]);
-        assert_eq!(merged, single.snapshot());
+        let reg = ServerStats::merged_registry(&[a, b]);
+        let merged = view(&reg);
+        assert_eq!(merged, view(single.registry()));
         assert_eq!(merged.served, 5);
         assert_eq!(merged.cache_hits, 1);
 
-        // the merged registry view agrees with the merged snapshot
-        let reg = ServerStats::merged_registry(&[a, b]);
+        // the merged exposition carries the merged populations
         let parsed = sekitei_obs::parse_exposition(&sekitei_obs::expose(&reg)).unwrap();
         assert_eq!(parsed.counters["served"], 5);
         assert_eq!(parsed.histograms["latency_us"].count, 5);

@@ -64,8 +64,8 @@ fn malformed_control_frames_answer_error_and_keep_serving() {
     let resp = decode_response(&read_frame(&mut stream).expect("read")).expect("decode");
     assert!(matches!(resp, Response::Error(_)), "unknown tag answers Error, got {resp:?}");
 
-    // trailing bytes on a control request (Stats = tag 1)
-    write_frame(&mut stream, &[1, 0xAA]).expect("write");
+    // trailing bytes on a control request (Metrics = tag 3)
+    write_frame(&mut stream, &[3, 0xAA]).expect("write");
     let resp = decode_response(&read_frame(&mut stream).expect("read")).expect("decode");
     assert!(matches!(resp, Response::Error(_)), "trailing bytes answer Error, got {resp:?}");
 
@@ -75,9 +75,9 @@ fn malformed_control_frames_answer_error_and_keep_serving() {
     assert!(matches!(resp, Response::Error(_)), "short plan header answers Error, got {resp:?}");
 
     // the same connection still serves real traffic afterwards
-    write_frame(&mut stream, &[1]).expect("write");
+    write_frame(&mut stream, &[3]).expect("write");
     let resp = decode_response(&read_frame(&mut stream).expect("read")).expect("decode");
-    assert!(matches!(resp, Response::Stats(_)), "valid stats after garbage, got {resp:?}");
+    assert!(matches!(resp, Response::Metrics(_)), "valid metrics after garbage, got {resp:?}");
     drop(stream);
 
     // and the server as a whole still answers fresh connections

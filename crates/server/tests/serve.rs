@@ -238,6 +238,7 @@ fn concurrent_identical_requests_coalesce_onto_one_search() {
     assert_eq!(stats.cache_misses, 1, "one search for four requests");
     assert_eq!(stats.coalesced, 3);
     assert_eq!(stats.served, 4);
+    assert_eq!(stats.class_cached, stats.cache_hits + stats.coalesced);
     request_shutdown(addr).unwrap();
     join.join().unwrap().unwrap();
 }

@@ -283,6 +283,9 @@ pub fn decode(mut buf: &[u8]) -> Result<CppProblem, SpecError> {
         let node = NodeId(get_u32(b)?);
         goals.push(Goal { component, node });
     }
+    if !b.is_empty() {
+        return Err(SpecError::wire("trailing bytes after problem"));
+    }
 
     let problem =
         CppProblem { network, resources, interfaces, components, sources, pre_placed, goals };
@@ -1002,6 +1005,14 @@ mod tests {
         }
     }
 
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut bytes = encode(&scenarios::tiny(LevelScenario::B)).to_vec();
+        bytes.extend_from_slice(b"garbage");
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
     fn sample_outcome(with_plan: bool) -> WireOutcome {
         WireOutcome {
             plan: with_plan.then(|| WirePlan {
@@ -1116,7 +1127,7 @@ mod tests {
             key: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             class: (seed % 6) as u8,
             rg_nodes: seed * 31,
-            payload: encode_outcome(&sample_outcome(seed % 2 == 0)).to_vec(),
+            payload: encode_outcome(&sample_outcome(seed.is_multiple_of(2))).to_vec(),
         }
     }
 
