@@ -15,8 +15,8 @@
 //! The deterministic report goes to stdout (byte-identical per seed),
 //! timing to stderr.
 //!
-//! Usage: `server_load [REQUESTS] [CONNECTIONS] [SEED] [SHARDS]`
-//! (defaults: 100000 requests, 4 connections, seed 0xC0FFEE, 2 shards).
+//! Usage: `server_load [REQUESTS] [CONNECTIONS] [SEED]`
+//! (defaults: 100000 requests, 4 connections, seed 0xC0FFEE).
 
 use sekitei_model::LevelScenario;
 use sekitei_server::{
@@ -43,16 +43,12 @@ fn main() {
     let requests: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(100_000);
     let connections: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE);
-    let shards: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2);
 
     let corpus = corpus();
 
-    // main throughput run: sharded server, closed loop, deep pipeline
-    let (addr, join) = spawn_server(ServerConfig {
-        workers: connections.max(1),
-        shards,
-        ..ServerConfig::default()
-    });
+    // main throughput run: closed loop, deep pipeline
+    let (addr, join) =
+        spawn_server(ServerConfig { workers: connections.max(1), ..ServerConfig::default() });
     let cfg = LoadgenConfig {
         requests,
         connections,
@@ -78,7 +74,6 @@ fn main() {
     for cache_cap in [1usize, 2, 3, 4, 5, 8] {
         let (addr, join) = spawn_server(ServerConfig {
             workers: connections.max(1),
-            shards,
             cache_cap,
             ..ServerConfig::default()
         });
@@ -112,12 +107,8 @@ fn main() {
     // workers, small queue cap) with every 3rd request Low priority —
     // measures that the priority gate sheds the low class first
     let shed_requests = (requests / 25).clamp(1_000, 4_000);
-    let (addr, join) = spawn_server(ServerConfig {
-        workers: 2,
-        shards: 1,
-        queue_cap: 8,
-        ..ServerConfig::default()
-    });
+    let (addr, join) =
+        spawn_server(ServerConfig { workers: 2, queue_cap: 8, ..ServerConfig::default() });
     let cfg = LoadgenConfig {
         requests: shed_requests,
         connections: 8,

@@ -1,7 +1,7 @@
 //! Seeded churn-event generation.
 //!
 //! The generator is a small weighted state machine over a
-//! [`ChurnProfile`](sekitei_topology::scenarios::ChurnProfile): each tick
+//! [`ChurnProfile`]: each tick
 //! it picks an event class (degrade / recover / crash / rejoin / drift)
 //! by relative weight among the classes that currently have a target —
 //! recovery needs a degraded link, rejoin needs a crashed node, crashes

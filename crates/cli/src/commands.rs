@@ -14,7 +14,7 @@ const USAGE: &str = "usage:
                [--trace-json FILE] [--emit-cert FILE]
   sekitei batch <spec-file>... [--threads N] [--no-prune] [--validate]
                [--quiet] [--profile] [--trace-json FILE] [--emit-cert FILE]
-  sekitei serve [--addr HOST:PORT] [--workers N] [--shards N] [--queue-cap N]
+  sekitei serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
                [--cache-cap N] [--cache-file FILE] [--max-nodes N]
                [--deadline-ms N] [--no-degrade] [--anytime] [--sls-seed N]
                [--sls-restarts N]
@@ -64,7 +64,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         Some("encode") => cmd_encode(&args[1..]),
         Some("decode") => cmd_decode(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
@@ -175,25 +175,28 @@ fn report_outcome(
     let s = &outcome.stats;
     match &outcome.plan {
         Some(plan) => {
-            print!("{plan}");
+            out!("{plan}");
             let m = plan_metrics(problem, &outcome.task, plan);
-            println!(
+            outln!(
                 "reserved bandwidth: LAN {:.1}, WAN {:.1}; total CPU {:.1}",
-                m.reserved_lan_bw, m.reserved_wan_bw, m.total_cpu
+                m.reserved_lan_bw,
+                m.reserved_wan_bw,
+                m.total_cpu
             );
             if let Some(gap) = s.optimality_gap {
                 if gap > 0.0 {
-                    println!("optimality gap: ≤ {gap:.2}");
+                    outln!("optimality gap: ≤ {gap:.2}");
                 } else {
-                    println!("optimality gap: 0.00 (proved)");
+                    outln!("optimality gap: 0.00 (proved)");
                 }
             }
             if validate {
                 let report = validate_plan(problem, &outcome.task, plan);
                 if report.ok {
-                    println!(
+                    outln!(
                         "simulation: OK (real cost {:.2} ≥ bound {:.2})",
-                        report.total_cost, plan.cost_lower_bound
+                        report.total_cost,
+                        plan.cost_lower_bound
                     );
                 } else {
                     for v in &report.violations {
@@ -204,17 +207,17 @@ fn report_outcome(
             }
         }
         None => {
-            println!("no plan found");
+            outln!("no plan found");
             if let Some(b) = s.best_bound {
-                println!("(optimal cost ≥ {b:.2})");
+                outln!("(optimal cost ≥ {b:.2})");
             }
             if s.budget_exhausted {
-                println!("(search budget exhausted — the instance may still be solvable)");
+                outln!("(search budget exhausted — the instance may still be solvable)");
             }
         }
     }
     if !quiet {
-        println!("stats: {s}");
+        outln!("stats: {s}");
     }
     Ok(())
 }
@@ -226,7 +229,7 @@ fn write_cert(path: &str, cert: Option<&sekitei_cert::PlanCertificate>) -> Resul
     let cert = cert.ok_or_else(|| format!("no certificate to emit to `{path}` (no plan)"))?;
     let bytes = sekitei_cert::encode_certificate(cert);
     std::fs::write(path, &bytes).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!("wrote certificate ({} bytes) to {path}", bytes.len());
+    outln!("wrote certificate ({} bytes) to {path}", bytes.len());
     Ok(())
 }
 
@@ -361,7 +364,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     obs.finish("plan")?;
     let mut failures = 0usize;
     for (idx, ((file, problem), outcome)) in files.iter().zip(&problems).zip(outcomes).enumerate() {
-        println!("=== {file} ===");
+        outln!("=== {file} ===");
         match outcome {
             Ok(o) => {
                 if let Err(e) = report_outcome(problem, &o, validate, quiet) {
@@ -413,11 +416,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 let v = need(args.get(i), "--workers")?;
                 cfg.workers = v.parse().map_err(|_| format!("bad --workers value `{v}`"))?;
             }
-            "--shards" => {
-                i += 1;
-                let v = need(args.get(i), "--shards")?;
-                cfg.shards = v.parse().map_err(|_| format!("bad --shards value `{v}`"))?;
-            }
             "--cache-file" => {
                 i += 1;
                 cfg.cache_file = Some(need(args.get(i), "--cache-file")?.into());
@@ -441,7 +439,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let server =
         Server::bind(addr.as_str(), cfg).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
-    println!("sekitei serving on {local} (stop with `sekitei request --shutdown --addr {local}`)");
+    outln!("sekitei serving on {local} (stop with `sekitei request --shutdown --addr {local}`)");
     server.run().map_err(|e| e.to_string())
 }
 
@@ -490,7 +488,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
     match (file, stats, metrics, flight, shutdown) {
         (None, true, false, false, false) => {
             let s = request_stats(addr.as_str()).map_err(|e| e.to_string())?;
-            println!("{s}");
+            outln!("{s}");
             Ok(())
         }
         (None, false, true, false, false) => {
@@ -499,14 +497,14 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
             // server bug worth failing loudly on
             sekitei_obs::parse_exposition(&text)
                 .map_err(|e| format!("served exposition invalid: {e}"))?;
-            print!("{text}");
+            out!("{text}");
             Ok(())
         }
         (None, false, false, true, false) => {
             let text = request_flight_recorder(addr.as_str()).map_err(|e| e.to_string())?;
             let dump = sekitei_server::parse_dump(&text)
                 .map_err(|e| format!("served flight dump invalid: {e}"))?;
-            print!("{text}");
+            out!("{text}");
             eprintln!(
                 "flight recorder: {} records, {} exemplars, {} evicted",
                 dump.records.len(),
@@ -517,7 +515,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
         }
         (None, false, false, false, true) => {
             request_shutdown(addr.as_str()).map_err(|e| e.to_string())?;
-            println!("server at {addr} shut down");
+            outln!("server at {addr} shut down");
             Ok(())
         }
         (Some(path), false, false, false, false) => {
@@ -552,7 +550,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("served certificate undecodable: {e}"))?;
                 let rep = sekitei_cert::check_certificate(&task, &cert)
                     .map_err(|v| format!("served certificate INVALID: {v}"))?;
-                println!(
+                outln!(
                     "certificate: verified ({} outcome, {} steps, {} ledger entries, gap {})",
                     rep.outcome,
                     rep.steps,
@@ -726,7 +724,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         .next()
         .ok_or_else(|| format!("`{addr}` resolves to no address"))?;
     let report = loadgen::run(&cfg, sock, &corpus).map_err(|e| e.to_string())?;
-    print!("{}", report.deterministic);
+    out!("{}", report.deterministic);
     eprint!("{}", report.timing);
     if let Some(path) = bench_json {
         std::fs::write(&path, &report.bench_json)
@@ -740,48 +738,48 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 fn report_wire_outcome(outcome: &sekitei_spec::WireOutcome, served_via: sekitei_server::ServedVia) {
     match &outcome.plan {
         Some(plan) => {
-            println!(
+            outln!(
                 "plan: {} actions, cost ≥ {:.2}{}",
                 plan.steps.len(),
                 plan.cost_lower_bound,
                 if plan.degraded { " [degraded]" } else { "" }
             );
             for step in &plan.steps {
-                println!("  {} (cost ≥ {:.2})", step.name, step.cost_lb);
+                outln!("  {} (cost ≥ {:.2})", step.name, step.cost_lb);
             }
             for (gvar, value) in &plan.source_values {
-                println!("  source var #{gvar} = {value}");
+                outln!("  source var #{gvar} = {value}");
             }
             if let Some(gap) = outcome.optimality_gap {
                 if gap > 0.0 {
-                    println!("optimality gap: ≤ {gap:.2}");
+                    outln!("optimality gap: ≤ {gap:.2}");
                 } else {
-                    println!("optimality gap: 0.00 (proved)");
+                    outln!("optimality gap: 0.00 (proved)");
                 }
             }
         }
         None => {
-            println!("no plan found");
+            outln!("no plan found");
             if let Some(b) = outcome.best_bound {
-                println!("(optimal cost ≥ {b:.2})");
+                outln!("(optimal cost ≥ {b:.2})");
             }
             // parity with `plan`: older servers shipped a gap even after
             // dropping a sim-rejected plan — surface it rather than
             // silently discarding the field
             if let Some(gap) = outcome.optimality_gap {
                 if gap > 0.0 {
-                    println!("optimality gap: ≤ {gap:.2}");
+                    outln!("optimality gap: ≤ {gap:.2}");
                 } else {
-                    println!("optimality gap: 0.00 (proved)");
+                    outln!("optimality gap: 0.00 (proved)");
                 }
             }
             if outcome.stats.budget_exhausted {
-                println!("(search budget exhausted — the instance may still be solvable)");
+                outln!("(search budget exhausted — the instance may still be solvable)");
             }
         }
     }
     let s = &outcome.stats;
-    println!(
+    outln!(
         "stats: rg nodes {}, rejects {}, search {} µs, total {} µs{}{}{}",
         s.rg_nodes,
         s.candidate_rejects,
@@ -812,7 +810,7 @@ fn cmd_verify_cert(args: &[String]) -> Result<(), String> {
     let cert = decode_certificate(&bytes).map_err(|e| format!("{cert_path}: {e}"))?;
     let report = check_certificate(&task, &cert)
         .map_err(|v| format!("{cert_path}: certificate INVALID: {v}"))?;
-    println!(
+    outln!(
         "{cert_path}: certificate OK — {} outcome, {} steps, {} ledger entries, cost ≥ {:.2}, gap {}",
         report.outcome,
         report.steps,
@@ -830,7 +828,7 @@ fn cmd_verify_cert(args: &[String]) -> Result<(), String> {
 fn cmd_check(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or(USAGE)?;
     let p = load(path)?;
-    println!(
+    outln!(
         "{path}: OK — {} nodes, {} links, {} interfaces, {} components, {} sources, {} goals",
         p.network.num_nodes(),
         p.network.num_links(),
@@ -847,7 +845,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     let dump = args.iter().any(|a| a == "--dump");
     let p = load(path)?;
     let task = compile(&p).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{} ground actions ({} level combinations pruned), {} propositions, {} variables, {:?}",
         task.stats.actions,
         task.stats.pruned,
@@ -857,7 +855,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     );
     if dump {
         for a in &task.actions {
-            println!("  {} (cost ≥ {:.2})", a.name, a.cost);
+            outln!("  {} (cost ≥ {:.2})", a.name, a.cost);
         }
     }
     Ok(())
@@ -884,7 +882,7 @@ fn cmd_scenario(args: &[String]) -> Result<(), String> {
     let sc = parse_scenario(args.get(1).ok_or(USAGE)?)?;
     let problem = scenarios::problem(size, sc);
     if args.iter().any(|a| a == "--emit") {
-        print!("{}", sekitei_spec::print_problem(&problem));
+        out!("{}", sekitei_spec::print_problem(&problem));
         return Ok(());
     }
     let validate = args.iter().any(|a| a == "--validate");
@@ -908,7 +906,7 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     let problem = load(path)?;
     let d = sekitei_planner::diagnose(&problem, &PlannerConfig::default())
         .map_err(|e| e.to_string())?;
-    println!("{d}");
+    outln!("{d}");
     Ok(())
 }
 
@@ -935,17 +933,17 @@ fn cmd_suggest(args: &[String]) -> Result<(), String> {
     }
     let suggestions = sekitei_model::suggest_levels(&problem, headroom);
     if suggestions.is_empty() {
-        println!("no demand constraints found — nothing to suggest");
+        outln!("no demand constraints found — nothing to suggest");
         return Ok(());
     }
     for s in &suggestions {
         let cuts: Vec<String> = s.cutpoints.iter().map(f64::to_string).collect();
-        println!("levels {}.{} [{}]", s.iface, s.prop, cuts.join(", "));
+        outln!("levels {}.{} [{}]", s.iface, s.prop, cuts.join(", "));
     }
     if apply {
         let n = sekitei_model::apply_suggestions(&mut problem, &suggestions);
-        println!("\n# applied to {n} interface properties; updated spec follows\n");
-        print!("{}", sekitei_spec::print_problem(&problem));
+        outln!("\n# applied to {n} interface properties; updated spec follows\n");
+        out!("{}", sekitei_spec::print_problem(&problem));
     }
     Ok(())
 }
@@ -956,11 +954,11 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--plan") {
         let outcome = Planner::default().plan(&problem).map_err(|e| e.to_string())?;
         match &outcome.plan {
-            Some(plan) => print!("{}", sekitei_planner::plan_dot(&problem, plan)),
+            Some(plan) => out!("{}", sekitei_planner::plan_dot(&problem, plan)),
             None => return Err("no plan found — nothing to draw".into()),
         }
     } else {
-        print!("{}", sekitei_planner::network_dot(&problem));
+        out!("{}", sekitei_planner::network_dot(&problem));
     }
     Ok(())
 }
@@ -1108,7 +1106,7 @@ fn cmd_churn(args: &[String]) -> Result<(), String> {
         }
     };
     if emit_trace {
-        print!("{}", render_trace(&trace, &problem.network));
+        out!("{}", render_trace(&trace, &problem.network));
         return Ok(());
     }
 
@@ -1121,10 +1119,10 @@ fn cmd_churn(args: &[String]) -> Result<(), String> {
     emitted?;
     if !quiet {
         for r in &report.records {
-            println!("{}", r.render(&problem));
+            outln!("{}", r.render(&problem));
         }
     }
-    print!("{}", report.summary.render());
+    out!("{}", report.summary.render());
     // wall-clock: real but not reproducible, so stderr only
     eprint!("{}", report.summary.render_timing());
     if let Some(path) = &emit_cert {
@@ -1143,7 +1141,7 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
     let p = load(src)?;
     let bytes = sekitei_spec::encode(&p);
     std::fs::write(dst, &bytes).map_err(|e| format!("cannot write `{dst}`: {e}"))?;
-    println!("wrote {} bytes to {dst}", bytes.len());
+    outln!("wrote {} bytes to {dst}", bytes.len());
     Ok(())
 }
 
@@ -1151,7 +1149,7 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
     let src = args.first().ok_or(USAGE)?;
     let bytes = std::fs::read(src).map_err(|e| format!("cannot read `{src}`: {e}"))?;
     let p = sekitei_spec::decode(&bytes).map_err(|e| e.to_string())?;
-    print!("{}", sekitei_spec::print_problem(&p));
+    out!("{}", sekitei_spec::print_problem(&p));
     Ok(())
 }
 

@@ -1,4 +1,4 @@
-//! Versioned text exposition of a [`MetricsRegistry`](crate::MetricsRegistry).
+//! Versioned text exposition of a [`MetricsRegistry`].
 //!
 //! A running server answers the `Metrics` control request with this
 //! format, so any client (CLI, CI script, curl-equivalent) can scrape a

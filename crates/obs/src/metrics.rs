@@ -17,7 +17,7 @@ const EXACT: u64 = 1 << (SUB_BITS + 1); // 64
 /// Total buckets: 64 exact + 32 per octave for exponents 6..=63.
 pub const BUCKETS: usize = EXACT as usize + 32 * (64 - (SUB_BITS as usize + 1)); // 1920
 
-/// Bucket index for a sample. Exact below [`EXACT`]; log-linear above.
+/// Bucket index for a sample. Exact below 64; log-linear above.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
     if v < EXACT {
@@ -67,10 +67,6 @@ pub struct Gauge(AtomicI64);
 impl Gauge {
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {

@@ -83,7 +83,7 @@ pub struct RgConfig {
     pub relaxed_fallback: bool,
     /// Drain-mode dominance: once the drain trigger fires, drop a new
     /// node when its interned open set was already reached with no-larger
-    /// `g` (closed-set semantics, see [`crate::prune::DomTable`]). Inert
+    /// `g` (closed-set semantics, see `prune::DomTable`). Inert
     /// before drain mode — collapsing distinct tails over the same open
     /// set is unsound against the order-sensitive greedy concretizer (see
     /// `prune.rs`) — and inert without `replay_pruning`. Defaults to

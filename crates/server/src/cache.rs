@@ -5,7 +5,7 @@
 //! repeat request is recognized without any parsing work):
 //!
 //! 1. **compiled-task tier** — the decoded problem plus its compiled
-//!    [`PlanningTask`]; a hit skips grounding and leveling and goes
+//!    [`PlanningTask`](sekitei_compile::PlanningTask); a hit skips grounding and leveling and goes
 //!    straight to search.
 //! 2. **outcome tier** — the fully encoded response payload of any run
 //!    the wall clock didn't cut short; a hit skips everything. Node- and

@@ -30,8 +30,7 @@
 use sekitei_obs::{bucket_bounds, bucket_index};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Which of the six serving outcome classes a request landed in. One
 /// class per request; `Exact` includes proven-infeasible answers ("no
@@ -183,16 +182,12 @@ pub struct Exemplar {
     pub latency_us: u64,
 }
 
-/// Bounded ring of recent requests. `record` is O(1) under a mutex.
-/// Sequence numbers come from an [`Arc<AtomicU64>`] that per-shard
-/// recorders share (see [`FlightRecorder::new_sharing`]): each shard
-/// rings its own records without cross-shard locking, yet `seq` stays a
-/// single global order that [`merged_dump`] can sort on, so a merged
-/// dump satisfies the same ascending-seq invariant as a single ring.
+/// Bounded ring of recent requests. `record` is O(1) under a mutex, and
+/// assigns `seq` under it too, so the ring is in ascending `seq` order by
+/// construction.
 #[derive(Debug)]
 pub struct FlightRecorder {
     inner: Mutex<Inner>,
-    seq: Arc<AtomicU64>,
     cap: usize,
 }
 
@@ -205,31 +200,20 @@ struct Inner {
 impl FlightRecorder {
     /// A recorder keeping the most recent `cap` requests (cap 0 is
     /// clamped to 1: a recorder that can't record anything would turn
-    /// every dump invariant vacuous), with its own sequence counter.
+    /// every dump invariant vacuous).
     pub fn new(cap: usize) -> Self {
-        Self::new_sharing(cap, Arc::new(AtomicU64::new(1)))
-    }
-
-    /// A recorder drawing sequence numbers from a shared counter, so
-    /// several per-shard recorders produce one global record order.
-    pub fn new_sharing(cap: usize, seq: Arc<AtomicU64>) -> Self {
         FlightRecorder {
             inner: Mutex::new(Inner { ring: VecDeque::new(), evicted: 0 }),
-            seq,
             cap: cap.max(1),
         }
-    }
-
-    /// The sequence counter, for cloning into sibling shard recorders.
-    pub fn seq_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.seq)
     }
 
     /// Append one request record (the recorder assigns `seq`; the passed
     /// value is ignored). Evicts the oldest record when full.
     pub fn record(&self, mut rec: FlightRecord) {
-        rec.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().expect("flight ring lock poisoned");
+        // seqs are dense from 1, so the next one counts every record so far
+        rec.seq = inner.evicted + inner.ring.len() as u64 + 1;
         if inner.ring.len() == self.cap {
             inner.ring.pop_front();
             inner.evicted += 1;
@@ -247,82 +231,61 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Snapshot the ring plus this recorder's eviction count.
-    fn snapshot(&self) -> (Vec<FlightRecord>, u64) {
-        let inner = self.inner.lock().unwrap();
-        (inner.ring.iter().copied().collect(), inner.evicted)
-    }
-
     /// Render the dump (see module docs): records oldest → newest, then
     /// exemplars ascending by bucket, then a footer with counts.
     pub fn dump(&self) -> String {
-        let (records, evicted) = self.snapshot();
-        render_dump(records, evicted)
-    }
-}
-
-/// Merge several shard recorders into one dump: records from every ring
-/// interleaved by global sequence number, exemplars recomputed over the
-/// union, eviction counts summed. The shared `seq` counter makes the
-/// sort deterministic and the result indistinguishable from a single
-/// recorder that saw all the traffic.
-pub fn merged_dump(recorders: &[&FlightRecorder]) -> String {
-    let mut records = Vec::new();
-    let mut evicted = 0;
-    for fr in recorders {
-        let (recs, ev) = fr.snapshot();
-        records.extend(recs);
-        evicted += ev;
-    }
-    render_dump(records, evicted)
-}
-
-/// Shared renderer behind [`FlightRecorder::dump`] and [`merged_dump`].
-/// Sorts by `seq` (workers draw seqs before taking the ring lock, so even
-/// one ring can briefly hold a transposed pair) and derives per-bucket
-/// exemplars from the newest record in each occupied latency bucket.
-fn render_dump(mut records: Vec<FlightRecord>, evicted: u64) -> String {
-    records.sort_by_key(|r| r.seq);
-    let mut out = String::from("# sekitei-flight v1\n");
-    for r in &records {
-        out.push_str(&format!(
-            "record seq={} trace={} fp={:016x} class={} tier={} queue_us={} rg_nodes={} \
-             latency_us={}\n",
-            r.seq,
-            r.trace_id,
-            r.fingerprint,
-            r.class,
-            r.tier,
-            r.queue_wait_us,
-            r.rg_nodes,
-            r.latency_us
-        ));
-    }
-    // Most recent request per occupied latency bucket. Walking newest →
-    // oldest and keeping first-seen gives exactly that.
-    let mut exemplars: Vec<Exemplar> = Vec::new();
-    for r in records.iter().rev() {
-        let bucket = bucket_index(r.latency_us);
-        if exemplars.iter().any(|e| e.bucket == bucket) {
-            continue;
+        // copy out so rendering runs without holding up `record`
+        let (records, evicted) = {
+            let inner = self.inner.lock().expect("flight ring lock poisoned");
+            (inner.ring.iter().copied().collect::<Vec<_>>(), inner.evicted)
+        };
+        let mut out = String::from("# sekitei-flight v1\n");
+        for r in &records {
+            out.push_str(&format!(
+                "record seq={} trace={} fp={:016x} class={} tier={} queue_us={} rg_nodes={} \
+                 latency_us={}\n",
+                r.seq,
+                r.trace_id,
+                r.fingerprint,
+                r.class,
+                r.tier,
+                r.queue_wait_us,
+                r.rg_nodes,
+                r.latency_us
+            ));
         }
-        let (lo, hi) = bucket_bounds(bucket);
-        exemplars.push(Exemplar { bucket, lo, hi, trace_id: r.trace_id, latency_us: r.latency_us });
-    }
-    exemplars.sort_by_key(|e| e.bucket);
-    for e in &exemplars {
+        // Most recent request per occupied latency bucket. Walking newest →
+        // oldest and keeping first-seen gives exactly that.
+        let mut exemplars: Vec<Exemplar> = Vec::new();
+        for r in records.iter().rev() {
+            let bucket = bucket_index(r.latency_us);
+            if exemplars.iter().any(|e| e.bucket == bucket) {
+                continue;
+            }
+            let (lo, hi) = bucket_bounds(bucket);
+            exemplars.push(Exemplar {
+                bucket,
+                lo,
+                hi,
+                trace_id: r.trace_id,
+                latency_us: r.latency_us,
+            });
+        }
+        exemplars.sort_by_key(|e| e.bucket);
+        for e in &exemplars {
+            out.push_str(&format!(
+                "exemplar bucket={} lo={} hi={} trace={} latency_us={}\n",
+                e.bucket, e.lo, e.hi, e.trace_id, e.latency_us
+            ));
+        }
         out.push_str(&format!(
-            "exemplar bucket={} lo={} hi={} trace={} latency_us={}\n",
-            e.bucket, e.lo, e.hi, e.trace_id, e.latency_us
+            "# end sekitei-flight records={} exemplars={} evicted={}\n",
+            records.len(),
+            exemplars.len(),
+            evicted
         ));
+        out
     }
-    out.push_str(&format!(
-        "# end sekitei-flight records={} exemplars={} evicted={}\n",
-        records.len(),
-        exemplars.len(),
-        evicted
-    ));
-    out
 }
 
 /// Parsed form of a flight-recorder dump.
@@ -551,30 +514,26 @@ mod tests {
     }
 
     #[test]
-    fn merged_dump_interleaves_shard_rings_by_seq() {
-        let a = FlightRecorder::new(4);
-        let b = FlightRecorder::new_sharing(4, a.seq_counter());
-        // alternate records across the two shard rings
-        a.record(rec(41, 40));
-        b.record(rec(42, 900));
-        a.record(rec(43, 41));
-        b.record(rec(44, 901));
-        let dump = parse_dump(&merged_dump(&[&a, &b])).unwrap();
-        assert_eq!(dump.records.len(), 4);
-        // ascending global seq despite living in different rings
+    fn concurrent_records_keep_one_dense_ascending_ring() {
+        let fr = FlightRecorder::new(1024);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (fr, start) = (&fr, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..1_000 {
+                        fr.record(rec(t * 1_000 + i, 10 + i));
+                    }
+                });
+            }
+        });
+        // parse_dump rejects seqs that are not strictly ascending
+        let dump = parse_dump(&fr.dump()).unwrap();
+        assert_eq!(dump.records.len(), 1024);
+        assert_eq!(dump.evicted, 2976);
         let seqs: Vec<u64> = dump.records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3, 4]);
-        let traces: Vec<u64> = dump.records.iter().map(|r| r.trace_id).collect();
-        assert_eq!(traces, vec![41, 42, 43, 44]);
-        assert_eq!(dump.evicted, 0);
-        // evictions sum across rings
-        for i in 0..6u64 {
-            a.record(rec(50 + i, 10));
-            b.record(rec(60 + i, 10));
-        }
-        let dump = parse_dump(&merged_dump(&[&a, &b])).unwrap();
-        assert_eq!(dump.records.len(), 8);
-        assert_eq!(dump.evicted, 8);
+        assert_eq!(seqs, (2977..=4000).collect::<Vec<u64>>(), "the newest 1024 seqs, no gaps");
     }
 
     #[test]

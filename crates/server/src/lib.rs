@@ -15,11 +15,11 @@
 //! - [`persist`] — an append-only checksummed snapshot of the outcome
 //!   tier (`SKS1`), replayed on start so a restart keeps its warm hit
 //!   rate.
-//! - [`server`] — a nonblocking acceptor round-robining connections over
-//!   accept/worker shards, each owning a queue, a fingerprint-partitioned
-//!   cache stripe with single-flight request coalescing, stats, and a
-//!   flight ring; every request plans under a wall-clock deadline with
-//!   graceful degradation and priority-aware shedding under pressure.
+//! - [`server`] — a nonblocking acceptor feeding one bounded connection
+//!   queue, drained by worker threads that share one cache with
+//!   single-flight request coalescing, one stats registry and one flight
+//!   ring; every request plans under a wall-clock deadline with graceful
+//!   degradation and priority-aware shedding under pressure.
 //! - [`client`] — blocking request helpers used by `sekitei request` and
 //!   the benches.
 //! - [`flight`] — a bounded ring of per-request records with
@@ -57,8 +57,7 @@ pub use client::{
 };
 pub use convert::outcome_to_wire;
 pub use flight::{
-    merged_dump, parse_dump, CacheTier, Exemplar, FlightDump, FlightRecord, FlightRecorder,
-    OutcomeClass,
+    parse_dump, CacheTier, Exemplar, FlightDump, FlightRecord, FlightRecorder, OutcomeClass,
 };
 pub use loadgen::{LoadReport, LoadgenConfig, ScenarioItem};
 pub use persist::{

@@ -18,7 +18,7 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: u32 = 1 << 24;
 
 /// Append one length-prefixed frame to an in-memory buffer without any
-/// I/O. The sharded server batches all replies for a pipelined read burst
+/// I/O. The server batches all replies for a pipelined read burst
 /// through this and flushes them with a single `write_all`, which is the
 /// difference between ~2 syscalls and ~2·batch syscalls per burst.
 pub fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
@@ -57,17 +57,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 
 /// Admission-control priority of a plan request. Under queue pressure
 /// the server sheds low-priority requests first: `Low` sheds once the
-/// shard queue is half full, `Normal` only once it is completely full,
+/// connection queue is half full, `Normal` only once it is completely full,
 /// `High` is never shed by the priority gate (only by the hard
 /// connection-level admission cap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
     /// Never shed by the priority gate.
     High,
-    /// Shed only when the shard queue is completely full.
+    /// Shed only when the connection queue is completely full.
     #[default]
     Normal,
-    /// Shed once the shard queue is half full.
+    /// Shed once the connection queue is half full.
     Low,
 }
 

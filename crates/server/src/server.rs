@@ -1,35 +1,26 @@
-//! The serving loop, sharded: a nonblocking acceptor round-robins
-//! connections across N shards, each shard owning its own bounded
-//! connection queue, worker threads, stats, and flight-recorder ring —
-//! no global lock anywhere on the hot path.
+//! The serving loop: a nonblocking acceptor feeds one bounded connection
+//! queue, drained by worker threads that share one stats registry, one
+//! flight-recorder ring and one two-tier cache.
 //!
-//! The two-tier cache is partitioned into per-shard *stripes* by
-//! fingerprint (`key % shards`), independent of which shard's queue a
-//! connection landed in, so every request for the same problem meets the
-//! same stripe. Each stripe also carries a single-flight table:
-//! concurrent requests for one fingerprint elect a leader that runs the
-//! search while the rest join a waiter list and receive the leader's
-//! encoded `SKO1` bytes when it publishes — one search, N answers
-//! (the `coalesced` facet in stats).
+//! The cache carries a single-flight table: concurrent requests for one
+//! fingerprint elect a leader that runs the search while the rest join a
+//! waiter list and receive the leader's encoded `SKO1` bytes when it
+//! publishes — one search, N answers (the `coalesced` facet in stats).
 //!
-//! Control requests (`Metrics`, which `--stats` summarizes, and
-//! `FlightRecorder`) aggregate across shards: counters sum, histograms
-//! merge exactly (`Histogram::merge`), flight rings interleave on a
-//! shared global sequence counter — byte-for-byte indistinguishable from
-//! a single unsharded server that saw the same traffic in the same order.
+//! Control requests read that shared state directly: `Metrics` (which
+//! `--stats` summarizes) exposes the live registry, and `FlightRecorder`
+//! dumps the ring.
 //!
-//! Determinism argument: sharding moves *where* a request is handled,
-//! never *what* it computes. Outcomes are pure functions of (problem
-//! bytes, planner config); coalesced fan-out hands every joiner the
-//! same encoded bytes the leader produced; and cached replays were
-//! already byte replays. So per-request responses are byte-identical to
-//! the unsharded server's for every schedule, and only the *timing*
-//! facets (queue waits, latency histograms) vary run to run — exactly
-//! as before.
+//! Determinism argument: outcomes are pure functions of (problem bytes,
+//! planner config); coalesced fan-out hands every joiner the same encoded
+//! bytes the leader produced; and cached replays are byte replays. So
+//! per-request responses are byte-identical for every schedule, and only
+//! the *timing* facets vary run to run: queue waits, latency histograms,
+//! and whether a repeat joined a search in flight or hit the cache.
 
 use crate::cache::{content_hash, BoundedCache, ClockCache};
 use crate::convert::outcome_to_wire;
-use crate::flight::{merged_dump, CacheTier, FlightRecord, FlightRecorder, OutcomeClass};
+use crate::flight::{CacheTier, FlightRecord, FlightRecorder, OutcomeClass};
 use crate::persist::{config_fingerprint, open_snapshot, SnapshotAppender};
 use crate::protocol::{
     decode_request, encode_response, frame_into, outcome_header, read_frame, write_frame, Priority,
@@ -44,25 +35,20 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads draining the connection queues (`0` = one per
-    /// available core). Raised to at least one per shard.
+    /// Worker threads draining the connection queue (`0` = one per
+    /// available core).
     pub workers: usize,
-    /// Accept/worker shards. Each shard owns its own connection queue,
-    /// workers, stats, flight ring, and cache stripe; `1` reproduces the
-    /// unsharded server exactly.
-    pub shards: usize,
-    /// Admission control, per shard: connections beyond this many waiting
-    /// in a shard's queue are turned away with a `Rejected` response.
+    /// Admission control: connections beyond this many waiting in the
+    /// queue are turned away with a `Rejected` response.
     pub queue_cap: usize,
-    /// Total entries per cache tier (compiled tasks and completed
-    /// outcomes), split across shard stripes.
+    /// Entries per cache tier (compiled tasks and completed outcomes).
     pub cache_cap: usize,
     /// Planner configuration applied to every request. The serve defaults
     /// turn on a per-request deadline and graceful degradation — the two
@@ -70,7 +56,7 @@ pub struct ServerConfig {
     /// servable.
     pub planner: PlannerConfig,
     /// Flight-recorder capacity: the most recent this-many plan requests
-    /// stay dumpable for tail-latency post-mortems (split across shards).
+    /// stay dumpable for tail-latency post-mortems.
     pub flight_cap: usize,
     /// Append-only `SKS1` outcome-cache snapshot file. When set, computed
     /// cacheable outcomes are appended as they happen and replayed on the
@@ -83,7 +69,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 0,
-            shards: 1,
             queue_cap: 128,
             cache_cap: 256,
             planner: PlannerConfig {
@@ -133,31 +118,9 @@ struct CachedOutcome {
     rg_nodes: u64,
 }
 
-/// One accept/worker shard: its own connection queue, stats, and flight
-/// ring. Workers are pinned to a shard; the acceptor round-robins
-/// connections across shards.
-struct ShardState {
-    /// Accepted connections waiting for a worker, with their enqueue time
-    /// (the queue-wait histogram measures accept → worker-pickup).
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    available: Condvar,
-    stats: Arc<ServerStats>,
-    flight: FlightRecorder,
-}
-
-/// One fingerprint-partitioned slice of the two-tier cache plus its
-/// single-flight table. Chosen by `key % shards`, independent of the
-/// connection's shard, so identical problems always meet the same
-/// stripe no matter which queue carried them.
-struct CacheStripe {
-    tasks: Mutex<BoundedCache<Arc<(CppProblem, PlanningTask)>>>,
-    outcomes: Mutex<ClockCache<Arc<CachedOutcome>>>,
-    inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
-}
-
 /// A search in progress: the leader publishes into `slot` and notifies;
 /// joiners wait on `done`. The leader always publishes — success or
-/// error — before removing the entry from the stripe's table, so no
+/// error — before removing the entry from the in-flight table, so no
 /// joiner can miss the result.
 #[derive(Default)]
 struct InFlight {
@@ -167,25 +130,21 @@ struct InFlight {
 
 /// Everything the workers share, borrowed for the lifetime of the scope.
 struct ServeState {
-    shards: Vec<ShardState>,
-    stripes: Vec<CacheStripe>,
+    /// Accepted connections waiting for a worker, with their enqueue time
+    /// (the queue-wait histogram measures accept → worker-pickup).
+    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
+    available: Condvar,
+    stats: ServerStats,
+    flight: FlightRecorder,
+    tasks: Mutex<BoundedCache<Arc<(CppProblem, PlanningTask)>>>,
+    outcomes: Mutex<ClockCache<Arc<CachedOutcome>>>,
+    /// Single-flight table: the search in progress for each fingerprint.
+    inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
     stop: Arc<AtomicBool>,
     planner: Planner,
     planner_cfg: PlannerConfig,
     persist: Option<SnapshotAppender>,
     queue_cap: usize,
-}
-
-impl ServeState {
-    fn stripe(&self, key: u64) -> &CacheStripe {
-        &self.stripes[(key % self.stripes.len() as u64) as usize]
-    }
-
-    fn notify_all_shards(&self) {
-        for shard in &self.shards {
-            shard.available.notify_all();
-        }
-    }
 }
 
 impl Server {
@@ -210,46 +169,21 @@ impl Server {
     /// means every worker has drained and exited.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let n_shards = self.cfg.shards.max(1);
         let workers = if self.cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.cfg.workers
-        }
-        .max(n_shards);
-
-        let seq = Arc::new(AtomicU64::new(1));
-        let per_shard_flight = self.cfg.flight_cap.div_ceil(n_shards);
-        let shards: Vec<ShardState> = (0..n_shards)
-            .map(|_| ShardState {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                stats: Arc::new(ServerStats::default()),
-                flight: FlightRecorder::new_sharing(per_shard_flight, Arc::clone(&seq)),
-            })
-            .collect();
-        // total capacity split across stripes: stripe s gets its floor
-        // share plus one of the remainder entries
-        let stripe_cap = |s: usize| {
-            self.cfg.cache_cap / n_shards + usize::from(s < self.cfg.cache_cap % n_shards)
         };
-        let stripes: Vec<CacheStripe> = (0..n_shards)
-            .map(|s| CacheStripe {
-                tasks: Mutex::new(BoundedCache::new(stripe_cap(s))),
-                outcomes: Mutex::new(ClockCache::new(stripe_cap(s))),
-                inflight: Mutex::new(HashMap::new()),
-            })
-            .collect();
 
         // cache persistence: replay the snapshot's valid prefix into the
-        // stripes, then keep appending fresh computed outcomes
+        // outcome tier, then keep appending fresh computed outcomes
+        let mut outcomes = ClockCache::new(self.cfg.cache_cap);
         let persist = match &self.cfg.cache_file {
             Some(path) => {
                 let fp = config_fingerprint(&self.cfg.planner);
                 let snap = open_snapshot(path, fp)?;
                 for entry in snap.loaded {
-                    let stripe = &stripes[(entry.key % n_shards as u64) as usize];
-                    stripe.outcomes.lock().unwrap().insert(
+                    outcomes.insert(
                         entry.key,
                         Arc::new(CachedOutcome {
                             sko: entry.payload,
@@ -264,8 +198,13 @@ impl Server {
         };
 
         let state = ServeState {
-            shards,
-            stripes,
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            stats: ServerStats::default(),
+            flight: FlightRecorder::new(self.cfg.flight_cap),
+            tasks: Mutex::new(BoundedCache::new(self.cfg.cache_cap)),
+            outcomes: Mutex::new(outcomes),
+            inflight: Mutex::new(HashMap::new()),
             stop: Arc::clone(&self.stop),
             planner: Planner::new(self.cfg.planner),
             planner_cfg: self.cfg.planner,
@@ -274,29 +213,25 @@ impl Server {
         };
         let mut accept_error = None;
         std::thread::scope(|s| {
-            for w in 0..workers {
-                let shard_idx = w % n_shards;
+            for _ in 0..workers {
                 let state = &state;
-                s.spawn(move || worker_loop(state, shard_idx));
+                s.spawn(move || worker_loop(state));
             }
-            let mut next_shard = 0usize;
             while !self.stop.load(Ordering::SeqCst) {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nonblocking(false);
                         let _ = stream.set_nodelay(true);
-                        let shard = &state.shards[next_shard];
-                        next_shard = (next_shard + 1) % n_shards;
-                        let mut q = shard.queue.lock().unwrap();
+                        let mut q = state.queue.lock().expect("queue lock poisoned");
                         if q.len() >= self.cfg.queue_cap {
                             drop(q);
-                            shard.stats.record_rejected();
+                            state.stats.record_rejected();
                             reject(stream);
                         } else {
                             q.push_back((stream, Instant::now()));
-                            shard.stats.set_queue_depth(q.len());
+                            state.stats.set_queue_depth(q.len());
                             drop(q);
-                            shard.available.notify_one();
+                            state.available.notify_one();
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -308,7 +243,7 @@ impl Server {
                     }
                 }
             }
-            state.notify_all_shards();
+            state.available.notify_all();
         });
         match accept_error {
             Some(e) => Err(e),
@@ -323,30 +258,31 @@ fn reject(mut stream: TcpStream) {
     let _ = write_frame(&mut stream, &encode_response(&Response::Rejected("queue full".into())));
 }
 
-fn worker_loop(state: &ServeState, shard_idx: usize) {
-    let shard = &state.shards[shard_idx];
+fn worker_loop(state: &ServeState) {
     loop {
         let conn = {
-            let mut q = shard.queue.lock().unwrap();
+            let mut q = state.queue.lock().expect("queue lock poisoned");
             loop {
                 if let Some(c) = q.pop_front() {
-                    shard.stats.set_queue_depth(q.len());
+                    state.stats.set_queue_depth(q.len());
                     break Some(c);
                 }
                 if state.stop.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) =
-                    shard.available.wait_timeout(q, Duration::from_millis(50)).unwrap();
+                let (guard, _) = state
+                    .available
+                    .wait_timeout(q, Duration::from_millis(50))
+                    .expect("queue lock poisoned");
                 q = guard;
             }
         };
         match conn {
             Some((stream, enqueued)) => {
                 let wait_us = enqueued.elapsed().as_micros() as u64;
-                shard.stats.record_queue_wait(wait_us);
+                state.stats.record_queue_wait(wait_us);
                 sekitei_obs::event("queue_wait_us", wait_us);
-                handle_conn(state, shard, stream, wait_us)
+                handle_conn(state, stream, wait_us)
             }
             None => break,
         }
@@ -366,7 +302,7 @@ fn worker_loop(state: &ServeState, shard_idx: usize) {
 /// attributed to every request the connection carries (with pipelining
 /// only the first request actually paid it, but the attribution keeps
 /// "how long did admission stall this client" answerable per record).
-fn handle_conn(state: &ServeState, shard: &ShardState, stream: TcpStream, queue_wait_us: u64) {
+fn handle_conn(state: &ServeState, stream: TcpStream, queue_wait_us: u64) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut writer = match stream.try_clone() {
@@ -386,25 +322,20 @@ fn handle_conn(state: &ServeState, shard: &ShardState, stream: TcpStream, queue_
             // the server (or even the connection) down.
             Err(e) => (encode_response(&Response::Error(e.to_string())), false),
             Ok(Request::Metrics) => {
-                let shard_stats: Vec<_> =
-                    state.shards.iter().map(|sh| Arc::clone(&sh.stats)).collect();
-                let text = sekitei_obs::expose(&ServerStats::merged_registry(&shard_stats));
+                let text = sekitei_obs::expose(state.stats.registry());
                 (encode_response(&Response::Metrics(text)), false)
             }
             Ok(Request::FlightRecorder) => {
-                let rings: Vec<&FlightRecorder> =
-                    state.shards.iter().map(|sh| &sh.flight).collect();
-                (encode_response(&Response::FlightRecorder(merged_dump(&rings))), false)
+                (encode_response(&Response::FlightRecorder(state.flight.dump())), false)
             }
             Ok(Request::Shutdown) => {
                 state.stop.store(true, Ordering::SeqCst);
-                state.notify_all_shards();
+                state.available.notify_all();
                 (encode_response(&Response::Bye), true)
             }
-            Ok(Request::Plan { trace_id, profile, priority, problem }) => (
-                handle_plan(state, shard, trace_id, profile, priority, queue_wait_us, &problem),
-                false,
-            ),
+            Ok(Request::Plan { trace_id, profile, priority, problem }) => {
+                (handle_plan(state, trace_id, profile, priority, queue_wait_us, &problem), false)
+            }
         };
         if frame_into(&mut out, &payload).is_err() {
             return;
@@ -462,7 +393,7 @@ impl PhaseTimes {
     }
 }
 
-/// The shed threshold for a priority at a given per-shard queue cap:
+/// The shed threshold for a priority at a given queue cap:
 /// `None` means this priority is never shed by the gate.
 fn shed_threshold(priority: Priority, queue_cap: usize) -> Option<usize> {
     match priority {
@@ -480,16 +411,14 @@ struct Computed {
 }
 
 /// The serving pipeline for one plan request: priority gate → outcome
-/// stripe → single-flight election → (leader) compiled tier → full
+/// tier → single-flight election → (leader) compiled tier → full
 /// decode + compile → search under the configured deadline,
 /// sim-validating any degraded plan before it leaves the process.
 /// Joiners skip everything and wait for the leader's published bytes.
 /// Every path — shed, cache hit, coalesced, computed, error — lands one
 /// flight record or shed count and one outcome-class count.
-#[allow(clippy::too_many_arguments)]
 fn handle_plan(
     state: &ServeState,
-    shard: &ShardState,
     trace_id: u64,
     profile: bool,
     priority: Priority,
@@ -504,13 +433,13 @@ fn handle_plan(
     }
     let t_req = Instant::now();
 
-    // priority gate: under queue pressure on *this shard*, shed lower
-    // priorities before doing any work for them. A zero threshold means
-    // a zero queue cap, where connection-level admission control already
-    // rejects everything — the gate stays out of it.
+    // priority gate: under queue pressure, shed lower priorities before
+    // doing any work for them. A zero threshold means a zero queue cap,
+    // where connection-level admission control already rejects
+    // everything — the gate stays out of it.
     if let Some(threshold) = shed_threshold(priority, state.queue_cap) {
-        if threshold > 0 && shard.queue.lock().unwrap().len() >= threshold {
-            shard.stats.record_shed(priority);
+        if threshold > 0 && state.queue.lock().expect("queue lock poisoned").len() >= threshold {
+            state.stats.record_shed(priority);
             sekitei_obs::event("queue_shed", 1);
             return encode_response(&Response::Rejected(format!(
                 "queue pressure: {} priority request shed",
@@ -524,15 +453,15 @@ fn handle_plan(
     }
 
     let key = content_hash(problem_bytes);
-    let stripe = state.stripe(key);
     let mut phases = PhaseTimes::new(profile, queue_wait_us);
 
-    let cached = phases.timed("cache", || stripe.outcomes.lock().unwrap().get(key));
+    let cached =
+        phases.timed("cache", || state.outcomes.lock().expect("outcome lock poisoned").get(key));
     if let Some(c) = cached {
         sekitei_obs::event("outcome_cache_hit", 1);
-        shard.stats.record_cache_hit();
+        state.stats.record_cache_hit();
         return serve_cached_bytes(
-            shard,
+            state,
             &c,
             ServedVia::Cache,
             trace_id,
@@ -546,7 +475,7 @@ fn handle_plan(
     // single-flight election: first request for a fingerprint leads, the
     // rest join its waiter list and fan out the leader's bytes
     let flight_entry = {
-        let mut inflight = stripe.inflight.lock().unwrap();
+        let mut inflight = state.inflight.lock().expect("in-flight lock poisoned");
         match inflight.get(&key) {
             Some(f) => {
                 let f = Arc::clone(f);
@@ -554,9 +483,9 @@ fn handle_plan(
                 sekitei_obs::event("coalesced_join", 1);
                 return match wait_for_leader(&f, &state.stop) {
                     Some(Ok(c)) => {
-                        shard.stats.record_coalesced();
+                        state.stats.record_coalesced();
                         serve_cached_bytes(
-                            shard,
+                            state,
                             &c,
                             ServedVia::Coalesced,
                             trace_id,
@@ -566,9 +495,9 @@ fn handle_plan(
                             &phases.rows,
                         )
                     }
-                    Some(Err(msg)) => plan_error(shard, trace_id, key, queue_wait_us, t_req, &msg),
+                    Some(Err(msg)) => plan_error(state, trace_id, key, queue_wait_us, t_req, &msg),
                     None => plan_error(
-                        shard,
+                        state,
                         trace_id,
                         key,
                         queue_wait_us,
@@ -587,11 +516,15 @@ fn handle_plan(
 
     // leader: run the compute path, then publish — success or error —
     // *after* the cache insert, so a request arriving as the in-flight
-    // entry disappears finds the outcome in the stripe instead
-    match compute_plan(state, shard, &mut phases, key, problem_bytes, t_req) {
+    // entry disappears finds the outcome in the cache instead
+    match compute_plan(state, &mut phases, key, problem_bytes, t_req) {
         Ok(computed) => {
             if computed.cacheable {
-                stripe.outcomes.lock().unwrap().insert(key, Arc::clone(&computed.cached));
+                state
+                    .outcomes
+                    .lock()
+                    .expect("outcome lock poisoned")
+                    .insert(key, Arc::clone(&computed.cached));
                 if let Some(p) = &state.persist {
                     p.append(
                         key,
@@ -601,12 +534,12 @@ fn handle_plan(
                     );
                 }
             }
-            publish(stripe, &flight_entry, key, Ok(Arc::clone(&computed.cached)));
+            publish(state, &flight_entry, key, Ok(Arc::clone(&computed.cached)));
             let class = computed.cached.class;
-            shard.stats.record_class(class);
+            state.stats.record_class(class);
             let latency_us = t_req.elapsed().as_micros() as u64;
-            shard.stats.record_served(latency_us);
-            shard.flight.record(FlightRecord {
+            state.stats.record_served(latency_us);
+            state.flight.record(FlightRecord {
                 seq: 0,
                 trace_id,
                 fingerprint: key,
@@ -621,8 +554,8 @@ fn handle_plan(
             payload
         }
         Err(msg) => {
-            publish(stripe, &flight_entry, key, Err(msg.clone()));
-            plan_error(shard, trace_id, key, queue_wait_us, t_req, &msg)
+            publish(state, &flight_entry, key, Err(msg.clone()));
+            plan_error(state, trace_id, key, queue_wait_us, t_req, &msg)
         }
     }
 }
@@ -631,14 +564,14 @@ fn handle_plan(
 /// in-flight entry. This order leaves no window where a joiner holds the
 /// entry but can never see a result.
 fn publish(
-    stripe: &CacheStripe,
+    state: &ServeState,
     f: &Arc<InFlight>,
     key: u64,
     result: Result<Arc<CachedOutcome>, String>,
 ) {
     *f.slot.lock().unwrap() = Some(result);
     f.done.notify_all();
-    stripe.inflight.lock().unwrap().remove(&key);
+    state.inflight.lock().expect("in-flight lock poisoned").remove(&key);
 }
 
 /// Joiner wait: block until the leader publishes. Returns `None` only on
@@ -663,7 +596,7 @@ fn wait_for_leader(f: &InFlight, stop: &AtomicBool) -> Option<Result<Arc<CachedO
 /// outcome's content class.
 #[allow(clippy::too_many_arguments)]
 fn serve_cached_bytes(
-    shard: &ShardState,
+    state: &ServeState,
     c: &CachedOutcome,
     via: ServedVia,
     trace_id: u64,
@@ -672,10 +605,10 @@ fn serve_cached_bytes(
     t_req: Instant,
     phase_rows: &[WirePhase],
 ) -> Vec<u8> {
-    shard.stats.record_class(OutcomeClass::Cached);
+    state.stats.record_class(OutcomeClass::Cached);
     let latency_us = t_req.elapsed().as_micros() as u64;
-    shard.stats.record_served(latency_us);
-    shard.flight.record(FlightRecord {
+    state.stats.record_served(latency_us);
+    state.flight.record(FlightRecord {
         seq: 0,
         trace_id,
         fingerprint: key,
@@ -695,19 +628,17 @@ fn serve_cached_bytes(
 /// degraded plan before it leaves the process.
 fn compute_plan(
     state: &ServeState,
-    shard: &ShardState,
     phases: &mut PhaseTimes,
     key: u64,
     problem_bytes: &[u8],
     t_req: Instant,
 ) -> Result<Computed, String> {
-    let stripe = state.stripe(key);
-    let entry = stripe.tasks.lock().unwrap().get(key);
+    let entry = state.tasks.lock().expect("task lock poisoned").get(key);
     let tier = if entry.is_some() { CacheTier::Task } else { CacheTier::Full };
     let entry = match entry {
         Some(e) => {
             sekitei_obs::event("task_cache_hit", 1);
-            shard.stats.record_task_cache_hit();
+            state.stats.record_task_cache_hit();
             e
         }
         None => {
@@ -719,9 +650,9 @@ fn compute_plan(
             // compile() opens its own "compile" span under this request
             let task = phases.timed("compile", || compile(&problem)).map_err(|e| e.to_string())?;
             sekitei_obs::event("cache_miss", 1);
-            shard.stats.record_cache_miss();
+            state.stats.record_cache_miss();
             let arc = Arc::new((problem, task));
-            stripe.tasks.lock().unwrap().insert(key, Arc::clone(&arc));
+            state.tasks.lock().expect("task lock poisoned").insert(key, Arc::clone(&arc));
             arc
         }
     };
@@ -746,7 +677,7 @@ fn compute_plan(
         // the incumbent already passed the full simulator inside the lane;
         // count degraded service when its sources bound at relaxed values
         if outcome.plan.as_ref().is_some_and(|p| p.degraded) {
-            shard.stats.record_degraded();
+            state.stats.record_degraded();
         }
     } else if outcome.plan.as_ref().is_some_and(|p| p.degraded) {
         let report = phases.timed("validate", || {
@@ -755,7 +686,7 @@ fn compute_plan(
             sekitei_sim::validate_plan(&entry.0, &outcome.task, plan)
         });
         if report.ok {
-            shard.stats.record_degraded();
+            state.stats.record_degraded();
         } else {
             // never ship a degraded plan the simulator rejects — fall back
             // to bound-only, which is still a useful answer. The gap and
@@ -787,15 +718,15 @@ fn compute_plan(
 /// A failed plan request still lands in the telemetry plane: one
 /// `class_error` count and one flight record, then the error response.
 fn plan_error(
-    shard: &ShardState,
+    state: &ServeState,
     trace_id: u64,
     fingerprint: u64,
     queue_wait_us: u64,
     t_req: Instant,
     msg: &str,
 ) -> Vec<u8> {
-    shard.stats.record_class(OutcomeClass::Error);
-    shard.flight.record(FlightRecord {
+    state.stats.record_class(OutcomeClass::Error);
+    state.flight.record(FlightRecord {
         seq: 0,
         trace_id,
         fingerprint,

@@ -13,7 +13,7 @@
 //! exposition their only wire form; `--stats` summarizes it client-side.
 
 use crate::flight::OutcomeClass;
-use sekitei_obs::{Counter, Gauge, Histogram, MetricView, MetricsRegistry};
+use sekitei_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -176,22 +176,6 @@ impl ServerStats {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
-
-    /// Aggregate per-shard registries into one scrape-ready registry:
-    /// same-named counters sum, gauges sum (queue depth across shards is
-    /// the total backlog), histograms merge. Walks each source registry
-    /// under its own lock while writing into a fresh one.
-    pub fn merged_registry(shards: &[Arc<ServerStats>]) -> MetricsRegistry {
-        let out = MetricsRegistry::new();
-        for s in shards {
-            s.registry.for_each(|name, view| match view {
-                MetricView::Counter(v) => out.counter(name).add(v),
-                MetricView::Gauge(v) => out.gauge(name).add(v),
-                MetricView::Histogram(h) => out.histogram(name).merge(h),
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -329,36 +313,6 @@ mod tests {
         assert_eq!(parsed.counters["queue_shed"], 3);
         assert_eq!(parsed.counters["queue_shed_low"], 2);
         assert_eq!(parsed.counters["queue_shed_normal"], 1);
-    }
-
-    #[test]
-    fn merged_view_equals_single_stats_over_same_traffic() {
-        let a = Arc::new(ServerStats::default());
-        let b = Arc::new(ServerStats::default());
-        let single = ServerStats::default();
-        for (i, target) in [(1u64, &a), (2, &b), (3, &a), (4, &b), (5, &a)] {
-            target.record_served(i * 100);
-            target.record_class(OutcomeClass::Exact);
-            single.record_served(i * 100);
-            single.record_class(OutcomeClass::Exact);
-        }
-        a.record_queue_wait(10);
-        b.record_queue_wait(90);
-        single.record_queue_wait(10);
-        single.record_queue_wait(90);
-        b.record_cache_hit();
-        single.record_cache_hit();
-        let reg = ServerStats::merged_registry(&[a, b]);
-        let merged = view(&reg);
-        assert_eq!(merged, view(single.registry()));
-        assert_eq!(merged.served, 5);
-        assert_eq!(merged.cache_hits, 1);
-
-        // the merged exposition carries the merged populations
-        let parsed = sekitei_obs::parse_exposition(&sekitei_obs::expose(&reg)).unwrap();
-        assert_eq!(parsed.counters["served"], 5);
-        assert_eq!(parsed.histograms["latency_us"].count, 5);
-        assert_eq!(parsed.histograms["queue_wait_us"].count, 2);
     }
 
     #[test]

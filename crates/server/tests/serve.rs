@@ -349,34 +349,35 @@ fn stale_cache_file_cold_starts_after_config_change() {
 }
 
 #[test]
-fn sharded_server_aggregates_stats_and_flight_across_shards() {
-    let (addr, _, join) = start(ServerConfig { workers: 2, shards: 2, ..ServerConfig::default() });
-    // one-shot requests: each opens its own connection, so the acceptor
-    // round-robins them across both shards
+fn workers_share_one_cache_registry_and_flight_ring() {
+    let (addr, _, join) =
+        start(ServerConfig { workers: 2, cache_cap: 4, ..ServerConfig::default() });
+    // one-shot requests: each opens its own connection, which any
+    // worker may take
     let solvable = [LevelScenario::B, LevelScenario::C, LevelScenario::D, LevelScenario::E];
     for sc in solvable {
         let (outcome, _) = request_plan(addr, &scenarios::tiny(sc)).unwrap();
         assert!(outcome.plan.is_some());
     }
-    // repeats hit whichever stripe owns the fingerprint, regardless of
-    // which shard's queue the new connection landed in
+    // a four-entry outcome tier holds all four fingerprints, whichever
+    // worker computed them
     for sc in solvable {
         let (_, via) = request_plan(addr, &scenarios::tiny(sc)).unwrap();
-        assert_eq!(via, ServedVia::Cache, "stripe ownership is fingerprint-based");
+        assert_eq!(via, ServedVia::Cache, "every repeat is an outcome-tier hit");
     }
     let stats = request_stats(addr).unwrap();
-    assert_eq!(stats.served, 8, "merged stats cover both shards: {stats}");
+    assert_eq!(stats.served, 8, "stats cover every worker's requests: {stats}");
     assert_eq!(stats.cache_hits, 4);
     assert_eq!(stats.cache_misses, 4);
 
     let dump = sekitei_server::request_flight_recorder(addr).unwrap();
     let parsed = sekitei_server::parse_dump(&dump).unwrap();
-    assert_eq!(parsed.records.len(), 8, "merged flight dump covers both shards");
+    assert_eq!(parsed.records.len(), 8, "the flight dump covers every worker's requests");
     let seqs: Vec<u64> = parsed.records.iter().map(|r| r.seq).collect();
     let mut sorted = seqs.clone();
     sorted.sort_unstable();
     sorted.dedup();
-    assert_eq!(seqs, sorted, "records interleave in global sequence order");
+    assert_eq!(seqs, sorted, "records are in sequence order");
     request_shutdown(addr).unwrap();
     join.join().unwrap().unwrap();
 }

@@ -317,7 +317,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::TestRng;
 
-    /// Length specification for [`vec`].
+    /// Length specification for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -348,7 +348,7 @@ pub mod collection {
         VecStrategy { elem, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,
