@@ -15,6 +15,11 @@
 //!   acceptance improve it. Every candidate incumbent is validated by
 //!   replay, concretization and the full simulator before publication.
 //!
+//! The entry points ([`plan`], [`plan_task`], [`plan_task_hinted`]) are
+//! what the CLI, the server and the churn engine call; they run the SLS
+//! lane only when [`PlannerConfig::anytime`] is set, and otherwise return
+//! the plain planner's outcome.
+//!
 //! The lanes share one monotone incumbent cost through an atomic
 //! ([`sekitei_planner::IncumbentBound`]). When a deadline is configured,
 //! the RG consumes it as a sound A* upper bound: a popped node with
@@ -74,7 +79,7 @@ pub struct AnytimeOutcome {
     /// True when the returned plan is the SLS incumbent rather than the
     /// exact search's answer.
     pub incumbent_used: bool,
-    /// SLS lane counters.
+    /// SLS lane counters (all zero when the lane did not run).
     pub sls: SlsStats,
 }
 
@@ -100,6 +105,10 @@ pub fn plan_task(
 /// [`plan_task`] with a hint: action kinds of a prior plan (churn repair
 /// passes the pre-churn deployment) that bias the greedy constructor's
 /// tie-breaks, seeding the incumbent near the current configuration.
+///
+/// This is the one place that decides whether the SLS lane runs. Without
+/// [`PlannerConfig::anytime`] the outcome is [`Planner::plan_task`]'s,
+/// with `incumbent_used` false, empty [`SlsStats`] and no `anytime` span.
 pub fn plan_task_hinted(
     problem: &CppProblem,
     task: PlanningTask,
@@ -107,14 +116,19 @@ pub fn plan_task_hinted(
     t0: Instant,
     hint: &[ActionKind],
 ) -> AnytimeOutcome {
-    let _span = sekitei_obs::span("anytime");
     let planner = Planner::new(*cfg);
+    if !cfg.anytime {
+        let outcome = planner.plan_task(task, t0);
+        return AnytimeOutcome { outcome, incumbent_used: false, sls: SlsStats::default() };
+    }
+    let _span = sekitei_obs::span("anytime");
     let cell = AtomicU64::new(f64::INFINITY.to_bits());
     // the incumbent prunes the exact search only under an SLO; with no
     // deadline the exact lane must run to its deterministic conclusion so
     // plans stay bit-identical to the non-anytime planner
     let armed = cfg.deadline.is_some();
     let sls_t0 = sekitei_obs::now_ns();
+    let t_portfolio = Instant::now();
     let (mut outcome, lane) = std::thread::scope(|s| {
         let task_ref = &task;
         let cell_ref = &cell;
@@ -126,6 +140,8 @@ pub fn plan_task_hinted(
         let lane = handle.join().expect("sls lane never panics");
         (outcome, lane)
     });
+    // the caller waited for both lanes, not just the exact one
+    outcome.stats.search_time = t_portfolio.elapsed();
     if sekitei_obs::enabled() {
         sekitei_obs::aggregate(
             "sls",
@@ -176,36 +192,22 @@ pub fn plan_task_hinted(
             // re-certify: the incumbent replaces whatever the exact lane
             // produced, so it gets its own certificate under the anytime
             // gap rules just applied
-            let mut inc_plan = inc.plan;
-            let trail = cert::BoundTrail {
-                plan_cost: inc_plan.cost_lower_bound,
-                root_bound: outcome.stats.root_bound,
-                frontier_bound: outcome.stats.best_bound,
-                gap_basis,
-                claimed_gap: Some(gap),
-                incumbent_cutoff: outcome.stats.incumbent_cutoff,
-                budget_exhausted: outcome.stats.budget_exhausted,
-                deadline_hit: outcome.stats.deadline_hit,
-                drain_mode: outcome.stats.drain_mode,
-                dominance: cfg.dominance,
-                symmetry: cfg.symmetry,
-            };
-            let actions: Vec<_> = inc_plan.steps.iter().map(|s| s.action).collect();
-            inc_plan.certificate = Some(cert::emit(
-                &outcome.task,
-                &actions,
-                &inc_plan.execution.source_values,
-                &inc_plan.execution.ledger,
-                cert::OutcomeClass::AnytimeIncumbent,
-                trail,
-            ));
-            outcome.plan = Some(inc_plan);
             outcome.stats.optimality_gap = Some(gap);
+            let mut inc_plan = inc.plan;
+            inc_plan.certify(
+                &outcome.task,
+                &outcome.stats,
+                cfg,
+                cert::OutcomeClass::AnytimeIncumbent,
+                gap_basis,
+            );
+            outcome.plan = Some(inc_plan);
             incumbent_used = true;
             if sekitei_obs::enabled() {
                 sekitei_obs::event("optimality_gap_milli", (gap * 1000.0).round() as u64);
             }
         }
     }
+    outcome.stats.total_time = t0.elapsed();
     AnytimeOutcome { outcome, incumbent_used, sls: lane.stats }
 }

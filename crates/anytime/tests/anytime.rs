@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use sekitei_model::{
     media_domain_with, CppProblem, Goal, LevelScenario, MediaConfig, NodeId, StreamSource,
 };
-use sekitei_planner::{Planner, PlannerConfig};
+use sekitei_planner::{Planner, PlannerConfig, PlannerStats};
 use sekitei_sim::validate_plan;
 use sekitei_topology::{scenarios, waxman, Capacities};
 use std::time::Duration;
@@ -37,21 +37,49 @@ fn fingerprint(a: &sekitei_anytime::AnytimeOutcome) -> String {
     )
 }
 
+/// Every counter and bound of a run, its wall times left out.
+fn counters(stats: &PlannerStats) -> String {
+    let mut s = stats.clone();
+    s.total_time = Duration::ZERO;
+    s.search_time = Duration::ZERO;
+    s.compile.compile_time = Duration::ZERO;
+    format!("{s:?}")
+}
+
 #[test]
 fn no_deadline_matches_plain_planner() {
-    for sc in [LevelScenario::B, LevelScenario::C, LevelScenario::D, LevelScenario::E] {
-        let problem = scenarios::small(sc);
-        let cfg = anytime_cfg(None);
-        let a = sekitei_anytime::plan(&problem, &cfg).expect("compiles");
-        let exact =
-            Planner::new(PlannerConfig { anytime: false, ..cfg }).plan(&problem).expect("compiles");
-        match (&a.outcome.plan, &exact.plan) {
-            (Some(x), Some(y)) if !y.degraded => {
-                assert_eq!(format!("{x}"), format!("{y}"), "{sc:?}: plan diverged");
-                assert!(!a.incumbent_used, "{sc:?}: incumbent replaced an exact plan");
+    for anytime in [true, false] {
+        for sc in [LevelScenario::B, LevelScenario::C, LevelScenario::D, LevelScenario::E] {
+            let problem = scenarios::small(sc);
+            let cfg = PlannerConfig { anytime, ..anytime_cfg(None) };
+            let a = sekitei_anytime::plan(&problem, &cfg).expect("compiles");
+            let exact = Planner::new(PlannerConfig { anytime: false, ..cfg })
+                .plan(&problem)
+                .expect("compiles");
+            match (&a.outcome.plan, &exact.plan) {
+                (Some(x), Some(y)) if !y.degraded => {
+                    assert_eq!(format!("{x}"), format!("{y}"), "{sc:?}: plan diverged");
+                    assert!(!a.incumbent_used, "{sc:?}: incumbent replaced an exact plan");
+                }
+                // exact returned nothing usable: the portfolio may fill in
+                (_, None) | (_, Some(_)) => {}
             }
-            // exact returned nothing usable: the portfolio may fill in
-            (_, None) | (_, Some(_)) => {}
+            if !anytime {
+                // without the flag the entry runs no SLS lane and returns
+                // the plain planner's outcome
+                let cert = |o: &sekitei_planner::PlanOutcome| {
+                    o.plan.as_ref().map(|p| {
+                        sekitei_cert::encode_certificate(p.certificate.as_ref().expect("cert"))
+                    })
+                };
+                let shown =
+                    |o: &sekitei_planner::PlanOutcome| o.plan.as_ref().map(|p| p.to_string());
+                assert_eq!(shown(&a.outcome), shown(&exact), "{sc:?}");
+                assert_eq!(cert(&a.outcome), cert(&exact), "{sc:?}");
+                assert_eq!(counters(&a.outcome.stats), counters(&exact.stats), "{sc:?}");
+                assert!(!a.incumbent_used, "{sc:?}");
+                assert_eq!(a.sls.rollouts, 0, "{sc:?}");
+            }
         }
     }
 }
@@ -103,6 +131,17 @@ fn gap_zero_when_exact_search_proves_optimality() {
     let plan = a.outcome.plan.as_ref().expect("plan on Small/C");
     assert!(!plan.degraded);
     assert_eq!(a.outcome.stats.optimality_gap, Some(0.0));
+}
+
+#[test]
+fn reported_times_include_the_sls_lane() {
+    // the SLS lane runs its fixed schedule far past a 10 ms deadline on
+    // Large/A; the reported times are what the caller waited for
+    let problem = scenarios::large(LevelScenario::A);
+    let a = sekitei_anytime::plan(&problem, &anytime_cfg(Some(10))).expect("compiles");
+    let s = &a.outcome.stats;
+    assert!(s.total_time >= a.sls.time, "total {:?} < sls {:?}", s.total_time, a.sls.time);
+    assert!(s.search_time >= a.sls.time, "search {:?} < sls {:?}", s.search_time, a.sls.time);
 }
 
 #[test]

@@ -46,11 +46,22 @@
 //!   planner already produced (witness scan + ledger copy),
 //! * `cert-check` — the independent checker re-deriving the execution
 //!   from the compiled task (`nodes` = ledger entries re-derived).
+//!
+//! The design ablations run whole `Planner::plan` calls (`nodes` = RG
+//! nodes); leveling on/off is the `compile` rows of A, C and E:
+//!
+//! * `heuristic-slrg` / `heuristic-plrg-max` / `heuristic-blind` — the RG
+//!   heuristic on Small/C: what the two logical phases buy,
+//! * `replay-on` / `replay-off` — optimistic-map replay pruning on Small/C,
+//! * `cutpoints-1` … `cutpoints-8` — Small/A with k cutpoints on the
+//!   stream bandwidth, the paper's §4.3 levels-vs-performance tradeoff.
 
 use sekitei_compile::compile;
 use sekitei_model::resource::names::LBW;
-use sekitei_model::{adapt_problem, AdaptConfig, LevelScenario, LinkClass};
-use sekitei_planner::{rg, Planner, Plrg, RgConfig, Slrg};
+use sekitei_model::{
+    adapt_problem, AdaptConfig, CppProblem, LevelScenario, LinkClass, MediaConfig,
+};
+use sekitei_planner::{rg, Heuristic, Planner, PlannerConfig, Plrg, RgConfig, Slrg};
 use sekitei_sim::existing_from_plan;
 use sekitei_topology::scenarios::{self, NetSize};
 use std::time::Instant;
@@ -264,6 +275,47 @@ fn cert_once(size: NetSize, sc: LevelScenario) -> Option<[PhaseRow; 2]> {
     ])
 }
 
+/// One ablation row: the min wall of `REPS` `Planner::plan` runs.
+fn plan_row(p: &CppProblem, cfg: PlannerConfig) -> PhaseRow {
+    let planner = Planner::new(cfg);
+    let mut best: Option<PhaseRow> = None;
+    for _ in 0..REPS {
+        let t = Instant::now();
+        let o = planner.plan(p).expect("scenario compiles");
+        let row = PhaseRow {
+            wall_ms: t.elapsed().as_secs_f64() * 1e3,
+            nodes: o.stats.rg_nodes,
+            budget_exhausted: o.stats.budget_exhausted,
+        };
+        best = match best {
+            Some(b) if b.wall_ms <= row.wall_ms => Some(b),
+            _ => Some(row),
+        };
+    }
+    best.expect("REPS > 0")
+}
+
+/// Small/A with `k` cutpoints between 80 and 120 on the stream bandwidth
+/// `M`, scaled onto the interfaces derived from it by the media domain's
+/// split and zip ratios.
+fn cutpoint_problem(k: usize) -> CppProblem {
+    let mut p = scenarios::small(LevelScenario::A);
+    let cuts: Vec<f64> =
+        (0..k).map(|i| 80.0 + 40.0 * (i as f64 + 1.0) / (k as f64 + 1.0)).collect();
+    let spec = sekitei_model::LevelSpec::new(cuts).expect("cutpoints ascend");
+    let m = MediaConfig::default();
+    for iface in &mut p.interfaces {
+        let factor = match iface.name.as_str() {
+            "M" => 1.0,
+            "T" => m.split_t,
+            "I" => 1.0 - m.split_t,
+            _ => m.split_t * m.zip_ratio,
+        };
+        iface.levels.insert("ibw".into(), spec.scaled(factor));
+    }
+    p
+}
+
 /// Cross-check the wall-clock phase accounting above against the tracing
 /// layer before benching: with tracing on, the per-phase self times summed
 /// from the trace must fit inside the `plan` span, which must fit inside
@@ -374,6 +426,33 @@ fn main() {
             println!("{:<10}{:<9}{:>12.3}{:>10}", label, "rg-prune", row.wall_ms, row.nodes);
             records.push((label.clone(), "rg-prune", row));
         }
+    }
+
+    const HEURISTICS: [(&str, Heuristic); 3] = [
+        ("heuristic-slrg", Heuristic::Slrg),
+        ("heuristic-plrg-max", Heuristic::PlrgMax),
+        ("heuristic-blind", Heuristic::Blind),
+    ];
+    const REPLAY: [(&str, bool); 2] = [("replay-on", true), ("replay-off", false)];
+    const CUTPOINTS: [(&str, usize); 4] =
+        [("cutpoints-1", 1), ("cutpoints-2", 2), ("cutpoints-4", 4), ("cutpoints-8", 8)];
+    let small_c = scenarios::small(LevelScenario::C);
+    let mut ablations: Vec<(&str, &'static str, CppProblem, PlannerConfig)> = Vec::new();
+    for (phase, heuristic) in HEURISTICS {
+        let cfg = PlannerConfig { heuristic, ..PlannerConfig::default() };
+        ablations.push(("Small/C", phase, small_c.clone(), cfg));
+    }
+    for (phase, replay_pruning) in REPLAY {
+        let cfg = PlannerConfig { replay_pruning, ..PlannerConfig::default() };
+        ablations.push(("Small/C", phase, small_c.clone(), cfg));
+    }
+    for (phase, k) in CUTPOINTS {
+        ablations.push(("Small/A", phase, cutpoint_problem(k), PlannerConfig::default()));
+    }
+    for (label, phase, p, cfg) in &ablations {
+        let row = plan_row(p, *cfg);
+        println!("{:<10}{:<19}{:>8.3}{:>10}", label, phase, row.wall_ms, row.nodes);
+        records.push((label.to_string(), phase, row));
     }
 
     const SERVE_PHASES: [&str; 2] = ["serve-cold", "serve-warm"];

@@ -34,10 +34,9 @@ pub struct CheckReport {
     pub ledger_entries: usize,
     /// The certificate's outcome class.
     pub outcome: OutcomeClass,
-    /// True when the verified gap claim rests on a sound admissible bound:
-    /// a proved-optimal exit, the root heuristic, or a frontier bound from
-    /// a run that never engaged lossy drain-mode pruning. False means the
-    /// plan itself is still fully verified, but the gap is advisory.
+    /// [`BoundTrail::gap_proved`](crate::BoundTrail::gap_proved) of the
+    /// verified trail. False means the plan itself is still fully
+    /// verified, but the gap is advisory.
     pub gap_proved: bool,
 }
 
@@ -227,17 +226,11 @@ pub fn check_certificate(
             }
         }
     }
-    let gap_proved = match b.gap_basis {
-        GapBasis::Proved | GapBasis::RootBound => true,
-        GapBasis::FrontierBound => !b.drain_mode,
-        GapBasis::Unbounded => false,
-    };
-
     Ok(CheckReport {
         steps: cert.steps.len(),
         ledger_entries: cert.ledger_entries(),
         outcome: cert.outcome,
-        gap_proved,
+        gap_proved: b.gap_proved(),
     })
 }
 

@@ -204,6 +204,21 @@ pub struct BoundTrail {
     pub symmetry: bool,
 }
 
+impl BoundTrail {
+    /// True when the gap claim rests on a sound admissible bound: a
+    /// proved-optimal exit, the root heuristic, or a frontier bound from a
+    /// run that never engaged lossy drain-mode pruning. False means the gap
+    /// is advisory. The checker reports this as [`CheckReport::gap_proved`]
+    /// once it has verified the claim's arithmetic.
+    pub fn gap_proved(&self) -> bool {
+        match self.gap_basis {
+            GapBasis::Proved | GapBasis::RootBound => true,
+            GapBasis::FrontierBound => !self.drain_mode,
+            GapBasis::Unbounded => false,
+        }
+    }
+}
+
 /// A machine-checkable certificate for one deployment plan.
 ///
 /// Self-contained: the action list *is* the plan, the sources *are* the

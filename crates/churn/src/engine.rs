@@ -291,11 +291,11 @@ pub fn run(
     cfg: &ChurnConfig,
 ) -> Result<ChurnReport, ChurnError> {
     let _span = sekitei_obs::span("churn_run");
-    let planner = Planner::new(cfg.planner);
     let mut current = problem.clone();
     let baseline = problem.network.clone();
 
-    let outcome = planner.plan(&current).map_err(|e| ChurnError::Plan(e.to_string()))?;
+    let outcome =
+        Planner::new(cfg.planner).plan(&current).map_err(|e| ChurnError::Plan(e.to_string()))?;
     let plan = outcome.plan.ok_or(ChurnError::Unsolvable)?;
     let initial_certificate = plan.certificate.clone();
     let mut dep = Deployment::new(&current, &outcome.task, plan);
@@ -339,7 +339,7 @@ pub fn run(
         let t0 = Instant::now();
         let repaired = {
             let _g = sekitei_obs::span("repair");
-            repair(&planner, &cfg.planner, &current, &dep, &cfg.adapt)
+            repair(&cfg.planner, &current, &dep, &cfg.adapt)
         };
         let wall = t0.elapsed();
         // wall-clock stays out of the deterministic stdout rendering; the
@@ -399,7 +399,6 @@ pub fn run(
 /// marker resources only appear in cost formulas, so ops and sources
 /// carry over unchanged).
 fn repair(
-    planner: &Planner,
     planner_cfg: &PlannerConfig,
     current: &CppProblem,
     dep: &Deployment,
@@ -407,16 +406,12 @@ fn repair(
 ) -> Option<(RepairRoute, Deployment)> {
     let existing = existing_from_plan(current, &dep.plan);
     let adapted = adapt_problem(current, &existing, adapt_cfg);
-    // anytime mode seeds the SLS incumbent near the pre-churn deployment:
-    // the greedy constructor breaks ties toward the current plan's action
-    // kinds, so a repair under pressure starts from "move as little as
-    // possible" rather than from scratch
-    let hint: Vec<ActionKind> = if planner_cfg.anytime {
-        dep.plan.steps.iter().map(|s| s.kind.clone()).collect()
-    } else {
-        Vec::new()
-    };
-    if let Some((task, plan)) = plan_for_repair(planner, planner_cfg, &adapted, &hint) {
+    // an anytime repair seeds the SLS incumbent near the pre-churn
+    // deployment: the greedy constructor breaks ties toward the current
+    // plan's action kinds, so a repair under pressure starts from "move as
+    // little as possible" rather than from scratch
+    let hint: Vec<ActionKind> = dep.plan.steps.iter().map(|s| s.kind.clone()).collect();
+    if let Some((task, plan)) = plan_for_repair(planner_cfg, &adapted, &hint) {
         let d = Deployment::new(&adapted, &task, plan);
         if simulate(current, &d.sources, &d.ops).ok {
             if let Some(d) = recertify(current, &task, d) {
@@ -424,7 +419,7 @@ fn repair(
             }
         }
     }
-    let (task, plan) = plan_for_repair(planner, planner_cfg, current, &hint)?;
+    let (task, plan) = plan_for_repair(planner_cfg, current, &hint)?;
     let d = Deployment::new(current, &task, plan);
     if !simulate(current, &d.sources, &d.ops).ok {
         return None;
@@ -453,24 +448,20 @@ fn recertify(
     Some(d)
 }
 
-/// One repair-planning attempt: the exact planner, or the anytime
-/// portfolio (hinted toward the pre-churn deployment) when configured.
+/// One repair-planning attempt through the planning entry, which runs the
+/// anytime portfolio (hinted toward the pre-churn deployment) when
+/// configured. `t0` is taken before `compile`, as [`Planner::plan`] does.
 fn plan_for_repair(
-    planner: &Planner,
     planner_cfg: &PlannerConfig,
     problem: &CppProblem,
     hint: &[ActionKind],
 ) -> Option<(PlanningTask, Plan)> {
-    if planner_cfg.anytime {
-        let task = compile(problem).ok()?;
-        let a = sekitei_anytime::plan_task_hinted(problem, task, planner_cfg, Instant::now(), hint);
-        let plan = a.outcome.plan?;
-        Some((a.outcome.task, plan))
-    } else {
-        let o = planner.plan(problem).ok()?;
-        let plan = o.plan?;
-        Some((o.task, plan))
-    }
+    let _span = sekitei_obs::span("plan");
+    let t0 = Instant::now();
+    let task = compile(problem).ok()?;
+    let a = sekitei_anytime::plan_task_hinted(problem, task, planner_cfg, t0, hint);
+    let plan = a.outcome.plan?;
+    Some((a.outcome.task, plan))
 }
 
 /// Map violations to deployment sites: the op at the violating step, or

@@ -184,11 +184,7 @@ fn report_outcome(
                 m.total_cpu
             );
             if let Some(gap) = s.optimality_gap {
-                if gap > 0.0 {
-                    outln!("optimality gap: ≤ {gap:.2}");
-                } else {
-                    outln!("optimality gap: 0.00 (proved)");
-                }
+                print_gap(gap, plan.certificate.as_ref().is_some_and(|c| c.bound.gap_proved()));
             }
             if validate {
                 let report = validate_plan(problem, &outcome.task, plan);
@@ -220,6 +216,18 @@ fn report_outcome(
         outln!("stats: {s}");
     }
     Ok(())
+}
+
+/// Print the `optimality gap:` line. `proved` is the plan certificate's
+/// [`sekitei_cert::BoundTrail::gap_proved`]; a gap it does not prove is
+/// labelled advisory.
+fn print_gap(gap: f64, proved: bool) {
+    match (gap > 0.0, proved) {
+        (true, true) => outln!("optimality gap: ≤ {gap:.2}"),
+        (true, false) => outln!("optimality gap: ≤ {gap:.2} (advisory)"),
+        (false, true) => outln!("optimality gap: 0.00 (proved)"),
+        (false, false) => outln!("optimality gap: 0.00 (advisory)"),
+    }
 }
 
 /// Write a plan's certificate to `path` in the SKC1 wire form. Errors when
@@ -298,11 +306,8 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
         (None, None) => return Err(USAGE.into()),
     };
     obs.begin();
-    let planned = if cfg.anytime {
-        sekitei_anytime::plan(&problem, &cfg).map(|a| a.outcome).map_err(|e| e.to_string())
-    } else {
-        Planner::new(cfg).plan(&problem).map_err(|e| e.to_string())
-    };
+    let planned =
+        sekitei_anytime::plan(&problem, &cfg).map(|a| a.outcome).map_err(|e| e.to_string());
     let emitted = obs.finish("plan");
     let outcome = planned?;
     emitted?;
@@ -736,6 +741,12 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 
 /// Print a served outcome; mirrors [`report_outcome`] for wire-form data.
 fn report_wire_outcome(outcome: &sekitei_spec::WireOutcome, served_via: sekitei_server::ServedVia) {
+    let print_wire_gap = || {
+        if let Some(gap) = outcome.optimality_gap {
+            let cert = outcome.certificate.as_deref().map(sekitei_cert::decode_certificate);
+            print_gap(gap, matches!(cert, Some(Ok(c)) if c.bound.gap_proved()));
+        }
+    };
     match &outcome.plan {
         Some(plan) => {
             outln!(
@@ -750,13 +761,7 @@ fn report_wire_outcome(outcome: &sekitei_spec::WireOutcome, served_via: sekitei_
             for (gvar, value) in &plan.source_values {
                 outln!("  source var #{gvar} = {value}");
             }
-            if let Some(gap) = outcome.optimality_gap {
-                if gap > 0.0 {
-                    outln!("optimality gap: ≤ {gap:.2}");
-                } else {
-                    outln!("optimality gap: 0.00 (proved)");
-                }
-            }
+            print_wire_gap();
         }
         None => {
             outln!("no plan found");
@@ -766,13 +771,7 @@ fn report_wire_outcome(outcome: &sekitei_spec::WireOutcome, served_via: sekitei_
             // parity with `plan`: older servers shipped a gap even after
             // dropping a sim-rejected plan — surface it rather than
             // silently discarding the field
-            if let Some(gap) = outcome.optimality_gap {
-                if gap > 0.0 {
-                    outln!("optimality gap: ≤ {gap:.2}");
-                } else {
-                    outln!("optimality gap: 0.00 (proved)");
-                }
-            }
+            print_wire_gap();
             if outcome.stats.budget_exhausted {
                 outln!("(search budget exhausted — the instance may still be solvable)");
             }

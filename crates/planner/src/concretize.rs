@@ -125,18 +125,20 @@ fn execute(
     plan: &[ActionId],
     sources: &[(GVarId, f64)],
 ) -> Result<ConcreteExecution, ConcretizeFail> {
-    let mut state: HashMap<GVarId, f64> = HashMap::new();
+    // capacities are point intervals, read from the task until the plan
+    // writes them: `state` holds only the sources (stream-source
+    // variables from `source_choices`, never capacities) and the written
+    // variables, so an execution costs what the plan touches, not the size
+    // of the network (relaxed binding executes up to ~130 times per
+    // candidate)
+    let capacity = |v: GVarId| match task.init_values[v.index()] {
+        Some(init) if !matches!(task.gvars[v.index()], GVarData::IfaceProp { .. }) => Some(init.lo),
+        _ => None,
+    };
+    let read =
+        |state: &HashMap<GVarId, f64>, v: GVarId| state.get(&v).copied().or_else(|| capacity(v));
+    let mut state: HashMap<GVarId, f64> = sources.iter().copied().collect();
     let source_values = sources.to_vec();
-    for &(v, x) in sources {
-        state.insert(v, x);
-    }
-    for (i, init) in task.init_values.iter().enumerate() {
-        let Some(init) = init else { continue };
-        let v = GVarId::from_index(i);
-        if !matches!(task.gvars[i], GVarData::IfaceProp { .. }) {
-            state.insert(v, init.lo); // capacities are point intervals
-        }
-    }
 
     // exact forward execution, recording the ledger as it binds
     let mut ledger = ResourceLedger { rows: Vec::with_capacity(plan.len()) };
@@ -144,12 +146,12 @@ fn execute(
         let act = task.action(aid);
         // reads must be defined
         for &(v, _) in &act.optimistic {
-            if !state.contains_key(&v) {
+            if read(&state, v).is_none() {
                 return Err(ConcretizeFail::UndefinedRead { step, var: v });
             }
         }
         {
-            let mut env = |v: &GVarId| state.get(v).copied().unwrap_or(0.0);
+            let mut env = |v: &GVarId| read(&state, *v).unwrap_or(0.0);
             for (ci, cond) in act.conditions.iter().enumerate() {
                 if !cond.holds(&mut env) {
                     return Err(ConcretizeFail::ConditionFailed { step, cond: ci });
@@ -160,7 +162,7 @@ fn execute(
             .effects
             .iter()
             .map(|e| {
-                let mut env = |v: &GVarId| state.get(v).copied().unwrap_or(0.0);
+                let mut env = |v: &GVarId| read(&state, *v).unwrap_or(0.0);
                 e.value.eval(&mut env)
             })
             .collect();
@@ -169,19 +171,25 @@ fn execute(
             let new = match e.op {
                 AssignOp::Set => val,
                 AssignOp::Sub => {
-                    let pre = state.get(&e.target).copied().unwrap_or(0.0);
+                    let pre = read(&state, e.target).unwrap_or(0.0);
                     let post = pre - val;
                     if post < -sekitei_model::EPS {
                         return Err(ConcretizeFail::ResourceExhausted { step, var: e.target });
                     }
                     post.max(0.0)
                 }
-                AssignOp::Add => state.get(&e.target).copied().unwrap_or(0.0) + val,
+                AssignOp::Add => read(&state, e.target).unwrap_or(0.0) + val,
             };
             state.insert(e.target, new);
             written.push((e.target, new));
         }
         ledger.rows.push(LedgerRow { writes: written });
+    }
+    for i in 0..task.init_values.len() {
+        let v = GVarId::from_index(i);
+        if let Some(c) = capacity(v) {
+            state.entry(v).or_insert(c);
+        }
     }
 
     Ok(ConcreteExecution { source_values, final_state: state, ledger })

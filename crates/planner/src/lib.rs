@@ -54,7 +54,7 @@ pub use viz::{network_dot, plan_dot};
 pub use sekitei_cert as cert;
 
 use sekitei_compile::{compile, CompileError, CompileStats, PlanningTask};
-use sekitei_model::CppProblem;
+use sekitei_model::{ActionId, CppProblem};
 use std::time::{Duration, Instant};
 
 /// Planner configuration.
@@ -83,11 +83,11 @@ pub struct PlannerConfig {
     /// [`PlannerStats::deadline_hit`]. `None` (the default) never reads
     /// the clock.
     pub deadline: Option<Duration>,
-    /// Graceful degradation: when the search exhausts a budget (nodes,
-    /// rejects or deadline) without a validated optimal plan, return the
-    /// cheapest interval-feasible candidate re-bound with
-    /// [`concretize_relaxed`], tagged [`Plan::degraded`], instead of no
-    /// plan at all.
+    /// Graceful degradation: when the search ends without a validated
+    /// optimal plan, a step after the search returns the cheapest rejected
+    /// candidate re-bound with [`concretize_relaxed`], tagged
+    /// [`Plan::degraded`], instead of no plan at all. The search itself
+    /// runs the same either way.
     pub degrade: bool,
     /// Drain-mode duplicate detection ([`RgConfig::dominance`]): once the
     /// drain trigger fires on a budget-bound run, drop nodes whose open
@@ -110,8 +110,8 @@ pub struct PlannerConfig {
     /// whichever validated answer is available when the search concludes
     /// or the deadline trips. Plain-data flag here; the orchestration
     /// lives in the `sekitei-anytime` crate (which sits *above* the
-    /// planner), so [`Planner::plan`] itself ignores it — callers
-    /// (cli/server/churn) route to the anytime facade when set.
+    /// planner), whose entry points are the only code that reads it.
+    /// [`Planner::plan`] ignores it.
     pub anytime: bool,
     /// Seed of the anytime SLS lane's `SplitMix64` stream
     /// (`sekitei-util`). With a fixed seed the lane's full rollout
@@ -385,7 +385,6 @@ impl Planner {
                 heuristic: self.config.heuristic,
                 replay_pruning: self.config.replay_pruning,
                 deadline: self.config.deadline.map(|d| t0 + d),
-                relaxed_fallback: self.config.degrade,
                 dominance: self.config.dominance,
                 symmetry: self.config.symmetry,
                 reopen: self.config.reopen,
@@ -453,14 +452,7 @@ impl Planner {
                 Some((actions, cost, exec)) => {
                     Some(Plan::from_actions(&task, &actions, cost, exec))
                 }
-                // graceful degradation: the cheapest rejected candidate
-                // whose sources bound at relaxed (non-greedy) values,
-                // captured during the search
-                None if self.config.degrade => r.fallback.map(|(tail, g, exec)| {
-                    let mut plan = Plan::from_actions(&task, &tail, g, exec);
-                    plan.degraded = true;
-                    plan
-                }),
+                None if self.config.degrade => degraded_plan(&task, &r.rejected),
                 None => None,
             }
         } else {
@@ -480,47 +472,38 @@ impl Planner {
                 sekitei_obs::event("optimality_gap_milli", (gap * 1000.0).round() as u64);
             }
         }
-        // certificate emission: package the ledger the accepted execution
-        // recorded while binding, plus the bound trail justifying the gap
-        // computed above
         let plan = plan.map(|mut p| {
-            let gap_basis = if !p.degraded {
-                cert::GapBasis::Proved
+            let (class, gap_basis) = if !p.degraded {
+                (cert::OutcomeClass::Exact, cert::GapBasis::Proved)
             } else if stats.best_bound.is_some() {
-                cert::GapBasis::FrontierBound
+                (cert::OutcomeClass::Degraded, cert::GapBasis::FrontierBound)
             } else {
-                cert::GapBasis::Unbounded
+                (cert::OutcomeClass::Degraded, cert::GapBasis::Unbounded)
             };
-            let trail = cert::BoundTrail {
-                plan_cost: p.cost_lower_bound,
-                root_bound: stats.root_bound,
-                frontier_bound: stats.best_bound,
-                gap_basis,
-                claimed_gap: stats.optimality_gap,
-                incumbent_cutoff: stats.incumbent_cutoff,
-                budget_exhausted: stats.budget_exhausted,
-                deadline_hit: stats.deadline_hit,
-                drain_mode: stats.drain_mode,
-                dominance: self.config.dominance,
-                symmetry: self.config.symmetry,
-            };
-            let class =
-                if p.degraded { cert::OutcomeClass::Degraded } else { cert::OutcomeClass::Exact };
-            let actions: Vec<_> = p.steps.iter().map(|s| s.action).collect();
-            p.certificate = Some(cert::emit(
-                &task,
-                &actions,
-                &p.execution.source_values,
-                &p.execution.ledger,
-                class,
-                trail,
-            ));
+            p.certify(&task, &stats, &self.config, class, gap_basis);
             p
         });
         stats.search_time = t_search.elapsed();
         stats.total_time = t0.elapsed();
         PlanOutcome { plan, stats, task }
     }
+}
+
+/// Graceful degradation, run after a search that returned no plan: the
+/// first rejected candidate whose tail, replayed from the initial state,
+/// binds under [`concretize_relaxed`], tagged [`Plan::degraded`].
+/// Candidates are recorded in cost order ([`RgResult::rejected`]), so the
+/// first that binds is the cheapest. Interval replay is optimistic, so
+/// many rejected tails bind at no concrete value and are skipped.
+fn degraded_plan(task: &PlanningTask, rejected: &[(Vec<ActionId>, f64)]) -> Option<Plan> {
+    let _g = sekitei_obs::span("degrade");
+    rejected.iter().find_map(|(tail, g)| {
+        let map = replay_tail(task, tail, Some(&task.init_values)).ok()?;
+        let exec = concretize_relaxed(task, tail, &map).ok()?;
+        let mut plan = Plan::from_actions(task, tail, *g, exec);
+        plan.degraded = true;
+        Some(plan)
+    })
 }
 
 #[cfg(test)]
@@ -571,6 +554,62 @@ mod tests {
         // the degraded source value is feasible, not the greedy 200
         let (_, s) = plan.execution.source_values[0];
         assert!((90.0..=110.0).contains(&s), "source = {s}");
+    }
+
+    /// Every counter and bound of a run, its wall times left out.
+    fn counters(stats: &PlannerStats) -> String {
+        let mut s = stats.clone();
+        s.total_time = Duration::ZERO;
+        s.search_time = Duration::ZERO;
+        s.compile.compile_time = Duration::ZERO;
+        s.optimality_gap = None;
+        format!("{s:?}")
+    }
+
+    #[test]
+    fn degrade_runs_after_the_search_and_leaves_it_unchanged() {
+        let runs = [
+            (scenarios::tiny(LevelScenario::A), PlannerConfig::default()),
+            (scenarios::small(LevelScenario::A), PlannerConfig::default()),
+            (
+                scenarios::small(LevelScenario::A),
+                PlannerConfig { max_nodes: 18_500, ..PlannerConfig::default() },
+            ),
+        ];
+        for (i, (problem, cfg)) in runs.iter().enumerate() {
+            let off = Planner::new(PlannerConfig { degrade: false, ..*cfg }).plan(problem).unwrap();
+            let on = Planner::new(PlannerConfig { degrade: true, ..*cfg }).plan(problem).unwrap();
+            assert!(off.plan.is_none(), "run {i}");
+            assert!(on.plan.as_ref().is_some_and(|p| p.degraded), "run {i}");
+            assert_eq!(counters(&on.stats), counters(&off.stats), "run {i}");
+            let bits = |s: &PlannerStats| s.best_bound.map(f64::to_bits);
+            assert_eq!(bits(&on.stats), bits(&off.stats), "run {i}");
+        }
+    }
+
+    #[test]
+    fn rejected_candidates_are_recorded_in_cost_order() {
+        let pruned =
+            RgConfig { dominance: true, symmetry: true, reopen: true, ..RgConfig::default() };
+        let capped = |cfg: RgConfig| RgConfig { max_nodes: 35_000, ..cfg };
+        let runs = [
+            (scenarios::tiny(LevelScenario::A), RgConfig::default()),
+            (scenarios::small(LevelScenario::A), RgConfig::default()),
+            (scenarios::small(LevelScenario::A), pruned),
+            (scenarios::large(LevelScenario::A), capped(pruned)),
+            (scenarios::large(LevelScenario::B), capped(pruned)),
+        ];
+        for (i, (p, cfg)) in runs.iter().enumerate() {
+            let task = compile(p).unwrap();
+            let plrg = Plrg::build(&task);
+            let mut slrg = Slrg::new(&task, &plrg, 50_000);
+            let r = rg::search(&task, &plrg, &mut slrg, cfg);
+            assert!(!r.rejected.is_empty(), "run {i}: no rejected candidate recorded");
+            assert!(r.rejected.len() <= r.candidate_rejects, "run {i}");
+            for w in r.rejected.windows(2) {
+                assert!(w[0].1 <= w[1].1, "run {i}: cost fell from {} to {}", w[0].1, w[1].1);
+            }
+        }
     }
 
     #[test]

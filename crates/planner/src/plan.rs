@@ -1,6 +1,8 @@
 //! Plans: the planner's deliverable.
 
 use crate::concretize::ConcreteExecution;
+use crate::{PlannerConfig, PlannerStats};
+use sekitei_cert::{BoundTrail, GapBasis, OutcomeClass};
 use sekitei_compile::{ActionKind, GVarData, PlanningTask};
 use sekitei_model::{ActionId, CppProblem, LinkClass};
 use std::fmt;
@@ -61,6 +63,42 @@ impl Plan {
             })
             .collect();
         Plan { steps, cost_lower_bound: cost, execution, degraded: false, certificate: None }
+    }
+
+    /// Issue this plan's certificate: the ledger its execution recorded
+    /// while binding, plus the bound trail justifying
+    /// [`PlannerStats::optimality_gap`], the gap the caller reports. Every
+    /// certificate a planning run returns is issued here.
+    pub fn certify(
+        &mut self,
+        task: &PlanningTask,
+        stats: &PlannerStats,
+        cfg: &PlannerConfig,
+        class: OutcomeClass,
+        gap_basis: GapBasis,
+    ) {
+        let trail = BoundTrail {
+            plan_cost: self.cost_lower_bound,
+            root_bound: stats.root_bound,
+            frontier_bound: stats.best_bound,
+            gap_basis,
+            claimed_gap: stats.optimality_gap,
+            incumbent_cutoff: stats.incumbent_cutoff,
+            budget_exhausted: stats.budget_exhausted,
+            deadline_hit: stats.deadline_hit,
+            drain_mode: stats.drain_mode,
+            dominance: cfg.dominance,
+            symmetry: cfg.symmetry,
+        };
+        let actions: Vec<_> = self.steps.iter().map(|s| s.action).collect();
+        self.certificate = Some(sekitei_cert::emit(
+            task,
+            &actions,
+            &self.execution.source_values,
+            &self.execution.ledger,
+            class,
+            trail,
+        ));
     }
 
     /// Number of actions (Table 2 col 3).

@@ -13,9 +13,10 @@
 //! A node with an empty open set is a *candidate* plan; it is returned only
 //! if its tail replays from the concrete initial state **and** the greedy
 //! concretization executes exactly ([`mod@crate::concretize`]). Rejected
-//! candidates simply leave the search running — this is how the planner
-//! walks past plausible-but-infeasible configurations (e.g. sending raw
-//! T+I through a link that can only fit the compressed pair).
+//! candidates are recorded ([`RgResult::rejected`]) and leave the search
+//! running — this is how the planner walks past plausible-but-infeasible
+//! configurations (e.g. sending raw T+I through a link that can only fit
+//! the compressed pair).
 //!
 //! Hot-path engineering (behavior-identical to
 //! [`crate::reference::search_reference`], enforced by
@@ -26,7 +27,7 @@
 //! [`replay_tail`]-from-init check is reserved for terminal candidate
 //! validation.
 
-use crate::concretize::{concretize, concretize_relaxed, ConcreteExecution};
+use crate::concretize::{concretize, ConcreteExecution};
 use crate::plrg::Plrg;
 use crate::pool::SetId;
 use crate::prune::IncumbentBound;
@@ -73,14 +74,6 @@ pub struct RgConfig {
     /// stays bit-identical to the pre-deadline implementation — the
     /// [`crate::reference`] oracle ignores this field for the same reason.
     pub deadline: Option<Instant>,
-    /// Capture a degradation fallback: when a candidate fails greedy-max
-    /// concretization, additionally try
-    /// [`crate::concretize::concretize_relaxed`] and keep the first
-    /// candidate that binds. Purely observational — it never alters the
-    /// search state, plans or counters — but costs a bounded grid scan per
-    /// rejected candidate until one binds, so it defaults to off and the
-    /// [`crate::reference`] oracle ignores it.
-    pub relaxed_fallback: bool,
     /// Drain-mode dominance: once the drain trigger fires, drop a new
     /// node when its interned open set was already reached with no-larger
     /// `g` (closed-set semantics, see `prune::DomTable`). Inert
@@ -143,7 +136,6 @@ impl Default for RgConfig {
             heuristic: Heuristic::Slrg,
             replay_pruning: true,
             deadline: None,
-            relaxed_fallback: false,
             dominance: false,
             symmetry: false,
             reopen: false,
@@ -210,14 +202,12 @@ pub struct RgResult {
     /// search could still have found. `None` when a plan was returned or
     /// the open list drained.
     pub best_open_f: Option<f64>,
-    /// The cheapest rejected candidate that
-    /// [`crate::concretize::concretize_relaxed`] managed to bind (tail,
-    /// cost lower bound, relaxed execution) — the degraded serving path's
-    /// answer. Candidates pop in `g` order (`h(∅) = 0`), so the first
-    /// bindable one is the cheapest. Only populated when
-    /// [`RgConfig::relaxed_fallback`] is on; interval replay is optimistic,
-    /// so many rejected tails bind at *no* concrete value and are skipped.
-    pub fallback: Option<(Vec<ActionId>, f64, ConcreteExecution)>,
+    /// Every candidate whose tail replayed from the initial state but
+    /// failed greedy concretization (tail, cost lower bound), in pop order.
+    /// Candidates pop in `g` order (`h(∅) = 0` and `h` is admissible), so
+    /// costs never decrease along the list. The search only records them;
+    /// the planner facade's degradation step re-binds them after the search.
+    pub rejected: Vec<(Vec<ActionId>, f64)>,
     /// Cumulative wall time of terminal candidate validation (full replay
     /// from the initial state plus greedy concretization) — the
     /// "concretize" phase of the profile breakdown. Purely observational.
@@ -245,7 +235,7 @@ impl RgResult {
             incumbent_cutoff: false,
             root_h: 0.0,
             best_open_f: None,
-            fallback: None,
+            rejected: Vec::new(),
             concretize_time: std::time::Duration::ZERO,
             concretize_calls: 0,
         }
@@ -409,13 +399,7 @@ pub fn search_bounded(
                     }
                     Err(_) => {
                         result.candidate_rejects += 1;
-                        // degraded serving path: keep the cheapest rejected
-                        // candidate whose sources bind at relaxed values
-                        if cfg.relaxed_fallback && result.fallback.is_none() {
-                            if let Ok(exec) = concretize_relaxed(task, &tail, &map) {
-                                result.fallback = Some((tail, g, exec));
-                            }
-                        }
+                        result.rejected.push((tail, g));
                     }
                 },
                 Err(_) => {

@@ -29,7 +29,7 @@ use crate::protocol::{
 use crate::stats::ServerStats;
 use sekitei_compile::{compile, PlanningTask};
 use sekitei_model::CppProblem;
-use sekitei_planner::{Planner, PlannerConfig};
+use sekitei_planner::PlannerConfig;
 use sekitei_spec::{encode_outcome, WirePhase};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -141,7 +141,6 @@ struct ServeState {
     /// Single-flight table: the search in progress for each fingerprint.
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
     stop: Arc<AtomicBool>,
-    planner: Planner,
     planner_cfg: PlannerConfig,
     persist: Option<SnapshotAppender>,
     queue_cap: usize,
@@ -206,7 +205,6 @@ impl Server {
             outcomes: Mutex::new(outcomes),
             inflight: Mutex::new(HashMap::new()),
             stop: Arc::clone(&self.stop),
-            planner: Planner::new(self.cfg.planner),
             planner_cfg: self.cfg.planner,
             persist,
             queue_cap: self.cfg.queue_cap,
@@ -661,16 +659,8 @@ fn compute_plan(
     // whatever the cache tiers saved is returned to the search budget
     let (outcome, incumbent_used) = phases.timed("search", || {
         let _g = sekitei_obs::span("search");
-        if state.planner_cfg.anytime {
-            // race the exact search against the SLS lane; a deadline hit
-            // returns the best sim-validated incumbent with a finite gap
-            // instead of the weaker concretize_relaxed degraded path
-            let a =
-                sekitei_anytime::plan_task(&entry.0, entry.1.clone(), &state.planner_cfg, t_req);
-            (a.outcome, a.incumbent_used)
-        } else {
-            (state.planner.plan_task(entry.1.clone(), t_req), false)
-        }
+        let a = sekitei_anytime::plan_task(&entry.0, entry.1.clone(), &state.planner_cfg, t_req);
+        (a.outcome, a.incumbent_used)
     });
     let mut wire = outcome_to_wire(&outcome);
     if incumbent_used {
