@@ -1,7 +1,8 @@
 //! Regenerates Table 2 — the scalability evaluation: for each network size
 //! (Tiny / Small / Large) and level scenario (A–E), the plan's cost lower
 //! bound, its action count, the reserved LAN bandwidth, and the planner's
-//! work (ground actions, PLRG/SLRG/RG sizes, wall time).
+//! work (ground actions, of which the goal-relevant ones are built,
+//! PLRG/SLRG/RG sizes, wall time).
 //!
 //! Rows are independent planning runs, so by default they execute through
 //! [`Planner::plan_batch`] on scoped worker threads (results are
@@ -15,8 +16,9 @@ use sekitei_topology::scenarios::{self, NetSize};
 fn format_row(size: NetSize, sc: LevelScenario, p: &CppProblem, o: &PlanOutcome) -> String {
     let s = &o.stats;
     let work = format!(
-        "{:>9}{:>8}/{:<6}{:>8}{:>9}/{:<7}{:>7.0}/{:<7.0}",
+        "{:>9}{:>8}{:>8}/{:<6}{:>8}{:>9}/{:<7}{:>7.0}/{:<7.0}",
         s.total_actions,
+        s.compile.built,
         s.plrg_props,
         s.plrg_actions,
         s.slrg_nodes,
@@ -64,13 +66,14 @@ fn main() {
         .collect();
 
     println!(
-        "{:<7}{:<4}{:>12}{:>9}{:>10}{:>9}{:>15}{:>8}{:>17}{:>15}",
+        "{:<7}{:<4}{:>12}{:>9}{:>10}{:>9}{:>8}{:>15}{:>8}{:>17}{:>15}",
         "Net",
         "Sc",
         "lower-bound",
         "actions",
         "LAN bw",
         "#acts",
+        "built",
         "PLRG p/a",
         "SLRG",
         "RG created/open",

@@ -845,8 +845,10 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     let p = load(path)?;
     let task = compile(&p).map_err(|e| e.to_string())?;
     outln!(
-        "{} ground actions ({} level combinations pruned), {} propositions, {} variables, {:?}",
+        "{} ground actions ({} built, {} level combinations pruned), {} propositions, {} variables, \
+         {:?}",
         task.stats.actions,
+        task.stats.built,
         task.stats.pruned,
         task.stats.props,
         task.stats.gvars,

@@ -8,16 +8,27 @@
 //! procedure*: conditions must be possibly-satisfiable over the level
 //! intervals, consumption must possibly fit capacities, and computed output
 //! ranges must intersect the declared output levels. Each surviving
-//! combination becomes one ground action carrying its optimistic resource
-//! map and a lower-bound cost.
+//! combination is one ground action carrying its optimistic resource map
+//! and a lower-bound cost.
+//!
+//! [`compile`] builds only the actions that can contribute to a goal: the
+//! goal-relevant propositions are computed before grounding starts
+//! (`relevance.rs`), and a level variant that adds none of them, nor a
+//! goal, is still evaluated, counted and has its propositions interned,
+//! but is not built. Every proposition and variable therefore keeps the id
+//! [`compile_full`] gives it, and the built actions keep their relative
+//! order.
 
+use crate::relevance::Relevance;
 use crate::task::{ActionKind, GVarData, GroundAction, PlanningTask, PropData};
 use sekitei_model::{
-    AssignOp, CompId, Cond, CppProblem, DirLink, Effect, GVarId, IfaceId, Interval, LevelSpec,
-    Locus, ModelError, NodeId, Placement, PropId, SpecVar,
+    AssignOp, CompId, ComponentSpec, Cond, CppProblem, DirLink, Effect, Expr, GVarId, IfaceId,
+    InterfaceSpec, Interval, LevelSpec, LinkId, Locus, ModelError, NodeId, Placement, PropId,
+    SpecVar,
 };
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,7 +69,8 @@ impl From<ModelError> for CompileError {
     }
 }
 
-/// Compile a CPP instance into a leveled planning task.
+/// Compile a CPP instance into a leveled planning task, building only the
+/// ground actions that can contribute to a goal.
 ///
 /// ```
 /// use sekitei_model::LevelScenario;
@@ -69,20 +81,63 @@ impl From<ModelError> for CompileError {
 /// assert!(task.num_actions() > 0);
 /// // leveling multiplied the action schemas (paper Table 2, col 5)
 /// let unleveled = sekitei_compile::compile(&scenarios::tiny(LevelScenario::A)).unwrap();
-/// assert!(task.num_actions() > unleveled.num_actions());
+/// assert!(task.stats.actions > unleveled.stats.actions);
+/// // and the goal-relevant slice is what got built
+/// assert!(task.stats.built == task.num_actions() && task.stats.built < task.stats.actions);
 /// ```
 pub fn compile(problem: &CppProblem) -> Result<PlanningTask, CompileError> {
+    build(problem, true)
+}
+
+/// Compile a CPP instance with every ground action, goal-relevant or not:
+/// the task whose goal-relevant slice [`compile`] builds, with the same
+/// propositions and variables. Failure diagnosis uses it to ask where else
+/// a component could be deployed.
+pub fn compile_full(problem: &CppProblem) -> Result<PlanningTask, CompileError> {
+    build(problem, false)
+}
+
+/// Ground `problem`, building only the goal-relevant actions when
+/// `slice` is set.
+fn build(problem: &CppProblem, slice: bool) -> Result<PlanningTask, CompileError> {
     problem.validate()?;
     let _span = sekitei_obs::span("compile");
     let start = Instant::now();
-    let mut ctx = Ctx { p: problem, task: PlanningTask::default(), pruned: 0 };
+    let places: Vec<PlaceSchema> = (0..problem.components.len())
+        .map(|c| PlaceSchema::new(problem, CompId::from_index(c)))
+        .collect();
+    let crosses: Vec<CrossSchema> = (0..problem.interfaces.len())
+        .map(|i| CrossSchema::new(problem, IfaceId::from_index(i)))
+        .collect();
+    let mut scratch = Scratch::default();
+    let relevant = if slice {
+        let _g = sekitei_obs::span("relevance");
+        Some(Relevance::closure(problem, &places, &crosses, &mut scratch)?)
+    } else {
+        None
+    };
+    let mut ctx = Ctx {
+        p: problem,
+        task: PlanningTask::default(),
+        relevant,
+        counted: 0,
+        pruned: 0,
+        pre: Vec::new(),
+        adds: Vec::new(),
+        full: Vec::new(),
+        name: String::new(),
+    };
     {
         let _g = sekitei_obs::span("ground-place");
-        ctx.ground_place_actions()?;
+        for schema in &places {
+            ctx.ground_place(schema, &mut scratch)?;
+        }
     }
     {
         let _g = sekitei_obs::span("ground-cross");
-        ctx.ground_cross_actions()?;
+        for schema in &crosses {
+            ctx.ground_cross(schema, &mut scratch)?;
+        }
     }
     {
         let _g = sekitei_obs::span("finalize");
@@ -97,7 +152,7 @@ pub fn compile(problem: &CppProblem) -> Result<PlanningTask, CompileError> {
     ctx.task.orbits = symmetry.orbits;
     ctx.task.sig_classes = symmetry.sig_classes;
     ctx.task.stats.compile_time = start.elapsed();
-    sekitei_obs::event("ground_actions", ctx.task.num_actions() as u64);
+    sekitei_obs::event("ground_actions", ctx.task.stats.actions as u64);
     sekitei_obs::event("level_combos_pruned", ctx.pruned as u64);
     sekitei_obs::event(
         "symmetry_orbits",
@@ -108,12 +163,6 @@ pub fn compile(problem: &CppProblem) -> Result<PlanningTask, CompileError> {
     Ok(ctx.task)
 }
 
-struct Ctx<'p> {
-    p: &'p CppProblem,
-    task: PlanningTask,
-    pruned: usize,
-}
-
 /// Iterate the cartesian product of `dims[i]` choices per slot.
 fn for_each_combo(dims: &[usize], mut f: impl FnMut(&[usize])) {
     if dims.contains(&0) {
@@ -122,19 +171,24 @@ fn for_each_combo(dims: &[usize], mut f: impl FnMut(&[usize])) {
     let mut idx = vec![0usize; dims.len()];
     loop {
         f(&idx);
-        let mut k = dims.len();
-        loop {
-            if k == 0 {
-                return;
-            }
-            k -= 1;
-            idx[k] += 1;
-            if idx[k] < dims[k] {
-                break;
-            }
-            idx[k] = 0;
+        if !advance(&mut idx, |k| 0..dims[k]) {
+            return;
         }
     }
+}
+
+/// Step `idx` to the next combination, last slot fastest, slot `k`
+/// ranging over `range(k)`; false after the last one.
+fn advance(idx: &mut [usize], range: impl Fn(usize) -> Range<usize>) -> bool {
+    for k in (0..idx.len()).rev() {
+        let r = range(k);
+        idx[k] += 1;
+        if idx[k] < r.end {
+            return true;
+        }
+        idx[k] = r.start;
+    }
+    false
 }
 
 fn combo_count(dims: &[usize]) -> usize {
@@ -157,6 +211,519 @@ fn available(consumable: bool, cap: f64) -> Interval {
 /// are only known to be non-negative.
 fn lookup(bindings: &[(GVarId, Interval)], v: GVarId) -> Interval {
     bindings.iter().rev().find(|b| b.0 == v).map_or_else(Interval::nonneg, |b| b.1)
+}
+
+fn res_index(p: &CppProblem, name: &str, locus: Locus) -> u16 {
+    p.resources.iter().position(|r| r.name == name && r.locus == locus).expect("validated resource")
+        as u16
+}
+
+/// Level spec of an interface's primary (first) property; trivial when
+/// the interface has no properties.
+fn primary_levels(p: &CppProblem, iface: IfaceId) -> LevelSpec {
+    let spec = p.iface(iface);
+    match spec.properties.first() {
+        Some(prop) => spec.levels_of(prop),
+        None => LevelSpec::trivial(),
+    }
+}
+
+/// The variable of `iface`'s primary property on `node`, if it has one.
+fn primary_var(
+    p: &CppProblem,
+    iface: IfaceId,
+    node: NodeId,
+    var: &mut impl FnMut(GVarData) -> GVarId,
+) -> Option<GVarId> {
+    (!p.iface(iface).properties.is_empty())
+        .then(|| var(GVarData::IfaceProp { iface, prop: 0, node }))
+}
+
+/// A schema instance's numeric formulas, ground once and shared by every
+/// level variant built from it.
+pub(crate) struct Formulas {
+    conditions: Arc<[Cond<GVarId>]>,
+    effects: Arc<[Effect<GVarId>]>,
+    cost: Expr<GVarId>,
+}
+
+/// Per-combination evaluation scratch, reused by every schema instance.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    optimistic: Vec<(GVarId, Interval)>,
+    levels: Vec<(GVarId, u8)>,
+    produced: Vec<(GVarId, Interval)>,
+    out_ranges: Vec<Range<usize>>,
+    out_levels: Vec<usize>,
+}
+
+// ---------------------------------------------------------- place schemas
+
+/// What every `place(comp, ·)` instance shares: the component's interfaces,
+/// the node resources its formulas mention, and their level specs.
+pub(crate) struct PlaceSchema<'p> {
+    pub(crate) comp: CompId,
+    spec: &'p ComponentSpec,
+    /// Required interfaces, in declaration order.
+    pub(crate) req: Vec<IfaceId>,
+    /// Implemented interfaces, in declaration order.
+    pub(crate) outs: Vec<IfaceId>,
+    /// Interface names in scope of the formulas.
+    scope: HashMap<&'p str, IfaceId>,
+    node_res: Vec<u16>,
+    in_specs: Vec<LevelSpec>,
+    res_specs: Vec<&'p LevelSpec>,
+    out_specs: Vec<LevelSpec>,
+    dims: Vec<usize>,
+}
+
+/// One `place(comp, node)` instance.
+pub(crate) struct PlaceInst {
+    node: NodeId,
+    formulas: Formulas,
+    in_vars: Vec<Option<GVarId>>,
+    res_vars: Vec<GVarId>,
+    res_avail: Vec<Interval>,
+    out_vars: Vec<Option<GVarId>>,
+}
+
+/// A level variant of a place instance that survived static pruning,
+/// borrowed from the evaluation scratch.
+pub(crate) struct PlaceVariant<'a> {
+    /// Level of each required interface.
+    pub(crate) in_levels: &'a [usize],
+    /// Level of each implemented interface.
+    pub(crate) out_levels: &'a [usize],
+    optimistic: &'a [(GVarId, Interval)],
+    levels: &'a [(GVarId, u8)],
+    produced: &'a [(GVarId, Interval)],
+}
+
+impl<'p> PlaceSchema<'p> {
+    fn new(p: &'p CppProblem, comp: CompId) -> Self {
+        let spec = p.component(comp);
+        let iface = |n: &String| p.iface_id(n).expect("validated");
+        let req: Vec<IfaceId> = spec.requires.iter().map(iface).collect();
+        let outs: Vec<IfaceId> = spec.implements.iter().map(iface).collect();
+        // node resources mentioned anywhere in the schema's formulas
+        let mut node_res: Vec<u16> = Vec::new();
+        let mut collect = |v: &SpecVar| {
+            if let SpecVar::Node { res } = v {
+                let idx = res_index(p, res, Locus::Node);
+                if !node_res.contains(&idx) {
+                    node_res.push(idx);
+                }
+            }
+        };
+        for c in &spec.conditions {
+            c.for_each_var(&mut collect);
+        }
+        for e in &spec.effects {
+            e.for_each_var(&mut collect);
+        }
+        spec.cost.for_each_var(&mut collect);
+        let in_specs: Vec<LevelSpec> = req.iter().map(|&r| primary_levels(p, r)).collect();
+        let res_specs: Vec<&LevelSpec> =
+            node_res.iter().map(|&r| &p.resources[r as usize].levels).collect();
+        let dims = in_specs
+            .iter()
+            .map(LevelSpec::num_levels)
+            .chain(res_specs.iter().map(|s| s.num_levels()))
+            .collect();
+        PlaceSchema {
+            comp,
+            spec,
+            scope: spec.scope().map(|n| (n, p.iface_id(n).expect("validated"))).collect(),
+            out_specs: outs.iter().map(|&o| primary_levels(p, o)).collect(),
+            req,
+            outs,
+            node_res,
+            in_specs,
+            res_specs,
+            dims,
+        }
+    }
+
+    /// Whether the component may be placed on `node`.
+    pub(crate) fn allows(&self, p: &CppProblem, node: NodeId) -> bool {
+        match &self.spec.placement {
+            Placement::Anywhere => true,
+            Placement::Only(names) => names.contains(&p.network.node(node).name),
+        }
+    }
+
+    /// Values the mentioned node resources may hold on `node` — the only
+    /// thing a variant's evaluation reads from the node.
+    pub(crate) fn res_avail(&self, p: &CppProblem, node: NodeId, out: &mut Vec<Interval>) {
+        out.clear();
+        out.extend(self.node_res.iter().map(|&r| {
+            let res = &p.resources[r as usize];
+            available(res.consumable, p.network.node_capacity(node, &res.name))
+        }));
+    }
+
+    /// Ground the instance on `node`, resolving its variables through
+    /// `var` in a fixed order: formulas (conditions, effects, cost), then
+    /// inputs, resources and outputs.
+    pub(crate) fn instance(
+        &self,
+        p: &CppProblem,
+        node: NodeId,
+        var: &mut impl FnMut(GVarData) -> GVarId,
+    ) -> Result<PlaceInst, CompileError> {
+        let count = combo_count(&self.dims);
+        if count > MAX_COMBOS {
+            return Err(CompileError::TooManyCombinations {
+                schema: format!("place({},{})", self.spec.name, p.network.node(node).name),
+                count,
+            });
+        }
+        let mut gv = |v: &SpecVar| -> GVarId {
+            match v {
+                SpecVar::Iface { iface, prop } => {
+                    let id = self.scope[iface.as_str()];
+                    let pidx = p.iface(id).properties.iter().position(|n| n == prop).unwrap() as u8;
+                    var(GVarData::IfaceProp { iface: id, prop: pidx, node })
+                }
+                SpecVar::Node { res } => {
+                    var(GVarData::NodeRes { res: res_index(p, res, Locus::Node), node })
+                }
+                SpecVar::Link { .. } => unreachable!("validated: no link vars in place formulas"),
+            }
+        };
+        let formulas = Formulas {
+            conditions: self.spec.conditions.iter().map(|c| c.map_vars(&mut gv)).collect(),
+            effects: self.spec.effects.iter().map(|e| e.map_vars(&mut gv)).collect(),
+            cost: self.spec.cost.map_vars(&mut gv),
+        };
+        let in_vars = self.req.iter().map(|&r| primary_var(p, r, node, var)).collect();
+        let res_vars =
+            self.node_res.iter().map(|&r| var(GVarData::NodeRes { res: r, node })).collect();
+        let mut res_avail = Vec::new();
+        self.res_avail(p, node, &mut res_avail);
+        let out_vars = self.outs.iter().map(|&o| primary_var(p, o, node, var)).collect();
+        Ok(PlaceInst { node, formulas, in_vars, res_vars, res_avail, out_vars })
+    }
+
+    /// Evaluate every level combination of `inst` against the static
+    /// pruning procedure, calling `visit` on each surviving variant in
+    /// emission order. Returns how many combinations were pruned.
+    pub(crate) fn variants(
+        &self,
+        inst: &PlaceInst,
+        s: &mut Scratch,
+        mut visit: impl FnMut(&PlaceVariant<'_>),
+    ) -> usize {
+        let Scratch { optimistic, levels, produced, out_ranges, out_levels } = s;
+        let mut pruned = 0;
+        for_each_combo(&self.dims, |combo| {
+            let (in_levels, res_levels) = combo.split_at(self.in_specs.len());
+
+            // optimistic map for this level assignment
+            optimistic.clear();
+            levels.clear();
+            for (k, &l) in in_levels.iter().enumerate() {
+                if let Some(v) = inst.in_vars[k] {
+                    optimistic.push((v, self.in_specs[k].requirement(l)));
+                    levels.push((v, l as u8));
+                }
+            }
+            for (k, &l) in res_levels.iter().enumerate() {
+                let iv = self.res_specs[k].requirement(l).intersect(&inst.res_avail[k]);
+                if iv.is_empty() {
+                    pruned += 1;
+                    return;
+                }
+                optimistic.push((inst.res_vars[k], iv));
+                if !self.res_specs[k].is_trivial() {
+                    levels.push((inst.res_vars[k], l as u8));
+                }
+            }
+
+            let mut env = |v: &GVarId| lookup(optimistic, *v);
+            if !inst.formulas.conditions.iter().all(|c| c.possibly(&mut env)) {
+                pruned += 1;
+                return;
+            }
+
+            // evaluate effects against the pre-state
+            produced.clear();
+            for eff in inst.formulas.effects.iter() {
+                let val = eff.value.eval_interval(&mut env);
+                match eff.op {
+                    AssignOp::Set => produced.push((eff.target, val)),
+                    AssignOp::Sub => {
+                        if lookup(optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
+                            pruned += 1;
+                            return;
+                        }
+                    }
+                    AssignOp::Add => {}
+                }
+            }
+
+            // output levels from the computed ranges
+            out_ranges.clear();
+            for (k, ov) in inst.out_vars.iter().enumerate() {
+                let range = match ov {
+                    Some(v) => self.out_specs[k].intersecting_half_open(&lookup(produced, *v)),
+                    None => 0..1,
+                };
+                if range.is_empty() {
+                    pruned += 1;
+                    return;
+                }
+                out_ranges.push(range);
+            }
+            out_levels.clear();
+            out_levels.extend(out_ranges.iter().map(|r| r.start));
+            loop {
+                visit(&PlaceVariant { in_levels, out_levels, optimistic, levels, produced });
+                if !advance(out_levels, |k| out_ranges[k].clone()) {
+                    break;
+                }
+            }
+        });
+        pruned
+    }
+}
+
+// ---------------------------------------------------------- cross schemas
+
+/// What every `cross(iface, ·)` instance shares: the link resources its
+/// formulas mention and the level specs.
+pub(crate) struct CrossSchema<'p> {
+    pub(crate) iface: IfaceId,
+    spec: &'p InterfaceSpec,
+    link_res: Vec<u16>,
+    level_spec: LevelSpec,
+    res_specs: Vec<&'p LevelSpec>,
+    dims: Vec<usize>,
+}
+
+/// One `cross(iface, link)` instance in one direction.
+pub(crate) struct CrossInst {
+    dir: DirLink,
+    formulas: Formulas,
+    in_var: Option<GVarId>,
+    out_var: Option<GVarId>,
+    res_vars: Vec<GVarId>,
+    res_avail: Vec<Interval>,
+}
+
+/// A level variant of a cross instance that survived static pruning,
+/// borrowed from the evaluation scratch.
+pub(crate) struct CrossVariant<'a> {
+    /// Level of the stream on the sending node.
+    pub(crate) l_in: usize,
+    /// Level of the stream delivered to the receiving node.
+    pub(crate) l_out: usize,
+    link_levels: &'a [usize],
+    optimistic: &'a [(GVarId, Interval)],
+    levels: &'a [(GVarId, u8)],
+    cost: f64,
+}
+
+impl<'p> CrossSchema<'p> {
+    fn new(p: &'p CppProblem, iface: IfaceId) -> Self {
+        let spec = p.iface(iface);
+        // link resources mentioned in cross formulas
+        let mut link_res: Vec<u16> = Vec::new();
+        let mut collect = |v: &SpecVar| {
+            if let SpecVar::Link { res } = v {
+                let idx = res_index(p, res, Locus::Link);
+                if !link_res.contains(&idx) {
+                    link_res.push(idx);
+                }
+            }
+        };
+        for c in &spec.cross_conditions {
+            c.for_each_var(&mut collect);
+        }
+        for e in &spec.cross_effects {
+            e.for_each_var(&mut collect);
+        }
+        spec.cross_cost.for_each_var(&mut collect);
+        let level_spec = primary_levels(p, iface);
+        let res_specs: Vec<&LevelSpec> =
+            link_res.iter().map(|&r| &p.resources[r as usize].levels).collect();
+        let dims = std::iter::once(level_spec.num_levels())
+            .chain(res_specs.iter().map(|s| s.num_levels()))
+            .collect();
+        CrossSchema { iface, spec, link_res, level_spec, res_specs, dims }
+    }
+
+    /// Number of levels of the stream's primary property.
+    pub(crate) fn levels(&self) -> usize {
+        self.level_spec.num_levels()
+    }
+
+    /// Values the mentioned link resources may hold on `link` — the only
+    /// thing a variant's evaluation reads from the link.
+    pub(crate) fn res_avail(&self, p: &CppProblem, link: LinkId, out: &mut Vec<Interval>) {
+        out.clear();
+        out.extend(self.link_res.iter().map(|&r| {
+            let res = &p.resources[r as usize];
+            available(res.consumable, p.network.link_capacity(link, &res.name))
+        }));
+    }
+
+    /// Ground the instance on `dir`, resolving its variables through `var`
+    /// in a fixed order: formulas (conditions, effects, cost), then the
+    /// stream on both ends and the link resources.
+    pub(crate) fn instance(
+        &self,
+        p: &CppProblem,
+        dir: DirLink,
+        var: &mut impl FnMut(GVarData) -> GVarId,
+    ) -> Result<CrossInst, CompileError> {
+        let count = combo_count(&self.dims);
+        if count > MAX_COMBOS {
+            return Err(CompileError::TooManyCombinations {
+                schema: format!("cross({},{dir})", self.spec.name),
+                count,
+            });
+        }
+        // readers reference the `from` side; effect targets on the
+        // interface reference the `to` side (the stream after crossing)
+        let iface = self.iface;
+        let mut gv = |v: &SpecVar, write: bool| -> GVarId {
+            match v {
+                SpecVar::Iface { prop, .. } => {
+                    let pidx = self.spec.properties.iter().position(|n| n == prop).unwrap() as u8;
+                    let node = if write { dir.to } else { dir.from };
+                    var(GVarData::IfaceProp { iface, prop: pidx, node })
+                }
+                SpecVar::Link { res } => {
+                    var(GVarData::LinkRes { res: res_index(p, res, Locus::Link), link: dir.link })
+                }
+                SpecVar::Node { .. } => unreachable!("validated: no node vars in cross formulas"),
+            }
+        };
+        let conditions =
+            self.spec.cross_conditions.iter().map(|c| c.map_vars(&mut |v| gv(v, false))).collect();
+        let effects = self
+            .spec
+            .cross_effects
+            .iter()
+            .map(|e| {
+                let value = e.value.map_vars(&mut |v| gv(v, false));
+                // link-resource targets are consumed in place; interface
+                // targets materialize on the destination node
+                let target = gv(&e.target, matches!(e.target, SpecVar::Iface { .. }));
+                Effect { target, op: e.op, value }
+            })
+            .collect();
+        let cost = self.spec.cross_cost.map_vars(&mut |v| gv(v, false));
+        let formulas = Formulas { conditions, effects, cost };
+        let in_var = primary_var(p, iface, dir.from, var);
+        let out_var = primary_var(p, iface, dir.to, var);
+        let res_vars = self
+            .link_res
+            .iter()
+            .map(|&r| var(GVarData::LinkRes { res: r, link: dir.link }))
+            .collect();
+        let mut res_avail = Vec::new();
+        self.res_avail(p, dir.link, &mut res_avail);
+        Ok(CrossInst { dir, formulas, in_var, out_var, res_vars, res_avail })
+    }
+
+    /// Evaluate every level combination of `inst` against the static
+    /// pruning procedure, calling `visit` on each surviving variant in
+    /// emission order. Returns how many combinations were pruned.
+    pub(crate) fn variants(
+        &self,
+        inst: &CrossInst,
+        s: &mut Scratch,
+        mut visit: impl FnMut(&CrossVariant<'_>),
+    ) -> usize {
+        let Scratch { optimistic, levels, .. } = s;
+        let mut pruned = 0;
+        for_each_combo(&self.dims, |combo| {
+            let l_in = combo[0];
+            let link_levels = &combo[1..];
+
+            optimistic.clear();
+            levels.clear();
+            if let Some(v) = inst.in_var {
+                optimistic.push((v, self.level_spec.requirement(l_in)));
+                if !self.level_spec.is_trivial() {
+                    levels.push((v, l_in as u8));
+                }
+            }
+            for (k, &l) in link_levels.iter().enumerate() {
+                let iv = self.res_specs[k].requirement(l).intersect(&inst.res_avail[k]);
+                if iv.is_empty() {
+                    pruned += 1;
+                    return;
+                }
+                optimistic.push((inst.res_vars[k], iv));
+                if !self.res_specs[k].is_trivial() {
+                    levels.push((inst.res_vars[k], l as u8));
+                }
+            }
+
+            let mut env = |v: &GVarId| lookup(optimistic, *v);
+            if !inst.formulas.conditions.iter().all(|c| c.possibly(&mut env)) {
+                pruned += 1;
+                return;
+            }
+
+            // computed delivery range of the primary property
+            let mut delivered = Interval::nonneg();
+            for eff in inst.formulas.effects.iter() {
+                let val = eff.value.eval_interval(&mut env);
+                match eff.op {
+                    AssignOp::Set => {
+                        if Some(eff.target) == inst.out_var {
+                            delivered = val;
+                        }
+                    }
+                    AssignOp::Sub => {
+                        if lookup(optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
+                            pruned += 1;
+                            return;
+                        }
+                    }
+                    AssignOp::Add => {}
+                }
+            }
+
+            let cost = inst.formulas.cost.eval_interval(&mut env).lo.max(0.0);
+
+            let out_range = if inst.out_var.is_some() {
+                self.level_spec.intersecting_half_open(&delivered)
+            } else {
+                0..1
+            };
+            if out_range.is_empty() {
+                pruned += 1;
+                return;
+            }
+            for l_out in out_range {
+                visit(&CrossVariant { l_in, l_out, link_levels, optimistic, levels, cost });
+            }
+        });
+        pruned
+    }
+}
+
+// ------------------------------------------------------------- grounding
+
+struct Ctx<'p> {
+    p: &'p CppProblem,
+    task: PlanningTask,
+    /// The goal-relevant propositions; `None` builds every variant.
+    relevant: Option<Relevance>,
+    /// Level variants that survived static pruning, built or not.
+    counted: usize,
+    /// Level combinations discarded by static pruning.
+    pruned: usize,
+    // emission scratch; each built action copies out what it keeps
+    pre: Vec<PropId>,
+    adds: Vec<PropId>,
+    full: Vec<(GVarId, Interval)>,
+    name: String,
 }
 
 impl<'p> Ctx<'p> {
@@ -228,502 +795,189 @@ impl<'p> Ctx<'p> {
         }
     }
 
-    fn res_index(&self, name: &str, locus: Locus) -> u16 {
-        self.p
-            .resources
-            .iter()
-            .position(|r| r.name == name && r.locus == locus)
-            .expect("validated resource") as u16
-    }
-
-    /// Level spec of an interface's primary (first) property; trivial when
-    /// the interface has no properties.
-    fn primary_levels(&self, iface: IfaceId) -> LevelSpec {
-        let spec = self.p.iface(iface);
-        match spec.properties.first() {
-            Some(p) => spec.levels_of(p),
-            None => LevelSpec::trivial(),
-        }
-    }
-
-    fn primary_var(&mut self, iface: IfaceId, node: NodeId) -> Option<GVarId> {
-        if self.p.iface(iface).properties.is_empty() {
-            None
-        } else {
-            Some(self.intern_gvar(GVarData::IfaceProp { iface, prop: 0, node }))
-        }
-    }
-
-    /// Push the `Avail` effect propositions of producing `iface` at
-    /// `level` on `node`, with degradable downward closure.
-    fn avail_adds(&mut self, iface: IfaceId, node: NodeId, level: usize, adds: &mut Vec<PropId>) {
+    /// Push onto `self.adds` the `Avail` effect propositions of producing
+    /// `iface` at `level` on `node`, with degradable downward closure.
+    fn avail_adds(&mut self, iface: IfaceId, node: NodeId, level: usize) {
         let lo = if self.p.iface(iface).degradable { 0 } else { level };
         for l in lo..=level {
-            adds.push(self.intern_prop(PropData::Avail { iface, node, level: l as u8 }));
+            let id = self.intern_prop(PropData::Avail { iface, node, level: l as u8 });
+            self.adds.push(id);
         }
     }
 
     // ------------------------------------------------------ place grounding
 
-    fn ground_place_actions(&mut self) -> Result<(), CompileError> {
-        for ci in 0..self.p.components.len() {
-            let comp = CompId::from_index(ci);
-            for node in self.p.network.node_ids() {
-                if let Placement::Only(names) = &self.p.components[ci].placement {
-                    let nname = &self.p.network.node(node).name;
-                    if !names.contains(nname) {
-                        continue;
-                    }
-                }
-                self.ground_place_at(comp, node)?;
+    /// Ground every `place(comp, node)` instance of one schema: its
+    /// formulas once per node, then each feasible level variant.
+    fn ground_place(
+        &mut self,
+        schema: &PlaceSchema<'_>,
+        scratch: &mut Scratch,
+    ) -> Result<(), CompileError> {
+        let p = self.p;
+        for node in p.network.node_ids() {
+            if schema.allows(p, node) {
+                let inst = schema.instance(p, node, &mut |d| self.intern_gvar(d))?;
+                let pruned =
+                    schema.variants(&inst, scratch, |v| self.place_variant(schema, &inst, v));
+                self.pruned += pruned;
             }
         }
         Ok(())
     }
 
-    /// Ground one `place(comp, node)` schema instance: its formulas once,
-    /// then one action per feasible level combination, each sharing them.
-    /// Propositions are interned action by action, in emission order
-    /// (preconditions, `placed`, output closure); that order fixes every
-    /// `PropId`.
-    fn ground_place_at(&mut self, comp: CompId, node: NodeId) -> Result<(), CompileError> {
-        let p = self.p;
-        let spec = p.component(comp);
-
-        // interface-name → id within this component's scope
-        let req: Vec<IfaceId> =
-            spec.requires.iter().map(|n| p.iface_id(n).expect("validated")).collect();
-        let outs: Vec<IfaceId> =
-            spec.implements.iter().map(|n| p.iface_id(n).expect("validated")).collect();
-
-        // node resources mentioned anywhere in the schema's formulas
-        let mut node_res: Vec<u16> = Vec::new();
-        let mut collect = |v: &SpecVar| {
-            if let SpecVar::Node { res } = v {
-                let idx = self.res_index(res, Locus::Node);
-                if !node_res.contains(&idx) {
-                    node_res.push(idx);
-                }
-            }
-        };
-        for c in &spec.conditions {
-            c.for_each_var(&mut collect);
+    /// Count one place variant and intern its propositions in emission
+    /// order (preconditions, `placed`, output closure) — that order fixes
+    /// every `PropId` — then build it if it can contribute to a goal.
+    fn place_variant(&mut self, schema: &PlaceSchema<'_>, inst: &PlaceInst, v: &PlaceVariant<'_>) {
+        let (p, comp, node) = (self.p, schema.comp, inst.node);
+        self.counted += 1;
+        self.pre.clear();
+        for (&r, &l) in schema.req.iter().zip(v.in_levels) {
+            let id = self.intern_prop(PropData::Avail { iface: r, node, level: l as u8 });
+            self.pre.push(id);
         }
-        for e in &spec.effects {
-            e.for_each_var(&mut collect);
+        self.adds.clear();
+        let placed = self.intern_prop(PropData::Placed { comp, node });
+        self.adds.push(placed);
+        for (&o, &l) in schema.outs.iter().zip(v.out_levels) {
+            self.avail_adds(o, node, l);
         }
-        spec.cost.for_each_var(&mut collect);
-
-        // ground the formulas once per (comp, node)
-        let iface_in_scope: HashMap<&str, IfaceId> =
-            spec.scope().map(|n| (n, p.iface_id(n).expect("validated"))).collect();
-        let gv = |ctx: &mut Self, v: &SpecVar| -> GVarId {
-            match v {
-                SpecVar::Iface { iface, prop } => {
-                    let id = iface_in_scope[iface.as_str()];
-                    let pidx = p.iface(id).properties.iter().position(|n| n == prop).unwrap() as u8;
-                    ctx.intern_gvar(GVarData::IfaceProp { iface: id, prop: pidx, node })
-                }
-                SpecVar::Node { res } => {
-                    let idx = ctx.res_index(res, Locus::Node);
-                    ctx.intern_gvar(GVarData::NodeRes { res: idx, node })
-                }
-                SpecVar::Link { .. } => unreachable!("validated: no link vars in place formulas"),
-            }
-        };
-        let conditions: Arc<[Cond<GVarId>]> =
-            spec.conditions.iter().map(|c| c.map_vars(&mut |v| gv(self, v))).collect();
-        let effects: Arc<[Effect<GVarId>]> =
-            spec.effects.iter().map(|e| e.map_vars(&mut |v| gv(self, v))).collect();
-        let cost_expr = spec.cost.map_vars(&mut |v| gv(self, v));
-
-        let in_vars: Vec<Option<GVarId>> = req.iter().map(|&r| self.primary_var(r, node)).collect();
-        let in_specs: Vec<LevelSpec> = req.iter().map(|&r| self.primary_levels(r)).collect();
-        let res_vars: Vec<GVarId> = node_res
-            .iter()
-            .map(|&r| self.intern_gvar(GVarData::NodeRes { res: r, node }))
-            .collect();
-        let res_specs: Vec<&LevelSpec> =
-            node_res.iter().map(|&r| &p.resources[r as usize].levels).collect();
-        let res_avail: Vec<Interval> = node_res
-            .iter()
-            .map(|&r| {
-                let res = &p.resources[r as usize];
-                available(res.consumable, p.network.node_capacity(node, &res.name))
-            })
-            .collect();
-        let out_vars: Vec<Option<GVarId>> =
-            outs.iter().map(|&o| self.primary_var(o, node)).collect();
-        let out_specs: Vec<LevelSpec> = outs.iter().map(|&o| self.primary_levels(o)).collect();
-
-        let dims: Vec<usize> = in_specs
-            .iter()
-            .map(LevelSpec::num_levels)
-            .chain(res_specs.iter().map(|s| s.num_levels()))
-            .collect();
-        let count = combo_count(&dims);
-        if count > MAX_COMBOS {
-            return Err(CompileError::TooManyCombinations {
-                schema: format!("place({},{})", spec.name, p.network.node(node).name),
-                count,
-            });
+        if self.relevant.as_ref().is_some_and(|r| !r.place(comp, node, &schema.outs, v.out_levels))
+        {
+            return;
         }
 
-        let node_name = &p.network.node(node).name;
-        // per-combination scratch; each action copies out what it keeps
-        let mut optimistic: Vec<(GVarId, Interval)> = Vec::new();
-        let mut levels: Vec<(GVarId, u8)> = Vec::new();
-        let mut produced: Vec<(GVarId, Interval)> = Vec::new();
-        let mut out_options: Vec<Vec<usize>> = Vec::new();
-        let mut full: Vec<(GVarId, Interval)> = Vec::new();
-        let mut name = String::new();
-
-        for_each_combo(&dims, |combo| {
-            let (in_levels, res_levels) = combo.split_at(in_specs.len());
-
-            // optimistic map for this level assignment
-            optimistic.clear();
-            levels.clear();
-            for (k, &l) in in_levels.iter().enumerate() {
-                if let Some(v) = in_vars[k] {
-                    optimistic.push((v, in_specs[k].requirement(l)));
-                    levels.push((v, l as u8));
-                }
+        // full map including produced outputs, for the cost bound
+        self.full.clear();
+        self.full.extend_from_slice(v.optimistic);
+        let mut post = Vec::with_capacity(schema.outs.len());
+        let mut lv = Vec::with_capacity(v.levels.len() + schema.outs.len());
+        lv.extend_from_slice(v.levels);
+        for (k, ov) in inst.out_vars.iter().enumerate() {
+            if let Some(var) = *ov {
+                let claimed = schema.out_specs[k].requirement(v.out_levels[k]);
+                self.full.push((var, lookup(v.produced, var).intersect(&claimed)));
+                post.push((var, claimed));
+                lv.push((var, v.out_levels[k] as u8));
             }
-            for (k, &l) in res_levels.iter().enumerate() {
-                let iv = res_specs[k].requirement(l).intersect(&res_avail[k]);
-                if iv.is_empty() {
-                    self.pruned += 1;
-                    return;
-                }
-                optimistic.push((res_vars[k], iv));
-                if !res_specs[k].is_trivial() {
-                    levels.push((res_vars[k], l as u8));
-                }
+        }
+        let cost = inst.formulas.cost.eval_interval(&mut |x| lookup(&self.full, *x)).lo.max(0.0);
+
+        let name = &mut self.name;
+        name.clear();
+        let _ = write!(name, "place({},{})", schema.spec.name, p.network.node(node).name);
+        let mut sep = '[';
+        for (k, &l) in v.in_levels.iter().enumerate() {
+            if !schema.in_specs[k].is_trivial() {
+                let _ = write!(name, "{sep}{}={l}", p.iface(schema.req[k]).name);
+                sep = ',';
             }
-
-            let mut env = |v: &GVarId| lookup(&optimistic, *v);
-            if !conditions.iter().all(|c| c.possibly(&mut env)) {
-                self.pruned += 1;
-                return;
+        }
+        for (k, &o) in schema.outs.iter().enumerate() {
+            if !schema.out_specs[k].is_trivial() {
+                let _ = write!(name, "{sep}→{}={}", p.iface(o).name, v.out_levels[k]);
+                sep = ',';
             }
+        }
+        if sep == ',' {
+            name.push(']');
+        }
 
-            // evaluate effects against the pre-state
-            produced.clear();
-            for eff in effects.iter() {
-                let val = eff.value.eval_interval(&mut env);
-                match eff.op {
-                    AssignOp::Set => produced.push((eff.target, val)),
-                    AssignOp::Sub => {
-                        if lookup(&optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
-                            self.pruned += 1;
-                            return;
-                        }
-                    }
-                    AssignOp::Add => {}
-                }
-            }
-
-            // enumerate output levels from the computed ranges
-            out_options.clear();
-            for (k, ov) in out_vars.iter().enumerate() {
-                let opts = match ov {
-                    Some(v) => out_specs[k].intersecting_half_open(&lookup(&produced, *v)),
-                    None => vec![0],
-                };
-                if opts.is_empty() {
-                    self.pruned += 1;
-                    return;
-                }
-                out_options.push(opts);
-            }
-
-            let out_dims: Vec<usize> = out_options.iter().map(Vec::len).collect();
-            for_each_combo(&out_dims, |out_combo| {
-                let out_level = |k: usize| out_options[k][out_combo[k]];
-
-                // full map including produced outputs, for the cost bound
-                full.clone_from(&optimistic);
-                let mut post = Vec::with_capacity(outs.len());
-                let mut lv = Vec::with_capacity(levels.len() + outs.len());
-                lv.extend_from_slice(&levels);
-                for (k, ov) in out_vars.iter().enumerate() {
-                    if let Some(v) = *ov {
-                        let claimed = out_specs[k].requirement(out_level(k));
-                        full.push((v, lookup(&produced, v).intersect(&claimed)));
-                        post.push((v, claimed));
-                        lv.push((v, out_level(k) as u8));
-                    }
-                }
-                let cost = cost_expr.eval_interval(&mut |v| lookup(&full, *v)).lo.max(0.0);
-
-                name.clear();
-                let _ = write!(name, "place({},{node_name})", spec.name);
-                let mut sep = '[';
-                for (k, &l) in in_levels.iter().enumerate() {
-                    if !in_specs[k].is_trivial() {
-                        let _ = write!(name, "{sep}{}={l}", p.iface(req[k]).name);
-                        sep = ',';
-                    }
-                }
-                for (k, &o) in outs.iter().enumerate() {
-                    if !out_specs[k].is_trivial() {
-                        let _ = write!(name, "{sep}→{}={}", p.iface(o).name, out_level(k));
-                        sep = ',';
-                    }
-                }
-                if sep == ',' {
-                    name.push(']');
-                }
-
-                let mut preconds: Vec<PropId> = req
-                    .iter()
-                    .zip(in_levels)
-                    .map(|(&r, &l)| {
-                        self.intern_prop(PropData::Avail { iface: r, node, level: l as u8 })
-                    })
-                    .collect();
-                preconds.sort_unstable();
-                preconds.dedup();
-                let mut adds = vec![self.intern_prop(PropData::Placed { comp, node })];
-                for (k, &o) in outs.iter().enumerate() {
-                    self.avail_adds(o, node, out_level(k), &mut adds);
-                }
-                adds.sort_unstable();
-                adds.dedup();
-
-                self.task.actions.push(GroundAction {
-                    name: name.clone(),
-                    kind: ActionKind::Place { comp, node },
-                    preconds,
-                    adds,
-                    conditions: Arc::clone(&conditions),
-                    effects: Arc::clone(&effects),
-                    optimistic: optimistic.clone(),
-                    post,
-                    levels: lv,
-                    cost,
-                });
-            });
+        self.pre.sort_unstable();
+        self.pre.dedup();
+        self.adds.sort_unstable();
+        self.adds.dedup();
+        self.task.actions.push(GroundAction {
+            name: self.name.clone(),
+            kind: ActionKind::Place { comp, node },
+            preconds: self.pre.clone(),
+            adds: self.adds.clone(),
+            conditions: Arc::clone(&inst.formulas.conditions),
+            effects: Arc::clone(&inst.formulas.effects),
+            optimistic: v.optimistic.to_vec(),
+            post,
+            levels: lv,
+            cost,
         });
-        Ok(())
     }
 
     // ------------------------------------------------------ cross grounding
 
-    fn ground_cross_actions(&mut self) -> Result<(), CompileError> {
-        for ii in 0..self.p.interfaces.len() {
-            let iface = IfaceId::from_index(ii);
-            for dir in self.p.network.directed_links() {
-                self.ground_cross_at(iface, dir)?;
-            }
+    /// Ground every `cross(iface, link)` instance of one schema, in both
+    /// directions: its formulas once per direction, then each feasible
+    /// level variant.
+    fn ground_cross(
+        &mut self,
+        schema: &CrossSchema<'_>,
+        scratch: &mut Scratch,
+    ) -> Result<(), CompileError> {
+        let p = self.p;
+        for dir in p.network.directed_links() {
+            let inst = schema.instance(p, dir, &mut |d| self.intern_gvar(d))?;
+            let pruned = schema.variants(&inst, scratch, |v| self.cross_variant(schema, &inst, v));
+            self.pruned += pruned;
         }
         Ok(())
     }
 
-    /// Ground one `cross(iface, link)` schema instance in one direction:
-    /// its formulas once, then one action per feasible level combination,
-    /// each sharing them. Propositions are interned action by action, in
-    /// emission order (precondition, then output closure).
-    fn ground_cross_at(&mut self, iface: IfaceId, dir: DirLink) -> Result<(), CompileError> {
-        let p = self.p;
-        let spec = p.iface(iface);
+    /// Count one cross variant and intern its propositions in emission
+    /// order (precondition, then output closure), then build it if it can
+    /// contribute to a goal.
+    fn cross_variant(&mut self, schema: &CrossSchema<'_>, inst: &CrossInst, v: &CrossVariant<'_>) {
+        let (p, iface, dir) = (self.p, schema.iface, inst.dir);
+        self.counted += 1;
+        let pre = self.intern_prop(PropData::Avail { iface, node: dir.from, level: v.l_in as u8 });
+        self.adds.clear();
+        self.avail_adds(iface, dir.to, v.l_out);
+        if self.relevant.as_ref().is_some_and(|r| !r.cross(iface, dir.to, v.l_out)) {
+            return;
+        }
 
-        // link resources mentioned in cross formulas
-        let mut link_res: Vec<u16> = Vec::new();
-        let mut collect = |v: &SpecVar| {
-            if let SpecVar::Link { res } = v {
-                let idx = self.res_index(res, Locus::Link);
-                if !link_res.contains(&idx) {
-                    link_res.push(idx);
-                }
-            }
+        let post = match inst.out_var {
+            Some(var) => vec![(var, schema.level_spec.requirement(v.l_out))],
+            None => Vec::new(),
         };
-        for c in &spec.cross_conditions {
-            c.for_each_var(&mut collect);
-        }
-        for e in &spec.cross_effects {
-            e.for_each_var(&mut collect);
-        }
-        spec.cross_cost.for_each_var(&mut collect);
-
-        // readers reference the `from` side; effect targets on the
-        // interface reference the `to` side (the stream after crossing)
-        let gv = |ctx: &mut Self, v: &SpecVar, write: bool| -> GVarId {
-            match v {
-                SpecVar::Iface { prop, .. } => {
-                    let pidx = spec.properties.iter().position(|n| n == prop).unwrap() as u8;
-                    let node = if write { dir.to } else { dir.from };
-                    ctx.intern_gvar(GVarData::IfaceProp { iface, prop: pidx, node })
-                }
-                SpecVar::Link { res } => {
-                    let idx = ctx.res_index(res, Locus::Link);
-                    ctx.intern_gvar(GVarData::LinkRes { res: idx, link: dir.link })
-                }
-                SpecVar::Node { .. } => unreachable!("validated: no node vars in cross formulas"),
-            }
-        };
-        let conditions: Arc<[Cond<GVarId>]> =
-            spec.cross_conditions.iter().map(|c| c.map_vars(&mut |v| gv(self, v, false))).collect();
-        let effects: Arc<[Effect<GVarId>]> = spec
-            .cross_effects
-            .iter()
-            .map(|e| {
-                let value = e.value.map_vars(&mut |v| gv(self, v, false));
-                // link-resource targets are consumed in place; interface
-                // targets materialize on the destination node
-                let target = gv(self, &e.target, matches!(e.target, SpecVar::Iface { .. }));
-                Effect { target, op: e.op, value }
-            })
-            .collect();
-        let cost_expr = spec.cross_cost.map_vars(&mut |v| gv(self, v, false));
-
-        let in_var = self.primary_var(iface, dir.from);
-        let out_var = self.primary_var(iface, dir.to);
-        let level_spec = self.primary_levels(iface);
-        let res_vars: Vec<GVarId> = link_res
-            .iter()
-            .map(|&r| self.intern_gvar(GVarData::LinkRes { res: r, link: dir.link }))
-            .collect();
-        let res_specs: Vec<&LevelSpec> =
-            link_res.iter().map(|&r| &p.resources[r as usize].levels).collect();
-        let res_avail: Vec<Interval> = link_res
-            .iter()
-            .map(|&r| {
-                let res = &p.resources[r as usize];
-                available(res.consumable, p.network.link_capacity(dir.link, &res.name))
-            })
-            .collect();
-
-        let dims: Vec<usize> = std::iter::once(level_spec.num_levels())
-            .chain(res_specs.iter().map(|s| s.num_levels()))
-            .collect();
-        let count = combo_count(&dims);
-        if count > MAX_COMBOS {
-            return Err(CompileError::TooManyCombinations {
-                schema: format!("cross({},{dir})", spec.name),
-                count,
-            });
+        let mut lv = Vec::with_capacity(v.levels.len() + 1);
+        lv.extend_from_slice(v.levels);
+        if let (Some(var), false) = (inst.out_var, schema.level_spec.is_trivial()) {
+            lv.push((var, v.l_out as u8));
         }
 
-        let from_name = &p.network.node(dir.from).name;
-        let to_name = &p.network.node(dir.to).name;
-        // per-combination scratch; each action copies out what it keeps
-        let mut optimistic: Vec<(GVarId, Interval)> = Vec::new();
-        let mut levels: Vec<(GVarId, u8)> = Vec::new();
-        let mut name = String::new();
-
-        for_each_combo(&dims, |combo| {
-            let l_in = combo[0];
-            let link_levels = &combo[1..];
-
-            optimistic.clear();
-            levels.clear();
-            if let Some(v) = in_var {
-                optimistic.push((v, level_spec.requirement(l_in)));
-                if !level_spec.is_trivial() {
-                    levels.push((v, l_in as u8));
-                }
+        let name = &mut self.name;
+        name.clear();
+        let from = &p.network.node(dir.from).name;
+        let to = &p.network.node(dir.to).name;
+        let _ = write!(name, "cross({},{from}→{to})", schema.spec.name);
+        let mut sep = '[';
+        if !schema.level_spec.is_trivial() {
+            let _ = write!(name, "{sep}in={},out={}", v.l_in, v.l_out);
+            sep = ',';
+        }
+        for (k, &l) in v.link_levels.iter().enumerate() {
+            if !schema.res_specs[k].is_trivial() {
+                let _ = write!(name, "{sep}{}={l}", p.resources[schema.link_res[k] as usize].name);
+                sep = ',';
             }
-            for (k, &l) in link_levels.iter().enumerate() {
-                let iv = res_specs[k].requirement(l).intersect(&res_avail[k]);
-                if iv.is_empty() {
-                    self.pruned += 1;
-                    return;
-                }
-                optimistic.push((res_vars[k], iv));
-                if !res_specs[k].is_trivial() {
-                    levels.push((res_vars[k], l as u8));
-                }
-            }
+        }
+        if sep == ',' {
+            name.push(']');
+        }
 
-            let mut env = |v: &GVarId| lookup(&optimistic, *v);
-            if !conditions.iter().all(|c| c.possibly(&mut env)) {
-                self.pruned += 1;
-                return;
-            }
-
-            // computed delivery range of the primary property
-            let mut delivered = Interval::nonneg();
-            for eff in effects.iter() {
-                let val = eff.value.eval_interval(&mut env);
-                match eff.op {
-                    AssignOp::Set => {
-                        if Some(eff.target) == out_var {
-                            delivered = val;
-                        }
-                    }
-                    AssignOp::Sub => {
-                        if lookup(&optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
-                            self.pruned += 1;
-                            return;
-                        }
-                    }
-                    AssignOp::Add => {}
-                }
-            }
-
-            let cost = cost_expr.eval_interval(&mut env).lo.max(0.0);
-
-            let out_opts = if out_var.is_some() {
-                level_spec.intersecting_half_open(&delivered)
-            } else {
-                vec![0]
-            };
-            if out_opts.is_empty() {
-                self.pruned += 1;
-                return;
-            }
-            for l_out in out_opts {
-                let post = match out_var {
-                    Some(v) => vec![(v, level_spec.requirement(l_out))],
-                    None => Vec::new(),
-                };
-                let mut lv = Vec::with_capacity(levels.len() + 1);
-                lv.extend_from_slice(&levels);
-                if let (Some(v), false) = (out_var, level_spec.is_trivial()) {
-                    lv.push((v, l_out as u8));
-                }
-
-                name.clear();
-                let _ = write!(name, "cross({},{from_name}→{to_name})", spec.name);
-                let mut sep = '[';
-                if !level_spec.is_trivial() {
-                    let _ = write!(name, "{sep}in={l_in},out={l_out}");
-                    sep = ',';
-                }
-                for (k, &l) in link_levels.iter().enumerate() {
-                    if !res_specs[k].is_trivial() {
-                        let _ = write!(name, "{sep}{}={l}", p.resources[link_res[k] as usize].name);
-                        sep = ',';
-                    }
-                }
-                if sep == ',' {
-                    name.push(']');
-                }
-
-                let pre =
-                    self.intern_prop(PropData::Avail { iface, node: dir.from, level: l_in as u8 });
-                let mut adds = Vec::with_capacity(l_out + 1);
-                self.avail_adds(iface, dir.to, l_out, &mut adds);
-                adds.sort_unstable();
-                adds.dedup();
-
-                self.task.actions.push(GroundAction {
-                    name: name.clone(),
-                    kind: ActionKind::Cross { iface, dir },
-                    preconds: vec![pre],
-                    adds,
-                    conditions: Arc::clone(&conditions),
-                    effects: Arc::clone(&effects),
-                    optimistic: optimistic.clone(),
-                    post,
-                    levels: lv,
-                    cost,
-                });
-            }
+        self.adds.sort_unstable();
+        self.adds.dedup();
+        self.task.actions.push(GroundAction {
+            name: self.name.clone(),
+            kind: ActionKind::Cross { iface, dir },
+            preconds: vec![pre],
+            adds: self.adds.clone(),
+            conditions: Arc::clone(&inst.formulas.conditions),
+            effects: Arc::clone(&inst.formulas.effects),
+            optimistic: v.optimistic.to_vec(),
+            post,
+            levels: lv,
+            cost: v.cost,
         });
-        Ok(())
     }
 
     // --------------------------------------------------------- init & goals
@@ -733,7 +987,7 @@ impl<'p> Ctx<'p> {
         // stream sources: every level their producible range reaches
         for s in &p.sources {
             let iface = p.iface_id(&s.iface).expect("validated");
-            let spec = self.primary_levels(iface);
+            let spec = primary_levels(p, iface);
             let props = &p.iface(iface).properties;
             if let Some(primary) = props.first() {
                 let range = s.properties.get(primary).copied().unwrap_or_else(Interval::nonneg);
@@ -814,7 +1068,8 @@ impl<'p> Ctx<'p> {
         // achievers index (flat CSR)
         self.task.achievers = crate::task::AchieverIndex::build(np, &self.task.actions);
         self.task.stats = crate::task::CompileStats {
-            actions: self.task.actions.len(),
+            actions: self.counted,
+            built: self.task.actions.len(),
             pruned: self.pruned,
             props: np,
             gvars: self.task.gvars.len(),
@@ -823,7 +1078,6 @@ impl<'p> Ctx<'p> {
         };
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,7 +1087,7 @@ mod tests {
     #[test]
     fn compile_tiny_scenario_a() {
         let p = scenarios::tiny(LevelScenario::A);
-        let t = compile(&p).unwrap();
+        let t = compile_full(&p).unwrap();
         assert!(t.num_actions() > 0);
         assert!(!t.goal_props.is_empty());
         assert!(!t.init_props.is_empty());
@@ -845,10 +1099,10 @@ mod tests {
 
     #[test]
     fn leveling_multiplies_actions() {
-        let a = compile(&scenarios::tiny(LevelScenario::A)).unwrap().num_actions();
-        let b = compile(&scenarios::tiny(LevelScenario::B)).unwrap().num_actions();
-        let d = compile(&scenarios::tiny(LevelScenario::D)).unwrap().num_actions();
-        let e = compile(&scenarios::tiny(LevelScenario::E)).unwrap().num_actions();
+        let a = compile(&scenarios::tiny(LevelScenario::A)).unwrap().stats.actions;
+        let b = compile(&scenarios::tiny(LevelScenario::B)).unwrap().stats.actions;
+        let d = compile(&scenarios::tiny(LevelScenario::D)).unwrap().stats.actions;
+        let e = compile(&scenarios::tiny(LevelScenario::E)).unwrap().stats.actions;
         assert!(a < b && b < d && d < e, "{a} < {b} < {d} < {e} expected");
     }
 

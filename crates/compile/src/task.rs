@@ -125,8 +125,12 @@ pub struct GroundAction {
 /// Compilation statistics (feeds Table 2 column 5).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompileStats {
-    /// Ground actions emitted after leveling and pruning.
+    /// Ground actions after leveling and pruning: the full grounding's
+    /// count (Table 2 column 5), whether built or not.
     pub actions: usize,
+    /// Ground actions built: the goal-relevant slice of `actions`
+    /// ([`crate::compile`]), or all of them ([`crate::compile_full`]).
+    pub built: usize,
     /// Level combinations discarded by the static pruning procedure.
     pub pruned: usize,
     /// Ground propositions created.
@@ -231,7 +235,8 @@ pub struct PlanningTask {
 }
 
 impl PlanningTask {
-    /// Number of ground actions.
+    /// Number of ground actions in the task: the built ones, of the
+    /// `stats.actions` the full grounding counts.
     pub fn num_actions(&self) -> usize {
         self.actions.len()
     }

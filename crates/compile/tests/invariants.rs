@@ -3,9 +3,13 @@
 //! compiled task must be a faithful skeleton of the problem.
 
 use proptest::prelude::*;
-use sekitei_compile::{compile, ActionKind, GVarData, NodeOrbits, PlanningTask, PropData};
-use sekitei_model::{CppProblem, Expr, GVarId, Interval, LevelScenario, MediaConfig};
+use sekitei_compile::{
+    compile, compile_full, node_orbits, signature_classes, AchieverIndex, ActionKind, CompileStats,
+    GVarData, NodeOrbits, PlanningTask, PropData,
+};
+use sekitei_model::{CppProblem, Expr, GVarId, Interval, LevelScenario, MediaConfig, PropId};
 use sekitei_topology::scenarios::{self, RandomMediaConfig, RandomModel};
+use std::time::Duration;
 
 fn check_invariants(_p: &CppProblem, task: &PlanningTask) -> Result<(), TestCaseError> {
     // proposition table is consistent with the index
@@ -463,10 +467,46 @@ impl Digest {
     }
 }
 
-/// Structural digests of the Table 2 grid and a seeded random-network
-/// grid, recorded before the grounder shared formulas across level
-/// variants. Compilation must reproduce every field bit for bit.
+/// Structural digests of the goal-relevant tasks [`compile`] builds for
+/// the Table 2 grid and a seeded random-network grid: each is the task
+/// [`compile_full`] builds cut to its goal-relevant slice
+/// (`built_task_is_the_full_task_cut_to_its_goal_relevant_slice`).
+/// Compilation must reproduce every field bit for bit.
 const TASK_DIGESTS: &[(&str, u64)] = &[
+    ("tiny/A", 0x8401f1cef3f030fe),
+    ("small/A", 0xe5092ffc675b5e03),
+    ("large/A", 0x188ee1b903f72ebb),
+    ("tiny/B", 0xf039fd864c241d4b),
+    ("small/B", 0xe01304a10383db24),
+    ("large/B", 0x8dd1985738404aa6),
+    ("tiny/C", 0x25712a2839210652),
+    ("small/C", 0x7a29a0720d0bb005),
+    ("large/C", 0xb65c6ce20671fa8b),
+    ("tiny/D", 0x88425cdf4859ac8d),
+    ("small/D", 0x77eec8e8d9b1b61f),
+    ("large/D", 0x0b34f7a57d37efb3),
+    ("tiny/E", 0x86519fe5883f629e),
+    ("small/E", 0x94c6b4a467b19f1c),
+    ("large/E", 0xeb0e24c712a87db9),
+    ("Waxman10/A", 0x91b2b293a4a60aa8),
+    ("Waxman10/C", 0x465aa12a5f7bf100),
+    ("Waxman10/E", 0x1f9dcd03e317ed29),
+    ("Waxman16/A", 0x830f198f14b9c13f),
+    ("Waxman16/C", 0x78fdf18889ad42b3),
+    ("Waxman16/E", 0x953211efadc2deda),
+    ("BarabasiAlbert10/A", 0x7ecadd0e2be77103),
+    ("BarabasiAlbert10/C", 0xfd0c33432357257e),
+    ("BarabasiAlbert10/E", 0x69e382f94bf663dc),
+    ("BarabasiAlbert16/A", 0x89b4141f048d0b3b),
+    ("BarabasiAlbert16/C", 0x4715c42700fbf747),
+    ("BarabasiAlbert16/E", 0xeb104697ae8ec5e5),
+];
+
+/// Structural digests of every task [`compile_full`] builds on the same
+/// grid, recorded before the grounder shared formulas across level
+/// variants. The full grounding is the grounder with the goal-relevance
+/// closure off, so it must still reproduce them bit for bit.
+const FULL_DIGESTS: &[(&str, u64)] = &[
     ("tiny/A", 0xd052332af3b16385),
     ("small/A", 0x68ee1a40b99f1bbb),
     ("large/A", 0xbe1252c15905f834),
@@ -496,8 +536,9 @@ const TASK_DIGESTS: &[(&str, u64)] = &[
     ("BarabasiAlbert16/E", 0x3f3bfc8afe5acf3d),
 ];
 
-#[test]
-fn compiled_tasks_match_their_recorded_digests() {
+/// The Table 2 grid, then Waxman and Barabási–Albert networks of 10 and 16
+/// nodes at levels A, C and E.
+fn digest_grid() -> Vec<(String, CppProblem)> {
     let mut grid: Vec<(String, CppProblem)> = Vec::new();
     for sc in LevelScenario::ALL {
         grid.push((format!("tiny/{sc:?}"), scenarios::tiny(sc)));
@@ -518,15 +559,144 @@ fn compiled_tasks_match_their_recorded_digests() {
             }
         }
     }
-    let got: Vec<(String, u64)> = grid
-        .iter()
-        .map(|(name, p)| {
-            let mut d = Digest(0xcbf29ce484222325);
-            d.task(&compile(p).unwrap());
-            (name.clone(), d.0)
-        })
-        .collect();
-    let want: Vec<(String, u64)> = TASK_DIGESTS.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    grid
+}
+
+fn digest(t: &PlanningTask) -> u64 {
+    let mut d = Digest(0xcbf29ce484222325);
+    d.task(t);
+    d.0
+}
+
+/// Compile the digest grid with `compile` and compare against `want`.
+fn check_digests(want: &[(&str, u64)], compile: fn(&CppProblem) -> PlanningTask) {
+    let got: Vec<(String, u64)> =
+        digest_grid().iter().map(|(name, p)| (name.clone(), digest(&compile(p)))).collect();
+    let want: Vec<(String, u64)> = want.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     let table: String = got.iter().map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n")).collect();
     assert!(got == want, "compiled task digests changed; now:\n{table}");
+}
+
+#[test]
+fn compiled_tasks_match_their_recorded_digests() {
+    check_digests(TASK_DIGESTS, |p| compile(p).unwrap());
+}
+
+#[test]
+fn full_grounding_matches_the_recorded_digests() {
+    check_digests(FULL_DIGESTS, |p| compile_full(p).unwrap());
+}
+
+/// The PLRG's goal-relevant slice of a task (paper §3.2.1), recomputed
+/// from its ground actions without costs: the actions that can fire from
+/// the initial state and add a reachable proposition the goals need.
+fn goal_relevant_slice(t: &PlanningTask) -> Vec<bool> {
+    let mut reached = t.init_mask.clone();
+    let mut fires = vec![false; t.num_actions()];
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for (i, a) in t.actions.iter().enumerate() {
+            if !fires[i] && a.preconds.iter().all(|p| reached[p.index()]) {
+                fires[i] = true;
+                grew = true;
+                for p in &a.adds {
+                    reached[p.index()] = true;
+                }
+            }
+        }
+    }
+    let mut needed = vec![false; t.num_props()];
+    let mut relevant = vec![false; t.num_actions()];
+    let mut stack: Vec<PropId> = Vec::new();
+    for &g in &t.goal_props {
+        if reached[g.index()] && !needed[g.index()] {
+            needed[g.index()] = true;
+            stack.push(g);
+        }
+    }
+    while let Some(p) = stack.pop() {
+        for &a in t.achievers(p) {
+            if !fires[a.index()] || relevant[a.index()] {
+                continue;
+            }
+            relevant[a.index()] = true;
+            for &q in &t.action(a).preconds {
+                if reached[q.index()] && !needed[q.index()] {
+                    needed[q.index()] = true;
+                    stack.push(q);
+                }
+            }
+        }
+    }
+    relevant
+}
+
+/// `full` without the actions outside its goal-relevant slice: achievers
+/// rebuilt, symmetry classes recomputed, everything else as it was.
+fn cut_to_slice(full: &PlanningTask, num_nodes: usize) -> PlanningTask {
+    let keep = goal_relevant_slice(full);
+    let mut cut = full.clone();
+    cut.actions =
+        full.actions.iter().zip(&keep).filter(|(_, &k)| k).map(|(a, _)| a.clone()).collect();
+    cut.achievers = AchieverIndex::build(cut.num_props(), &cut.actions);
+    cut.orbits = node_orbits(&cut, num_nodes);
+    cut.sig_classes = signature_classes(&cut, num_nodes);
+    cut.stats.built = cut.num_actions();
+    cut
+}
+
+#[test]
+fn built_task_is_the_full_task_cut_to_its_goal_relevant_slice() {
+    for (name, p) in digest_grid() {
+        let full = compile_full(&p).unwrap();
+        let built = compile(&p).unwrap();
+        let cut = cut_to_slice(&full, p.network.num_nodes());
+        // every proposition and variable keeps its id
+        assert_eq!(built.props, full.props, "{name}: propositions");
+        assert_eq!(built.prop_names, full.prop_names, "{name}");
+        assert_eq!(built.gvars, full.gvars, "{name}: variables");
+        assert_eq!(built.gvar_names, full.gvar_names, "{name}");
+        assert_eq!(built.init_props, full.init_props, "{name}");
+        assert_eq!(built.goal_props, full.goal_props, "{name}");
+        // the built actions are the slice, in the full grounding's order
+        let names = |t: &PlanningTask| t.actions.iter().map(|a| a.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&built), names(&cut), "{name}: built actions");
+        // and so is every other field, bit for bit
+        assert_eq!(digest(&built), digest(&cut), "{name}: task digest");
+        let stats =
+            |t: &PlanningTask| CompileStats { compile_time: Duration::ZERO, ..t.stats.clone() };
+        assert_eq!(stats(&built), stats(&cut), "{name}: stats");
+        assert_eq!(stats(&full), CompileStats { built: full.stats.actions, ..stats(&cut) });
+    }
+}
+
+#[test]
+fn built_and_full_action_counts_are_pinned() {
+    // (built, full) per Table 2 scenario A–E; the full count is Table 2
+    // column 5
+    let want: [(&str, [(usize, usize); 5]); 3] = [
+        ("tiny", [(17, 18), (38, 40), (34, 68), (34, 150), (46, 230)]),
+        ("small", [(65, 70), (166, 176), (162, 316), (162, 718), (222, 1118)]),
+        ("large", [(1525, 1617), (4154, 4338), (4106, 8118), (4106, 19158), (5834, 30678)]),
+    ];
+    let mut got = String::new();
+    for (size, _) in want {
+        let counts: Vec<(usize, usize)> = LevelScenario::ALL
+            .iter()
+            .map(|&sc| {
+                let p = match size {
+                    "tiny" => scenarios::tiny(sc),
+                    "small" => scenarios::small(sc),
+                    _ => scenarios::large(sc),
+                };
+                let s = compile(&p).unwrap().stats;
+                (s.built, s.actions)
+            })
+            .collect();
+        got.push_str(&format!("        (\"{size}\", {counts:?}),\n"));
+    }
+    let want: String =
+        want.iter().map(|(size, c)| format!("        (\"{size}\", {c:?}),\n")).collect();
+    assert!(got == want, "built and full action counts changed; now:\n{got}");
 }

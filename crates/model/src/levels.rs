@@ -10,6 +10,7 @@
 use crate::interval::{Interval, EPS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Shave applied to finite upper bounds when a level interval is used as a
 /// *requirement* (optimistic-map entry): levels are half-open `[c_i,
@@ -103,14 +104,16 @@ impl LevelSpec {
         Some(self.level_of(iv.hi.min(f64::MAX)))
     }
 
-    /// All level indices whose interval intersects `iv`.
-    pub fn intersecting(&self, iv: &Interval) -> Vec<usize> {
+    /// All level indices whose interval intersects `iv`. Levels are
+    /// consecutive, so they form a range (empty when `iv` is empty or
+    /// entirely negative).
+    pub fn intersecting(&self, iv: &Interval) -> Range<usize> {
         if iv.is_empty() || iv.hi < 0.0 {
-            return Vec::new();
+            return 0..0;
         }
         let lo_lvl = self.level_of(iv.lo.max(0.0));
         let hi_lvl = self.level_of(iv.hi.min(f64::MAX));
-        (lo_lvl..=hi_lvl).collect()
+        lo_lvl..hi_lvl + 1
     }
 
     /// Like [`Self::intersecting`], but treating `iv` as half-open
@@ -119,16 +122,16 @@ impl LevelSpec {
     /// which inherit half-open tops from the level intervals they were
     /// derived from (e.g. `0.7 · [90, 100)` should map to T-level
     /// `[63, 70)` only, not also to `[70, …)`).
-    pub fn intersecting_half_open(&self, iv: &Interval) -> Vec<usize> {
+    pub fn intersecting_half_open(&self, iv: &Interval) -> Range<usize> {
         if iv.is_empty() || iv.hi < 0.0 {
-            return Vec::new();
+            return 0..0;
         }
         let lo_lvl = self.level_of(iv.lo.max(0.0));
         let mut hi_lvl = self.level_of(iv.hi.min(f64::MAX));
         if hi_lvl > lo_lvl && self.interval(hi_lvl).lo >= iv.hi - EPS {
             hi_lvl -= 1;
         }
-        (lo_lvl..=hi_lvl).collect()
+        lo_lvl..hi_lvl + 1
     }
 
     /// A spec with every cutpoint multiplied by `factor` — used for
@@ -232,9 +235,12 @@ mod tests {
     #[test]
     fn intersecting_levels() {
         let s = scenario_d();
-        assert_eq!(s.intersecting(&Interval::new(0.0, 70.0)), vec![0, 1, 2]);
-        assert_eq!(s.intersecting(&Interval::new(95.0, 95.0)), vec![3]);
-        assert_eq!(s.intersecting(&Interval::new(0.0, 200.0)), vec![0, 1, 2, 3, 4]);
+        assert_eq!(s.intersecting(&Interval::new(0.0, 70.0)).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(s.intersecting(&Interval::new(95.0, 95.0)).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(
+            s.intersecting(&Interval::new(0.0, 200.0)).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
         assert!(s.intersecting(&Interval::empty()).is_empty());
         assert_eq!(s.highest_intersecting(&Interval::new(0.0, 200.0)), Some(4));
         assert_eq!(s.highest_intersecting(&Interval::new(0.0, 69.0)), Some(1));
@@ -245,13 +251,19 @@ mod tests {
     fn half_open_intersection_excludes_touching_top() {
         let t = scenario_d().scaled(0.7); // cutpoints 21, 49, 63, 70
                                           // 0.7 · [90, 100) = [63, 70): only level 3
-        assert_eq!(t.intersecting_half_open(&Interval::new(63.0, 70.0)), vec![3]);
+        assert_eq!(
+            t.intersecting_half_open(&Interval::new(63.0, 70.0)).collect::<Vec<_>>(),
+            vec![3]
+        );
         // closed query would include level 4 too
-        assert_eq!(t.intersecting(&Interval::new(63.0, 70.0)), vec![3, 4]);
+        assert_eq!(t.intersecting(&Interval::new(63.0, 70.0)).collect::<Vec<_>>(), vec![3, 4]);
         // a range genuinely reaching past 70 keeps level 4
-        assert_eq!(t.intersecting_half_open(&Interval::new(63.0, 71.0)), vec![3, 4]);
+        assert_eq!(
+            t.intersecting_half_open(&Interval::new(63.0, 71.0)).collect::<Vec<_>>(),
+            vec![3, 4]
+        );
         // degenerate point at a cutpoint stays in its half-open home
-        assert_eq!(t.intersecting_half_open(&Interval::point(70.0)), vec![4]);
+        assert_eq!(t.intersecting_half_open(&Interval::point(70.0)).collect::<Vec<_>>(), vec![4]);
         assert!(t.intersecting_half_open(&Interval::empty()).is_empty());
     }
 

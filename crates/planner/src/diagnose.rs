@@ -11,7 +11,7 @@
 use crate::plan::Plan;
 use crate::plrg::Plrg;
 use crate::{PlanError, Planner, PlannerConfig};
-use sekitei_compile::{compile, PropData};
+use sekitei_compile::{compile_full, PropData};
 use sekitei_model::CppProblem;
 
 /// Outcome of a diagnosis.
@@ -75,8 +75,12 @@ impl std::fmt::Display for Diagnosis {
 }
 
 /// Diagnose a problem instance.
+///
+/// Works on the full grounding ([`compile_full`]): whether the goal
+/// component can be deployed on some *other* node is a question about
+/// actions outside the goal-relevant slice the planner builds.
 pub fn diagnose(problem: &CppProblem, config: &PlannerConfig) -> Result<Diagnosis, PlanError> {
-    let task = compile(problem)?;
+    let task = compile_full(problem)?;
     let plrg = Plrg::build(&task);
 
     if !plrg.solvable(&task) {
@@ -173,6 +177,27 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(d.to_string().contains("unreachable"));
+    }
+
+    #[test]
+    fn thin_link_leaves_the_client_deployable_elsewhere() {
+        // a 10-unit link starves n1 of the M stream, but the client could
+        // still run beside the server on n0 — an action outside the
+        // goal-relevant slice the planner builds
+        let mut p = scenarios::tiny(LevelScenario::C);
+        let link = p.network.link_ids().next().unwrap();
+        p.network.set_link_capacity(link, "lbw", 10.0);
+        let d = diagnose(&p, &PlannerConfig::default()).unwrap();
+        match &d {
+            Diagnosis::LogicallyUnreachable { reasons } => {
+                assert_eq!(reasons.len(), 1, "{reasons:?}");
+                assert!(
+                    reasons[0].starts_with("`Client` is deployable elsewhere but not on `n1`"),
+                    "{reasons:?}"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

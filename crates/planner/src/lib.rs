@@ -146,7 +146,8 @@ impl Default for PlannerConfig {
 /// Statistics of one planning run — everything Table 2 reports.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
-    /// Ground actions after leveling and pruning (col 5).
+    /// Ground actions after leveling and pruning (col 5): the full
+    /// grounding's count, of which [`CompileStats::built`] were built.
     pub total_actions: usize,
     /// PLRG proposition nodes (col 6, first).
     pub plrg_props: usize,
@@ -154,6 +155,10 @@ pub struct PlannerStats {
     pub plrg_actions: usize,
     /// SLRG set nodes generated (col 7).
     pub slrg_nodes: usize,
+    /// SLRG queries that stopped at their expansion budget
+    /// ([`PlannerConfig::slrg_budget`]) and answered with the bound their
+    /// open list had reached.
+    pub slrg_budget_exhausted: usize,
     /// RG nodes created (col 8, first).
     pub rg_nodes: usize,
     /// RG nodes still open at solution time (col 8, second).
@@ -215,10 +220,11 @@ impl std::fmt::Display for PlannerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} ground actions ({} pruned), PLRG {}/{}, SLRG {}, RG {}/{} \
+            "{} ground actions ({} built, {} pruned), PLRG {}/{}, SLRG {}, RG {}/{} \
              ({} replay-pruned, {} dominance-pruned, {} symmetry-pruned, \
              {} reopened, {} candidates rejected), time {:?} ({:?} search){}",
             self.total_actions,
+            self.compile.built,
             self.compile.pruned,
             self.plrg_props,
             self.plrg_actions,
@@ -369,7 +375,7 @@ impl Planner {
             Plrg::build(&task)
         };
         let mut stats = PlannerStats {
-            total_actions: task.num_actions(),
+            total_actions: task.stats.actions,
             compile: task.stats.clone(),
             ..PlannerStats::default()
         };
@@ -421,6 +427,7 @@ impl Planner {
                     sekitei_obs::event("rg_reopened", r.reopened as u64);
                     sekitei_obs::event("candidate_rejects", r.candidate_rejects as u64);
                     sekitei_obs::event("slrg_memo_hits", st.cache_hits as u64);
+                    sekitei_obs::event("slrg_budget_exhausted", st.budget_exhausted as u64);
                     sekitei_obs::event("pool_sets", slrg.pool().len() as u64);
                     if r.budget_exhausted {
                         sekitei_obs::event("budget_exhausted", 1);
@@ -435,6 +442,7 @@ impl Planner {
                 r
             };
             stats.slrg_nodes = slrg.stats().nodes;
+            stats.slrg_budget_exhausted = slrg.stats().budget_exhausted;
             stats.rg_nodes = r.nodes_created;
             stats.rg_open_left = r.open_left;
             stats.replay_prunes = r.replay_prunes;
@@ -610,6 +618,34 @@ mod tests {
                 assert!(w[0].1 <= w[1].1, "run {i}: cost fell from {} to {}", w[0].1, w[1].1);
             }
         }
+    }
+
+    #[test]
+    fn slrg_budget_hits_are_counted_and_traced() {
+        let problem = scenarios::tiny(LevelScenario::C);
+        let roomy = Planner::default().plan(&problem).unwrap().stats;
+        assert_eq!(roomy.slrg_budget_exhausted, 0);
+
+        let tight = Planner::new(PlannerConfig { slrg_budget: 1, ..PlannerConfig::default() });
+        sekitei_obs::enable();
+        let root = sekitei_obs::span("test");
+        let root_id = root.id();
+        let stats = tight.plan(&problem).unwrap().stats;
+        drop(root);
+        sekitei_obs::disable();
+        let records = sekitei_obs::take_trace().records;
+        assert!(stats.slrg_budget_exhausted > 0, "{stats}");
+        // the event sits in this run's `rg` span, beside `slrg_memo_hits`
+        let child = |parent: u64, name: &str| {
+            records.iter().find(|r| r.is_span() && r.name == name && r.parent == parent).unwrap().id
+        };
+        let rg = child(child(root_id, "plan"), "rg");
+        let traced: Vec<u64> = records
+            .iter()
+            .filter(|r| r.parent == rg && r.name == "slrg_budget_exhausted")
+            .map(|r| r.value)
+            .collect();
+        assert_eq!(traced, [stats.slrg_budget_exhausted as u64]);
     }
 
     #[test]

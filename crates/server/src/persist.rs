@@ -44,13 +44,21 @@ pub struct LoadedOutcome {
     pub payload: Vec<u8>,
 }
 
-/// Hash the planner configuration and crate version into the fingerprint
-/// a snapshot file is bound to. `PlannerConfig`'s `Debug` form covers
-/// every field, so any knob that changes search results (budgets,
-/// heuristic, deadline, drain mode, …) invalidates the file, as does a
-/// version bump that could change plan encoding.
+/// The compiled-task layout cached certificates are bound to. A
+/// certificate names action ids and the task fingerprint, both of which
+/// move when the grounder changes which actions it builds; bump this when
+/// it does, so that files written before the change cold-start.
+const COMPILE_FORMAT: &str = "goal-relevant";
+
+/// Hash the planner configuration, crate version and compile format into
+/// the fingerprint a snapshot file is bound to. `PlannerConfig`'s `Debug`
+/// form covers every field, so any knob that changes search results
+/// (budgets, heuristic, deadline, drain mode, …) invalidates the file, as
+/// does a version bump that could change plan encoding or a grounder that
+/// builds a different task (`COMPILE_FORMAT`).
 pub fn config_fingerprint(cfg: &PlannerConfig) -> u64 {
-    let text = format!("sks1 v1 | {} | {cfg:?}", env!("CARGO_PKG_VERSION"));
+    let text =
+        format!("sks1 v1 | {} | compile {COMPILE_FORMAT} | {cfg:?}", env!("CARGO_PKG_VERSION"));
     crate::cache::content_hash(text.as_bytes())
 }
 
@@ -236,6 +244,25 @@ mod tests {
         let snap = open_snapshot(&path, 2).unwrap();
         assert_eq!(snap.loaded.len(), 1);
         assert_eq!(snap.loaded[0].key, 8);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn snapshots_stamped_before_the_compile_format_tag_cold_start() {
+        // outcomes cached before goal-relevant grounding carry certificates
+        // bound to the full task's action ids and fingerprint
+        let cfg = PlannerConfig::default();
+        let text = format!("sks1 v1 | {} | {cfg:?}", env!("CARGO_PKG_VERSION"));
+        let old = crate::cache::content_hash(text.as_bytes());
+        assert_ne!(old, config_fingerprint(&cfg));
+        let path = tmp_path("compile_format");
+        {
+            let snap = open_snapshot(&path, old).unwrap();
+            snap.appender.append(7, OutcomeClass::Exact, 1, &sample_payload(1.0));
+        }
+        assert_eq!(open_snapshot(&path, old).unwrap().loaded.len(), 1);
+        let snap = open_snapshot(&path, config_fingerprint(&cfg)).unwrap();
+        assert!(snap.loaded.is_empty());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -49,7 +49,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("SKT1/Large/C", 8414, 0xeb7f5e5490fa0aac),
     ("SKT1/Large/D", 8478, 0xf891520b9bfc4670),
     ("SKT1/Large/E", 8494, 0x41e32885f02e8712),
-    ("SKC1/Tiny/C", 613, 0xee735deaaa2f0b8a),
+    ("SKC1/Tiny/C", 613, 0xa115796558fce8a2),
     ("SKO1/plan", 250, 0x2d87a35f9cd3ec5c),
     ("SKO1/bound-only", 98, 0xb4da9eb1b5af467f),
     ("SKP1", 90, 0x4c850c0206b3da00),
