@@ -173,26 +173,27 @@ pub fn plan_task_hinted(
                 // root bound, never the timing-dependent frontier bound
                 match outcome.stats.root_bound {
                     Some(rb) if rb.is_finite() => {
-                        ((inc.cost - rb).max(0.0), cert::GapBasis::RootBound)
+                        (Some((inc.cost - rb).max(0.0)), cert::GapBasis::RootBound)
                     }
-                    Some(_) => (0.0, cert::GapBasis::RootBound),
-                    _ => (0.0, cert::GapBasis::Proved),
+                    Some(_) => (Some(0.0), cert::GapBasis::RootBound),
+                    _ => (Some(0.0), cert::GapBasis::Proved),
                 }
             } else if outcome.stats.budget_exhausted {
-                // deterministic exhaustion: the frontier bound stands
+                // deterministic exhaustion: the frontier bound stands; a
+                // budget exit without one proves nothing
                 match outcome.stats.best_bound {
-                    Some(b) => ((inc.cost - b).max(0.0), cert::GapBasis::FrontierBound),
-                    None => (0.0, cert::GapBasis::Proved),
+                    Some(b) => (Some((inc.cost - b).max(0.0)), cert::GapBasis::FrontierBound),
+                    None => (None, cert::GapBasis::Unbounded),
                 }
             } else {
                 // the exact search proved no (cheaper) greedy-valid plan
                 // exists — the incumbent is optimal-or-better
-                (0.0, cert::GapBasis::Proved)
+                (Some(0.0), cert::GapBasis::Proved)
             };
             // re-certify: the incumbent replaces whatever the exact lane
             // produced, so it gets its own certificate under the anytime
             // gap rules just applied
-            outcome.stats.optimality_gap = Some(gap);
+            outcome.stats.optimality_gap = gap;
             let mut inc_plan = inc.plan;
             inc_plan.certify(
                 &outcome.task,
@@ -204,7 +205,9 @@ pub fn plan_task_hinted(
             outcome.plan = Some(inc_plan);
             incumbent_used = true;
             if sekitei_obs::enabled() {
-                sekitei_obs::event("optimality_gap_milli", (gap * 1000.0).round() as u64);
+                if let Some(gap) = gap {
+                    sekitei_obs::event("optimality_gap_milli", (gap * 1000.0).round() as u64);
+                }
             }
         }
     }

@@ -14,15 +14,14 @@
 //! records `{phase, scenario, wall_ms, nodes, budget_exhausted}` — the
 //! file the repo's committed baselines under `crates/bench/baselines/`
 //! are snapshots of. `budget_exhausted` flags rows whose search aborted
-//! on a budget (Large/A burns its full 2M-node cap), so their `wall_ms`
-//! measures the budget, not the instance.
+//! on a budget (Small/A and Large/A stop at 2 000 rejected candidates),
+//! so their `wall_ms` measures the budget, not the instance.
 //!
 //! `rg-prune` is the full search wall (SLRG queries included) with the
-//! pruning layer on (dominance + symmetry breaking + g-aware reopening, the
-//! `PlannerConfig` default); compare its node counts against the `rg`
-//! rows to see what the layer removes. The budget-exhausted rows are the
-//! headline: Small/A and Large/A terminate via drain mode instead of
-//! burning their full budgets.
+//! pruning layer on (orbit symmetry breaking, the `PlannerConfig`
+//! default); compare its node counts against the `rg` rows to see what
+//! the layer removes. Small/A and Large/A end on the 2 000-candidate
+//! reject budget in both.
 //!
 //! A fifth pair of phases times the serving path end to end over a real
 //! socket (Tiny and Small scenarios only):
@@ -107,13 +106,13 @@ fn run_once(size: NetSize, sc: LevelScenario) -> [PhaseRow; 4] {
 }
 
 /// One pruned-search run (`rg-prune`): the full sequential search wall
-/// with dominance, symmetry breaking and g-aware reopening on.
+/// with symmetry breaking on.
 fn run_pruned(size: NetSize, sc: LevelScenario) -> PhaseRow {
     let p = scenarios::problem(size, sc);
     let task = compile(&p).expect("scenario compiles");
     let plrg = Plrg::build(&task);
     let mut slrg = Slrg::new(&task, &plrg, 50_000);
-    let cfg = RgConfig { dominance: true, symmetry: true, reopen: true, ..RgConfig::default() };
+    let cfg = RgConfig { symmetry: true, ..RgConfig::default() };
     let t = Instant::now();
     let r = rg::search(&task, &plrg, &mut slrg, &cfg);
     PhaseRow {
@@ -409,7 +408,7 @@ fn main() {
     }
 
     // the pruning layer on the same two sizes: node counts against the
-    // `rg` rows show what dominance + symmetry + drain mode remove
+    // `rg` rows show what symmetry breaking removes
     for size in [NetSize::Small, NetSize::Large] {
         for sc in LevelScenario::ALL {
             let label = format!("{}/{}", size.label(), sc.label());

@@ -194,14 +194,23 @@ pub fn check_certificate(
         }
     };
     match b.gap_basis {
-        GapBasis::Proved => match b.claimed_gap {
-            Some(g) if g.abs() <= COST_TOL => {}
-            other => {
+        GapBasis::Proved => {
+            // a search cut short by a budget, a deadline or lossy pruning
+            // proved nothing about the plans it never reached
+            if !b.gap_proved() {
                 return Err(CertViolation::GapInconsistent {
-                    detail: format!("proved-optimal basis requires gap 0.0, found {other:?}"),
-                })
+                    detail: "proved-optimal basis but the trail records a cut-short search".into(),
+                });
             }
-        },
+            match b.claimed_gap {
+                Some(g) if g.abs() <= COST_TOL => {}
+                other => {
+                    return Err(CertViolation::GapInconsistent {
+                        detail: format!("proved-optimal basis requires gap 0.0, found {other:?}"),
+                    })
+                }
+            }
+        }
         GapBasis::RootBound => {
             let Some(rb) = b.root_bound else {
                 return Err(CertViolation::GapInconsistent {

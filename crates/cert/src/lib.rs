@@ -21,12 +21,14 @@
 //! 3. **A goal witness** — the step (or initial state) establishing each
 //!    goal proposition.
 //! 4. **A [`BoundTrail`]** — the admissible bounds (root heuristic,
-//!    search-frontier minimum) and the search-mode flags (drain mode,
+//!    search-frontier minimum) and the search-mode flags (budget exits,
 //!    incumbent cutoff, pruning switches) needed to interpret the claimed
 //!    optimality gap. The checker verifies the gap arithmetic against the
-//!    recorded basis; the bounds themselves are the one thing taken from
+//!    recorded basis and refuses a proved-optimal basis on a search that
+//!    was cut short; the bounds themselves are the one thing taken from
 //!    the search, and [`CheckReport::gap_proved`] says when they are sound
-//!    (a frontier bound recorded under lossy drain mode is advisory only).
+//!    (a frontier bound recorded under the legacy lossy drain mode is
+//!    advisory only).
 //!
 //! The checker ([`check_certificate`]) deliberately shares **no code with
 //! the search**: it is a self-contained forward executor over
@@ -158,8 +160,9 @@ pub enum GapBasis {
     /// portfolio's deterministic rule).
     RootBound,
     /// Measured against the minimum `f` over the search's unexplored
-    /// frontier at exit. Admissible for an exhaustive search; **advisory
-    /// only** when the frontier was drained under lossy pruning
+    /// frontier at exit, which is admissible: the search pops nodes in `f`
+    /// order and prunes no tail it could still complete. **Advisory only**
+    /// on a certificate whose trail records the legacy lossy drain mode
     /// ([`BoundTrail::drain_mode`]).
     FrontierBound,
     /// No usable bound survived the run: no gap may be claimed.
@@ -192,12 +195,14 @@ pub struct BoundTrail {
     pub budget_exhausted: bool,
     /// Specifically the wall-clock deadline tripped the search.
     pub deadline_hit: bool,
-    /// The search's lossy drain mode engaged: nodes were dropped by
+    /// Legacy: the search's lossy drain mode engaged, dropping nodes by
     /// g-aware duplicate detection and coarse signature symmetry, so a
     /// frontier bound recorded here does **not** prove a gap — see
-    /// [`CheckReport::gap_proved`].
+    /// [`CheckReport::gap_proved`]. The planner no longer has a drain mode
+    /// and writes `false`; the flag decodes certificates issued before.
     pub drain_mode: bool,
-    /// Drain-mode duplicate detection was enabled.
+    /// Legacy: drain-mode duplicate detection was enabled. The planner
+    /// writes `false`; the flag decodes certificates issued before.
     pub dominance: bool,
     /// Orbit symmetry breaking was enabled (exactness-preserving — does
     /// not weaken the bound).
@@ -206,13 +211,15 @@ pub struct BoundTrail {
 
 impl BoundTrail {
     /// True when the gap claim rests on a sound admissible bound: a
-    /// proved-optimal exit, the root heuristic, or a frontier bound from a
-    /// run that never engaged lossy drain-mode pruning. False means the gap
-    /// is advisory. The checker reports this as [`CheckReport::gap_proved`]
-    /// once it has verified the claim's arithmetic.
+    /// proved-optimal exit from a search that ran to its end, the root
+    /// heuristic, or a frontier bound from a run that never engaged lossy
+    /// drain-mode pruning. False means the gap is advisory. The checker
+    /// reports this as [`CheckReport::gap_proved`] once it has verified the
+    /// claim's arithmetic, and refuses a `Proved` basis this says is not.
     pub fn gap_proved(&self) -> bool {
         match self.gap_basis {
-            GapBasis::Proved | GapBasis::RootBound => true,
+            GapBasis::Proved => !(self.budget_exhausted || self.deadline_hit || self.drain_mode),
+            GapBasis::RootBound => true,
             GapBasis::FrontierBound => !self.drain_mode,
             GapBasis::Unbounded => false,
         }

@@ -154,6 +154,18 @@ fn overstated_and_unbacked_gaps_are_rejected() {
 }
 
 #[test]
+fn proved_gap_after_a_budget_exit_is_rejected() {
+    // a search that stopped on its budget proved nothing about the plans
+    // it never reached, so it cannot certify a proved-optimal gap
+    let (task, cert) = tiny_c();
+    let mut m = cert.clone();
+    m.bound.budget_exhausted = true;
+    assert!(!m.bound.gap_proved());
+    let err = check_certificate(task, &m).unwrap_err();
+    assert!(matches!(err, CertViolation::GapInconsistent { .. }), "got: {err}");
+}
+
+#[test]
 fn foreign_task_is_rejected_by_fingerprint() {
     let (_, cert) = tiny_c();
     let other = Planner::default().plan(&scenarios::tiny(LevelScenario::D)).unwrap();

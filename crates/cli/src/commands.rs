@@ -275,13 +275,9 @@ fn parse_plan_args(args: &[String]) -> Result<PlanArgs, String> {
             "--profile" => a.obs.profile = true,
             "--plrg-heuristic" => a.cfg.heuristic = Heuristic::PlrgMax,
             "--no-replay-pruning" => a.cfg.replay_pruning = false,
-            "--no-prune" => {
-                // escape hatch for the search-quality pruning layer:
-                // dominance, symmetry breaking and g-aware reopening off
-                a.cfg.dominance = false;
-                a.cfg.symmetry = false;
-                a.cfg.reopen = false;
-            }
+            // escape hatch for the search-quality pruning layer: orbit
+            // symmetry breaking off
+            "--no-prune" => a.cfg.symmetry = false,
             "--degrade" => a.cfg.degrade = true,
             "--validate" => a.validate = true,
             "--quiet" => a.quiet = true,
@@ -334,11 +330,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                 let v = args.get(i).ok_or("--threads needs a value")?;
                 threads = Some(v.parse().map_err(|_| format!("bad --threads value `{v}`"))?);
             }
-            "--no-prune" => {
-                cfg.dominance = false;
-                cfg.symmetry = false;
-                cfg.reopen = false;
-            }
+            "--no-prune" => cfg.symmetry = false,
             "--quiet" => quiet = true,
             "--validate" => validate = true,
             "--emit-cert" => {
@@ -1225,9 +1217,9 @@ mod tests {
         dispatch(&[s(&["batch"]), vec![sp], s(&["--no-prune", "--quiet"])].concat()).unwrap();
         // and the flag actually flips the config off
         let cfg = parse_plan_args(&s(&["--no-prune"])).unwrap().cfg;
-        assert!(!cfg.dominance && !cfg.symmetry && !cfg.reopen);
+        assert!(!cfg.symmetry);
         let cfg = parse_plan_args(&[]).unwrap().cfg;
-        assert!(cfg.dominance && cfg.symmetry && cfg.reopen, "pruning defaults on");
+        assert!(cfg.symmetry, "pruning defaults on");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! certificate proves it, and labels any other gap advisory, as
 //! `verify-cert` does.
 
+use sekitei_cert::{decode_certificate, encode_certificate};
 use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_sekitei");
@@ -19,19 +20,27 @@ fn gap_is_proved_only_when_the_certificate_proves_it() {
     };
     let (spec, cert) = (tmp("spec"), tmp("skc1"));
 
-    // Small/A under an 18 500-node budget engages drain mode, so the
-    // frontier bound behind the degraded plan's zero gap is not admissible
+    // Small/A under an 18 500-node budget stops on it; the popped f it
+    // records is admissible, so the degraded plan's zero gap is proved
     let plan = stdout_of(
         Command::new(BIN)
             .args(["plan", "--scenario", "small-a", "--degrade", "--max-nodes", "18500"])
             .arg("--emit-cert")
             .arg(&cert),
     );
-    assert!(plan.contains("optimality gap: 0.00 (advisory)"), "{plan}");
-    assert!(!plan.contains("(proved)"), "{plan}");
+    assert!(plan.contains("optimality gap: 0.00 (proved)"), "{plan}");
+    assert!(!plan.contains("(advisory)"), "{plan}");
 
     std::fs::write(&spec, stdout_of(Command::new(BIN).args(["scenario", "small", "A", "--emit"])))
         .unwrap();
+    let check = stdout_of(Command::new(BIN).arg("verify-cert").arg(&spec).arg(&cert));
+    assert!(check.contains("gap ≤ 0.00 (proved)"), "{check}");
+
+    // a certificate written by a search that drained its frontier under
+    // lossy pruning still decodes, and its gap reads advisory
+    let mut drained = decode_certificate(&std::fs::read(&cert).unwrap()).unwrap();
+    drained.bound.drain_mode = true;
+    std::fs::write(&cert, encode_certificate(&drained)).unwrap();
     let check = stdout_of(Command::new(BIN).arg("verify-cert").arg(&spec).arg(&cert));
     std::fs::remove_file(&spec).unwrap();
     std::fs::remove_file(&cert).unwrap();

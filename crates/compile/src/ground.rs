@@ -150,7 +150,6 @@ fn build(problem: &CppProblem, slice: bool) -> Result<PlanningTask, CompileError
         crate::symmetry::detect(&ctx.task, problem.network.num_nodes())
     };
     ctx.task.orbits = symmetry.orbits;
-    ctx.task.sig_classes = symmetry.sig_classes;
     ctx.task.stats.compile_time = start.elapsed();
     sekitei_obs::event("ground_actions", ctx.task.stats.actions as u64);
     sekitei_obs::event("level_combos_pruned", ctx.pruned as u64);

@@ -16,7 +16,7 @@ pub mod symmetry;
 pub mod task;
 
 pub use ground::{compile, compile_full, CompileError};
-pub use symmetry::{node_orbits, signature_classes, NodeOrbits};
+pub use symmetry::{node_orbits, NodeOrbits};
 pub use task::{
     AchieverIndex, ActionKind, CompileStats, GVarData, GroundAction, PlanningTask, PropData,
 };

@@ -15,8 +15,7 @@
 //!    no iterated refinement: initial node resource values, the multiset
 //!    of incident-link resource values, per-node ground-action mention
 //!    counts, and whether the node is pinned by the initial state or the
-//!    goal (source/client nodes are never symmetric to anything). The
-//!    classes themselves are the unverified [`signature_classes`].
+//!    goal (source/client nodes are never symmetric to anything).
 //! 2. **Exact verification**: the members of each candidate class are
 //!    chained onto representatives — a member joins the first orbit whose
 //!    representative `r` it swaps with, else founds a new one. A
@@ -476,11 +475,10 @@ fn assign_tag(e: &Effect<GVarId>) -> u8 {
     }
 }
 
-/// Stage-1 sieve shared by [`node_orbits`] and [`signature_classes`]:
-/// group unpinned nodes by the cheap invariant signature (initial node
-/// resources, incident-link resource multiset, ground-action mention
-/// counts). Returns the groups; pinned nodes are absent, and a node with a
-/// unique signature is a group of one.
+/// Stage-1 sieve of [`node_orbits`]: group unpinned nodes by the cheap
+/// invariant signature (initial node resources, incident-link resource
+/// multiset, ground-action mention counts). Returns the groups; pinned
+/// nodes are absent, and a node with a unique signature is a group of one.
 fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) -> Vec<Vec<NodeId>> {
     let mut pinned = vec![false; num_nodes];
     for &p in task.init_props.iter().chain(&task.goal_props) {
@@ -760,8 +758,6 @@ fn verified_orbits(
 pub(crate) struct Symmetry {
     /// Verified orbits ([`node_orbits`]).
     pub orbits: NodeOrbits,
-    /// Unverified signature classes ([`signature_classes`]).
-    pub sig_classes: NodeOrbits,
     /// Candidate transpositions checked.
     pub swaps_checked: u64,
     /// Ground actions fingerprinted, summed over the swaps that reached
@@ -769,40 +765,20 @@ pub(crate) struct Symmetry {
     pub actions_checked: u64,
 }
 
-/// Run the two-stage sieve once: the link table and the signature groups
-/// feed both the verified orbits and the signature classes.
+/// Run the two-stage sieve once: the signature groups feed the exact
+/// verification.
 pub(crate) fn detect(task: &PlanningTask, num_nodes: usize) -> Symmetry {
     let links = LinkTable::build(task);
     let groups = signature_groups(task, num_nodes, &links);
     let mut check = SwapCheck::new(task, &links, num_nodes);
     let orbits = verified_orbits(&groups, num_nodes, |u, v| check.ok(u, v));
-    Symmetry {
-        orbits,
-        sig_classes: NodeOrbits::from_classes(num_nodes, groups),
-        swaps_checked: check.swaps_checked,
-        actions_checked: check.actions_checked,
-    }
+    Symmetry { orbits, swaps_checked: check.swaps_checked, actions_checked: check.actions_checked }
 }
 
 /// Compute the node orbits of a compiled task over a network of
 /// `num_nodes` nodes.
 pub fn node_orbits(task: &PlanningTask, num_nodes: usize) -> NodeOrbits {
     detect(task, num_nodes).orbits
-}
-
-/// The stage-1 signature partition as a [`NodeOrbits`] — *unverified*
-/// equivalence classes by local invariants only (capacities, incident-link
-/// resource multiset, action mention counts). Unlike [`node_orbits`], the
-/// classes are generally **not** task automorphisms: two stub leaves in
-/// different stubs share a signature but occupy different graph positions.
-/// The search therefore uses these classes only in its lossy drain mode,
-/// where a pruned branch costs completeness of the *unsolvability* verdict
-/// but never plan validity (candidates still validate against the initial
-/// state). Pinned nodes stay singletons, exactly as in the verified
-/// orbits.
-pub fn signature_classes(task: &PlanningTask, num_nodes: usize) -> NodeOrbits {
-    let groups = signature_groups(task, num_nodes, &LinkTable::build(task));
-    NodeOrbits::from_classes(num_nodes, groups)
 }
 
 #[cfg(test)]
@@ -853,10 +829,10 @@ mod tests {
         true
     }
 
-    /// Orbits and signature classes as computed before the incident-only
-    /// check: a fingerprint index of every action, the full scan per
-    /// swap, and the orbits numbered in push order.
-    fn full_scan(task: &PlanningTask, num_nodes: usize) -> (NodeOrbits, NodeOrbits) {
+    /// Orbits as computed before the incident-only check: a fingerprint
+    /// index of every action, the full scan per swap, and the orbits
+    /// numbered in push order.
+    fn full_scan(task: &PlanningTask, num_nodes: usize) -> NodeOrbits {
         let links = LinkTable::build(task);
         let groups = signature_groups(task, num_nodes, &links);
         let identity = Swap { task, links: &links, u: NodeId(0), v: NodeId(0) };
@@ -893,8 +869,7 @@ mod tests {
             }
             orbits.extend(chained.into_iter().filter(|o| o.len() > 1));
         }
-        let classes = groups.into_iter().filter(|g| g.len() >= 2).collect();
-        (number(orbits), number(classes))
+        number(orbits)
     }
 
     /// Compile each problem and compare what `compile` stored with the
@@ -904,9 +879,8 @@ mod tests {
         let mut merged = 0;
         for (name, p) in problems {
             let task = compile(&p).unwrap();
-            let (orbits, classes) = full_scan(&task, p.network.num_nodes());
+            let orbits = full_scan(&task, p.network.num_nodes());
             assert_eq!(task.orbits, orbits, "{name}: orbits differ from the full scan");
-            assert_eq!(task.sig_classes, classes, "{name}: signature classes differ");
             merged += orbits.orbits().filter(|o| o.len() > 1).count();
         }
         merged
@@ -999,6 +973,6 @@ mod tests {
         assert_eq!(sym.orbits.siblings(NodeId(2)), &[NodeId(2)]);
         assert_eq!(sym.orbits.siblings(NodeId(3)), &[NodeId(3)], "the swap moving n3 passed");
         assert_eq!(sym.orbits.siblings(NodeId(5)), &leaves[2..]);
-        assert_eq!(sym.orbits, full_scan(&task, p.network.num_nodes()).0);
+        assert_eq!(sym.orbits, full_scan(&task, p.network.num_nodes()));
     }
 }

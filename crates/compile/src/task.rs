@@ -223,11 +223,6 @@ pub struct PlanningTask {
     /// placement representative per orbit. Derived data — excluded from
     /// [`PlanningTask::fingerprint`].
     pub orbits: crate::symmetry::NodeOrbits,
-    /// Unverified signature-level node classes (see
-    /// [`crate::symmetry::signature_classes`]); the search's lossy drain
-    /// mode coarsens its symmetry rule to these. Derived data — excluded
-    /// from [`PlanningTask::fingerprint`].
-    pub sig_classes: crate::symmetry::NodeOrbits,
     /// Compilation statistics.
     pub stats: CompileStats,
     pub(crate) prop_index: HashMap<PropData, PropId>,

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use sekitei_compile::{
-    compile, compile_full, node_orbits, signature_classes, AchieverIndex, ActionKind, CompileStats,
-    GVarData, NodeOrbits, PlanningTask, PropData,
+    compile, compile_full, node_orbits, AchieverIndex, ActionKind, CompileStats, GVarData,
+    NodeOrbits, PlanningTask, PropData,
 };
 use sekitei_model::{CppProblem, Expr, GVarId, Interval, LevelScenario, MediaConfig, PropId};
 use sekitei_topology::scenarios::{self, RandomMediaConfig, RandomModel};
@@ -272,7 +272,7 @@ fn rigid_interfaces_skip_degradable_closure() {
 /// FNV-1a over every field of a compiled task, floats by their bits and
 /// every list length-prefixed. Unlike [`PlanningTask::fingerprint`], which
 /// hashes names, costs and the initial state only, this pins the numeric
-/// formulas, optimistic maps, level assignments and symmetry classes too.
+/// formulas, optimistic maps, level assignments and symmetry orbits too.
 struct Digest(u64);
 
 impl Digest {
@@ -459,7 +459,6 @@ impl Digest {
             }
         }
         self.orbits(&t.orbits);
-        self.orbits(&t.sig_classes);
         let s = &t.stats;
         for n in [s.actions, s.pruned, s.props, s.gvars] {
             self.idx(n);
@@ -473,67 +472,66 @@ impl Digest {
 /// (`built_task_is_the_full_task_cut_to_its_goal_relevant_slice`).
 /// Compilation must reproduce every field bit for bit.
 const TASK_DIGESTS: &[(&str, u64)] = &[
-    ("tiny/A", 0x8401f1cef3f030fe),
-    ("small/A", 0xe5092ffc675b5e03),
-    ("large/A", 0x188ee1b903f72ebb),
-    ("tiny/B", 0xf039fd864c241d4b),
-    ("small/B", 0xe01304a10383db24),
-    ("large/B", 0x8dd1985738404aa6),
-    ("tiny/C", 0x25712a2839210652),
-    ("small/C", 0x7a29a0720d0bb005),
-    ("large/C", 0xb65c6ce20671fa8b),
-    ("tiny/D", 0x88425cdf4859ac8d),
-    ("small/D", 0x77eec8e8d9b1b61f),
-    ("large/D", 0x0b34f7a57d37efb3),
-    ("tiny/E", 0x86519fe5883f629e),
-    ("small/E", 0x94c6b4a467b19f1c),
-    ("large/E", 0xeb0e24c712a87db9),
-    ("Waxman10/A", 0x91b2b293a4a60aa8),
-    ("Waxman10/C", 0x465aa12a5f7bf100),
-    ("Waxman10/E", 0x1f9dcd03e317ed29),
-    ("Waxman16/A", 0x830f198f14b9c13f),
-    ("Waxman16/C", 0x78fdf18889ad42b3),
-    ("Waxman16/E", 0x953211efadc2deda),
-    ("BarabasiAlbert10/A", 0x7ecadd0e2be77103),
-    ("BarabasiAlbert10/C", 0xfd0c33432357257e),
-    ("BarabasiAlbert10/E", 0x69e382f94bf663dc),
-    ("BarabasiAlbert16/A", 0x89b4141f048d0b3b),
-    ("BarabasiAlbert16/C", 0x4715c42700fbf747),
-    ("BarabasiAlbert16/E", 0xeb104697ae8ec5e5),
+    ("tiny/A", 0x673ebe53d0403f1f),
+    ("small/A", 0x3c1568db865f66e3),
+    ("large/A", 0x52c50d27e7f89e6e),
+    ("tiny/B", 0xcbd897c1db4896aa),
+    ("small/B", 0x5539e1d6503daba4),
+    ("large/B", 0x4ae315a8d6706aef),
+    ("tiny/C", 0xa9ccc5df148796b3),
+    ("small/C", 0x59756e569d9f6a05),
+    ("large/C", 0x234717c77a5b6c7a),
+    ("tiny/D", 0x03c0f9d0d7db1dec),
+    ("small/D", 0x3ba4cf3935c580bf),
+    ("large/D", 0xb3e5f92b06d69f72),
+    ("tiny/E", 0xb6cbc6dd2553dcbf),
+    ("small/E", 0xed5afdb994780e1c),
+    ("large/E", 0xf39d2b89e264b684),
+    ("Waxman10/A", 0x68697348a3942b87),
+    ("Waxman10/C", 0x1b8bd7a9bf6c90a3),
+    ("Waxman10/E", 0x1396466c20abc562),
+    ("Waxman16/A", 0x9e2af42c74922620),
+    ("Waxman16/C", 0xbc7a308028a3fb78),
+    ("Waxman16/E", 0x0d39789913a4c385),
+    ("BarabasiAlbert10/A", 0xe88c06a1aa888709),
+    ("BarabasiAlbert10/C", 0x313e3f2796a75040),
+    ("BarabasiAlbert10/E", 0xa55f7b3ea08f6d4a),
+    ("BarabasiAlbert16/A", 0xf8bc143107f7a5cc),
+    ("BarabasiAlbert16/C", 0xd3e59adb0f94a478),
+    ("BarabasiAlbert16/E", 0xfb0cd29097166656),
 ];
 
 /// Structural digests of every task [`compile_full`] builds on the same
-/// grid, recorded before the grounder shared formulas across level
-/// variants. The full grounding is the grounder with the goal-relevance
-/// closure off, so it must still reproduce them bit for bit.
+/// grid. The full grounding is the grounder with the goal-relevance
+/// closure off, so it must reproduce them bit for bit.
 const FULL_DIGESTS: &[(&str, u64)] = &[
-    ("tiny/A", 0xd052332af3b16385),
-    ("small/A", 0x68ee1a40b99f1bbb),
-    ("large/A", 0xbe1252c15905f834),
-    ("tiny/B", 0x35e18bb9fa92409a),
-    ("small/B", 0x5ab90a58e773f3ef),
-    ("large/B", 0x1fe58e466e7eb65a),
-    ("tiny/C", 0xcfa3c497915f92b9),
-    ("small/C", 0x112fd810934bcfdd),
-    ("large/C", 0x1ceb8de9e1c2fe33),
-    ("tiny/D", 0x93d09e4ac17c5a55),
-    ("small/D", 0x15b1b28db5120d16),
-    ("large/D", 0x6197c11c8615c727),
-    ("tiny/E", 0x5245d0ebe8e07102),
-    ("small/E", 0xc53c7ba02ee9ab8e),
-    ("large/E", 0x39fbe016ee33048f),
-    ("Waxman10/A", 0x461ea54f35731698),
-    ("Waxman10/C", 0xcd9c55d30f03d0f2),
-    ("Waxman10/E", 0xfc4f0ce94ab80310),
-    ("Waxman16/A", 0x6c23f0c34b231550),
-    ("Waxman16/C", 0x7413ac01c2f4412a),
-    ("Waxman16/E", 0x8be2793dc50018e9),
-    ("BarabasiAlbert10/A", 0xc80f729bba8e27bc),
-    ("BarabasiAlbert10/C", 0x06bbbbfdb56c4256),
-    ("BarabasiAlbert10/E", 0xcf25e6c58c761858),
-    ("BarabasiAlbert16/A", 0x864f1a319bc97843),
-    ("BarabasiAlbert16/C", 0x3ef556a259fe22ed),
-    ("BarabasiAlbert16/E", 0x3f3bfc8afe5acf3d),
+    ("tiny/A", 0xc931e0a208c13b24),
+    ("small/A", 0x77a97c67e85c7d1b),
+    ("large/A", 0x617aa25b1ccce9d9),
+    ("tiny/B", 0x3034f994b88c417b),
+    ("small/B", 0x2786cd7c0785a18f),
+    ("large/B", 0x229eb5831d084d1b),
+    ("tiny/C", 0xa6b995efc556c198),
+    ("small/C", 0x0dd5594a22babedd),
+    ("large/C", 0xe0ce050c4fa69502),
+    ("tiny/D", 0xd3c5675aa82b35b4),
+    ("small/D", 0x3a9459a732343e96),
+    ("large/D", 0xc1d9ce1feee2098e),
+    ("tiny/E", 0xbfe5a92a514b6823),
+    ("small/E", 0x7808a7d1c8f95f4e),
+    ("large/E", 0x629ddd35c08399da),
+    ("Waxman10/A", 0xfd4ec94a4109b477),
+    ("Waxman10/C", 0x5fd78fc1157b98e9),
+    ("Waxman10/E", 0xdac4144b39e927b3),
+    ("Waxman16/A", 0x1af801d42c4c066f),
+    ("Waxman16/C", 0xd8da8b816e0cb711),
+    ("Waxman16/E", 0xa75cffefa8ce2ad6),
+    ("BarabasiAlbert10/A", 0xfecaf7bac86fd396),
+    ("BarabasiAlbert10/C", 0xbc2e33e1ab6fc6a8),
+    ("BarabasiAlbert10/E", 0x9affb25fffe79746),
+    ("BarabasiAlbert16/A", 0x4397871299b0d274),
+    ("BarabasiAlbert16/C", 0x8bfc14d25bed168a),
+    ("BarabasiAlbert16/E", 0x4d8103a8637681ee),
 ];
 
 /// The Table 2 grid, then Waxman and Barabási–Albert networks of 10 and 16
@@ -641,7 +639,6 @@ fn cut_to_slice(full: &PlanningTask, num_nodes: usize) -> PlanningTask {
         full.actions.iter().zip(&keep).filter(|(_, &k)| k).map(|(a, _)| a.clone()).collect();
     cut.achievers = AchieverIndex::build(cut.num_props(), &cut.actions);
     cut.orbits = node_orbits(&cut, num_nodes);
-    cut.sig_classes = signature_classes(&cut, num_nodes);
     cut.stats.built = cut.num_actions();
     cut
 }

@@ -139,9 +139,8 @@ fn star_leaves_form_one_orbit() {
 
 #[test]
 fn pinned_nodes_are_singletons() {
-    for make in
-        [scenarios::tiny, scenarios::small, scenarios::large].iter().map(|f| f(LevelScenario::C))
-    {
+    let sizes = [scenarios::tiny, scenarios::small, scenarios::large];
+    for make in [LevelScenario::B, LevelScenario::C].iter().flat_map(|&sc| sizes.map(|f| f(sc))) {
         let task = compile(&make).unwrap();
         for n in pinned_nodes(&task) {
             assert_eq!(task.orbits.siblings(n), &[n], "init/goal node {n} must be its own orbit");
@@ -162,20 +161,22 @@ fn orbit_members_share_resource_profiles() {
 
 #[test]
 fn orbit_members_are_sorted_and_partition_the_nodes() {
-    let task = compile(&scenarios::large(LevelScenario::E)).unwrap();
-    let mut seen = vec![false; task.orbits.num_nodes()];
-    for orbit in task.orbits.orbits() {
-        assert!(orbit.windows(2).all(|w| w[0] < w[1]), "orbit not sorted: {orbit:?}");
-        for &n in orbit {
-            assert!(!seen[n.index()], "node {n} in two orbits");
-            seen[n.index()] = true;
+    for sc in [LevelScenario::A, LevelScenario::E] {
+        let task = compile(&scenarios::large(sc)).unwrap();
+        let mut seen = vec![false; task.orbits.num_nodes()];
+        for orbit in task.orbits.orbits() {
+            assert!(orbit.windows(2).all(|w| w[0] < w[1]), "orbit not sorted: {orbit:?}");
+            for &n in orbit {
+                assert!(!seen[n.index()], "node {n} in two orbits");
+                seen[n.index()] = true;
+            }
         }
-    }
-    assert!(seen.iter().all(|&s| s), "orbits must cover every node");
-    // membership and siblings() agree
-    for n in 0..task.orbits.num_nodes() {
-        let n = NodeId::from_index(n);
-        assert!(task.orbits.siblings(n).contains(&n));
+        assert!(seen.iter().all(|&s| s), "{sc:?}: orbits must cover every node");
+        // membership and siblings() agree
+        for n in 0..task.orbits.num_nodes() {
+            let n = NodeId::from_index(n);
+            assert!(task.orbits.siblings(n).contains(&n));
+        }
     }
 }
 
@@ -210,76 +211,6 @@ fn out_of_range_lookup_is_empty() {
     let t = sekitei_compile::PlanningTask::default();
     assert_eq!(t.orbits.num_nodes(), 0);
     assert_eq!(t.orbits.siblings(NodeId::from_index(0)), &[] as &[NodeId]);
-}
-
-// ---- unverified signature classes (drain-mode coarse symmetry) ----
-
-#[test]
-fn signature_classes_refine_into_orbits() {
-    // every exact orbit sits inside one signature class: the stage-1
-    // sieve is exactly what the exact verifier starts from
-    for sc in [LevelScenario::A, LevelScenario::B, LevelScenario::E] {
-        let task = compile(&scenarios::large(sc)).unwrap();
-        for orbit in task.orbits.orbits() {
-            let class = task.sig_classes.siblings(orbit[0]);
-            for &n in orbit {
-                assert!(class.contains(&n), "exact orbit {orbit:?} split across signature classes");
-            }
-        }
-    }
-}
-
-#[test]
-fn signature_classes_collapse_the_transit_stub_wan() {
-    // the 93-node transit-stub WAN is full of equivalent stub nodes; the
-    // signature sieve must compress it far below one-class-per-node even
-    // though exact verification keeps only the graph twins
-    let task = compile(&scenarios::large(LevelScenario::A)).unwrap();
-    assert_eq!(task.sig_classes.num_nodes(), 93);
-    assert!(
-        task.sig_classes.orbit_count() <= 16,
-        "expected heavy compression, got {} classes",
-        task.sig_classes.orbit_count()
-    );
-    assert!(task.sig_classes.nontrivial());
-    // classes partition the node set
-    let mut seen = vec![false; task.sig_classes.num_nodes()];
-    for class in task.sig_classes.orbits() {
-        assert!(class.windows(2).all(|w| w[0] < w[1]), "class not sorted: {class:?}");
-        for &n in class {
-            assert!(!seen[n.index()], "node {n} in two classes");
-            seen[n.index()] = true;
-        }
-    }
-    assert!(seen.iter().all(|&s| s), "classes must cover every node");
-}
-
-#[test]
-fn signature_pinned_nodes_stay_singletons() {
-    // lossy or not, pinned (source/goal) nodes must never merge: the
-    // drain-mode symmetry rule still respects placements forced by the
-    // problem statement
-    for make in [scenarios::small as fn(LevelScenario) -> _, scenarios::large as fn(_) -> _] {
-        let task = compile(&make(LevelScenario::B)).unwrap();
-        for n in pinned_nodes(&task) {
-            assert_eq!(
-                task.sig_classes.siblings(n),
-                &[n],
-                "pinned node {n} merged into a signature class"
-            );
-        }
-    }
-}
-
-#[test]
-fn signature_class_members_share_resource_profiles() {
-    let task = compile(&scenarios::large(LevelScenario::B)).unwrap();
-    for class in task.sig_classes.orbits() {
-        let profile = res_profile(&task, class[0]);
-        for &n in &class[1..] {
-            assert_eq!(res_profile(&task, n), profile, "class {class:?} mixes capacities");
-        }
-    }
 }
 
 // ---- work and time accounting ----

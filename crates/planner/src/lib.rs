@@ -68,7 +68,9 @@ pub struct PlannerConfig {
     /// loops (`crates/churn`) use it to hard-bound worst-case search
     /// without giving up run-to-run reproducibility.
     pub max_nodes: usize,
-    /// RG candidate-reject budget (bounds effort on unsolvable instances).
+    /// RG candidate-reject budget ([`RgConfig::max_candidate_rejects`]):
+    /// bounds effort on unsolvable instances, and its exit leaves an
+    /// admissible [`PlannerStats::best_bound`].
     pub max_candidate_rejects: usize,
     /// SLRG per-query expansion budget.
     pub slrg_budget: usize,
@@ -89,21 +91,12 @@ pub struct PlannerConfig {
     /// [`Plan::degraded`], instead of no plan at all. The search itself
     /// runs the same either way.
     pub degrade: bool,
-    /// Drain-mode duplicate detection ([`RgConfig::dominance`]): once the
-    /// drain trigger fires on a budget-bound run, drop nodes whose open
-    /// set was already reached with no-larger cost. Inert on runs that
-    /// never hit the trigger. On by default — the differential suite
-    /// (`tests/pruning_equivalence.rs`) holds plan costs bit-identical to
-    /// the unpruned reference; `--no-prune` is the CLI escape hatch.
-    pub dominance: bool,
     /// Orbit symmetry breaking ([`RgConfig::symmetry`]): expand one
     /// placement representative per verified network-node equivalence
-    /// class. On by default.
+    /// class. On by default — the differential suite
+    /// (`tests/pruning_equivalence.rs`) holds plan costs bit-identical to
+    /// the unpruned reference; `--no-prune` is the CLI escape hatch.
     pub symmetry: bool,
-    /// g-aware reopening ([`RgConfig::reopen`]): in drain mode, strictly
-    /// better arrivals at a seen open set supersede the stored entry
-    /// instead of being blocked by it. On by default.
-    pub reopen: bool,
     /// Anytime portfolio mode (`crates/anytime`): race the exact RG
     /// search against a seeded greedy constructor + stochastic
     /// local-search lane sharing a monotone incumbent cost, and return
@@ -127,15 +120,13 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             max_nodes: 2_000_000,
-            max_candidate_rejects: 20_000,
+            max_candidate_rejects: 2_000,
             slrg_budget: 50_000,
             heuristic: Heuristic::Slrg,
             replay_pruning: true,
             deadline: None,
             degrade: false,
-            dominance: true,
             symmetry: true,
-            reopen: true,
             anytime: false,
             sls_seed: 0,
             sls_restarts: 3,
@@ -165,15 +156,12 @@ pub struct PlannerStats {
     pub rg_open_left: usize,
     /// RG nodes pruned by optimistic-map replay.
     pub replay_prunes: usize,
-    /// RG nodes pruned by drain-mode duplicate detection
-    /// ([`PlannerConfig::dominance`]).
+    /// Always 0: the search has no dominance pruning. Kept because the
+    /// benchmark harness (`perfbench/src/plan.rs`) reads it.
     pub dominance_pruned: usize,
     /// RG achievers skipped by orbit symmetry breaking
     /// ([`PlannerConfig::symmetry`]).
     pub symmetry_pruned: usize,
-    /// RG closed-set entries superseded by strictly better arrivals in
-    /// drain mode ([`PlannerConfig::reopen`]).
-    pub reopened: usize,
     /// Candidate plans rejected at terminal validation.
     pub candidate_rejects: usize,
     /// Total wall time including compilation (col 9, first).
@@ -187,13 +175,6 @@ pub struct PlannerStats {
     /// True if specifically the wall-clock deadline tripped the search
     /// (implies `budget_exhausted`).
     pub deadline_hit: bool,
-    /// True when the RG search's lossy drain mode engaged: nodes were
-    /// dropped by g-aware duplicate detection and coarse signature
-    /// symmetry, so [`PlannerStats::best_bound`] is *advisory*, not an
-    /// admissible bound on the optimum ([`RgResult::drain_mode`]). The
-    /// certificate's bound trail records this so a checker can tell a
-    /// proved gap from a best-effort one.
-    pub drain_mode: bool,
     /// Admissible lower bound on the optimal plan cost at search exit when
     /// no optimal plan was returned: the minimum f over the unexplored
     /// frontier. `None` means either a plan was found (its
@@ -221,8 +202,8 @@ impl std::fmt::Display for PlannerStats {
         write!(
             f,
             "{} ground actions ({} built, {} pruned), PLRG {}/{}, SLRG {}, RG {}/{} \
-             ({} replay-pruned, {} dominance-pruned, {} symmetry-pruned, \
-             {} reopened, {} candidates rejected), time {:?} ({:?} search){}",
+             ({} replay-pruned, {} symmetry-pruned, {} candidates rejected), \
+             time {:?} ({:?} search){}",
             self.total_actions,
             self.compile.built,
             self.compile.pruned,
@@ -232,9 +213,7 @@ impl std::fmt::Display for PlannerStats {
             self.rg_nodes,
             self.rg_open_left,
             self.replay_prunes,
-            self.dominance_pruned,
             self.symmetry_pruned,
-            self.reopened,
             self.candidate_rejects,
             self.total_time,
             self.search_time,
@@ -391,10 +370,7 @@ impl Planner {
                 heuristic: self.config.heuristic,
                 replay_pruning: self.config.replay_pruning,
                 deadline: self.config.deadline.map(|d| t0 + d),
-                dominance: self.config.dominance,
                 symmetry: self.config.symmetry,
-                reopen: self.config.reopen,
-                ..RgConfig::default()
             };
             let r = {
                 let _g = sekitei_obs::span("rg");
@@ -422,9 +398,7 @@ impl Planner {
                     sekitei_obs::event("rg_expansions", r.expansions as u64);
                     sekitei_obs::event("rg_open_left", r.open_left as u64);
                     sekitei_obs::event("replay_prunes", r.replay_prunes as u64);
-                    sekitei_obs::event("rg_dominance_pruned", r.dominance_pruned as u64);
                     sekitei_obs::event("rg_symmetry_pruned", r.symmetry_pruned as u64);
-                    sekitei_obs::event("rg_reopened", r.reopened as u64);
                     sekitei_obs::event("candidate_rejects", r.candidate_rejects as u64);
                     sekitei_obs::event("slrg_memo_hits", st.cache_hits as u64);
                     sekitei_obs::event("slrg_budget_exhausted", st.budget_exhausted as u64);
@@ -446,13 +420,10 @@ impl Planner {
             stats.rg_nodes = r.nodes_created;
             stats.rg_open_left = r.open_left;
             stats.replay_prunes = r.replay_prunes;
-            stats.dominance_pruned = r.dominance_pruned;
             stats.symmetry_pruned = r.symmetry_pruned;
-            stats.reopened = r.reopened;
             stats.candidate_rejects = r.candidate_rejects;
             stats.budget_exhausted = r.budget_exhausted;
             stats.deadline_hit = r.deadline_hit;
-            stats.drain_mode = r.drain_mode;
             stats.incumbent_cutoff = r.incumbent_cutoff;
             stats.best_bound = r.best_open_f;
             stats.root_bound = Some(r.root_h);
@@ -597,8 +568,7 @@ mod tests {
 
     #[test]
     fn rejected_candidates_are_recorded_in_cost_order() {
-        let pruned =
-            RgConfig { dominance: true, symmetry: true, reopen: true, ..RgConfig::default() };
+        let pruned = RgConfig { symmetry: true, ..RgConfig::default() };
         let capped = |cfg: RgConfig| RgConfig { max_nodes: 35_000, ..cfg };
         let runs = [
             (scenarios::tiny(LevelScenario::A), RgConfig::default()),
@@ -656,8 +626,9 @@ mod tests {
 
     #[test]
     fn deadline_bounds_adversarial_search() {
-        // Large/A otherwise burns the full 2M-node budget (~2s); a 50 ms
-        // deadline must cut it off and still report an admissible bound.
+        // Large/A otherwise runs 214 021 nodes to its reject budget
+        // (~0.3 s); a 50 ms deadline must cut it off and still report an
+        // admissible bound.
         let planner = Planner::new(PlannerConfig {
             deadline: Some(Duration::from_millis(50)),
             ..Default::default()

@@ -86,8 +86,8 @@ impl Plan {
             incumbent_cutoff: stats.incumbent_cutoff,
             budget_exhausted: stats.budget_exhausted,
             deadline_hit: stats.deadline_hit,
-            drain_mode: stats.drain_mode,
-            dominance: cfg.dominance,
+            drain_mode: false,
+            dominance: false,
             symmetry: cfg.symmetry,
         };
         let actions: Vec<_> = self.steps.iter().map(|s| s.action).collect();

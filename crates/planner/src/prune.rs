@@ -1,36 +1,33 @@
-//! Search-quality pruning primitives of the RG search: the drain-mode
-//! dominance table over interned open sets and the epoch-stamped
-//! used-node marker behind orbit symmetry breaking.
+//! Search-quality pruning primitives of the RG search: the anytime
+//! incumbent bound and the epoch-stamped used-node marker behind orbit
+//! symmetry breaking.
 //!
-//! # Why there is no witness dominance outside drain mode
+//! # Why there is no dominance
 //!
-//! An earlier revision also pruned *before* drain mode, with rich
-//! per-set witnesses: an arrival at an already-seen open set was dropped
-//! when some stored node reached it with no-larger `g`, a pointwise
-//! no-tighter optimistic replay map, and a tail whose action multiset was
-//! contained in the arrival's. That rule is sound for interval-level
-//! feasibility — every interval-feasible completion of the arrival is an
-//! interval-feasible completion of the witness at no greater cost — but
-//! terminal acceptance is *not* interval-level: a candidate must replay
-//! from the concrete initial state **and** survive greedy-max
-//! concretization, which pushes `min(sup(level), availability, caps)`
-//! through the plan *in tail order*. Greedy push amounts are neither
-//! monotone under removing actions (fewer consumers ⇒ bigger pushes ⇒ a
-//! squeezed link can newly overflow) nor invariant under reordering a
-//! tail's actions, so a witness can shadow the one tail whose
-//! concretization would have succeeded while its own candidates keep
-//! getting rejected. This is not theoretical: on the Small/B repair
-//! instance (WAN squeezed to 86 %), witness dominance turned a
-//! 21,954-node solve into a 20,000-reject exhaustion over a million
-//! nodes. Any tail-collapsing rule has this hole — even exact-multiset
-//! witnesses differ in order — so dominance is confined to drain mode,
-//! where lossiness is already the contract and every no-plan outcome is
-//! reported as `budget_exhausted`, never as an unsolvability proof.
+//! An earlier revision pruned with rich per-set witnesses: an arrival at
+//! an already-seen open set was dropped when some stored node reached it
+//! with no-larger `g`, a pointwise no-tighter optimistic replay map, and a
+//! tail whose action multiset was contained in the arrival's. That rule is
+//! sound for interval-level feasibility — every interval-feasible
+//! completion of the arrival is an interval-feasible completion of the
+//! witness at no greater cost — but terminal acceptance is *not*
+//! interval-level: a candidate must replay from the concrete initial state
+//! **and** survive greedy-max concretization, which pushes
+//! `min(sup(level), availability, caps)` through the plan *in tail order*.
+//! Greedy push amounts are neither monotone under removing actions (fewer
+//! consumers ⇒ bigger pushes ⇒ a squeezed link can newly overflow) nor
+//! invariant under reordering a tail's actions, so a witness can shadow
+//! the one tail whose concretization would have succeeded while its own
+//! candidates keep getting rejected. This is not theoretical: on the
+//! Small/B repair instance (WAN squeezed to 86 %), witness dominance
+//! turned a 21,954-node solve into a 20,000-reject exhaustion over a
+//! million nodes. Any tail-collapsing rule has this hole — even
+//! exact-multiset witnesses differ in order — so the search keeps every
+//! replay-feasible tail, and budget-bound searches end on the candidate
+//! reject budget ([`crate::RgConfig::max_candidate_rejects`]) instead.
 
-use crate::pool::SetId;
 use sekitei_compile::{ActionKind, PlanningTask, PropData};
 use sekitei_model::{ActionId, NodeId, PropId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper-bound hook for the anytime portfolio: a shared monotone incumbent
@@ -90,67 +87,6 @@ impl<'a> IncumbentBound<'a> {
 impl std::fmt::Debug for IncumbentBound<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "IncumbentBound({})", self.load())
-    }
-}
-
-struct DomEntry {
-    g: f64,
-    node: u32,
-}
-
-/// Drain-mode dominance table: g-aware closed-set semantics over interned
-/// open sets. An arrival at an already-seen set is a duplicate whenever
-/// some entry reached the set with no-larger `g`; with reopening enabled
-/// a strictly cheaper arrival evicts every entry it supersedes and the
-/// evicted node indices are reported so the search can drop those nodes
-/// lazily when popped. This is deliberately lossy — two tails over the
-/// same open set can differ in init-grounded validity and in how they
-/// concretize (see the module doc) — so the search only engages it after
-/// budget pressure proves the exact rules are not converging, and a
-/// frontier drained in this mode reports `budget_exhausted` rather than
-/// claiming an unsolvability proof.
-pub(crate) struct DomTable {
-    by_set: HashMap<SetId, Vec<DomEntry>>,
-    reopen: bool,
-}
-
-impl DomTable {
-    pub(crate) fn new(reopen: bool) -> DomTable {
-        DomTable { by_set: HashMap::new(), reopen }
-    }
-
-    /// Check the arrival `(set, g)` against the table. Returns `true` when
-    /// the arrival is a duplicate (caller prunes it). Otherwise the
-    /// arrival is recorded under node index `node`, superseded entries are
-    /// appended to `evicted`, and `false` is returned. Deterministic:
-    /// entries are scanned and retained in insertion order, and nothing
-    /// here reads wall-clock or map iteration order.
-    pub(crate) fn check_and_insert(
-        &mut self,
-        set: SetId,
-        g: f64,
-        node: u32,
-        evicted: &mut Vec<u32>,
-    ) -> bool {
-        let entries = self.by_set.entry(set).or_default();
-        if entries.iter().any(|e| e.g <= g) {
-            return true;
-        }
-        if self.reopen {
-            // reaching this point implies g < e.g for every entry
-            // (otherwise the arrival would be a duplicate), so the
-            // strictly better arrival supersedes them all
-            entries.retain(|e| {
-                if g <= e.g {
-                    evicted.push(e.node);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        entries.push(DomEntry { g, node });
-        false
     }
 }
 
@@ -216,7 +152,8 @@ impl UsedNodes {
     /// resource profiles and adjacency, so the swapped plan also replays,
     /// validates and greedy-concretizes identically — unlike tail
     /// dominance, symmetry breaking is exact all the way through terminal
-    /// acceptance, which is why it alone runs outside drain mode.
+    /// acceptance, which is why it is the one pruning rule the search
+    /// runs.
     pub(crate) fn shadowed_by_sibling(
         &self,
         task: &PlanningTask,
@@ -241,76 +178,5 @@ impl UsedNodes {
             }
         }
         false
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pool::SetPool;
-
-    /// Distinct interned set ids for table tests.
-    fn sets(n: usize) -> Vec<SetId> {
-        let mut pool = SetPool::new();
-        (0..n).map(|i| pool.intern(vec![PropId::from_index(i)])).collect()
-    }
-
-    #[test]
-    fn closes_sets_and_reopens_on_better_g() {
-        let s = sets(1)[0];
-        let mut t = DomTable::new(true);
-        let mut ev = Vec::new();
-        // first arrival recorded
-        assert!(!t.check_and_insert(s, 5.0, 1, &mut ev));
-        // equal g: a duplicate
-        assert!(t.check_and_insert(s, 5.0, 2, &mut ev));
-        // worse g: a duplicate
-        assert!(t.check_and_insert(s, 6.0, 3, &mut ev));
-        assert!(ev.is_empty());
-        // strictly better g evicts the closed entry and takes its place
-        assert!(!t.check_and_insert(s, 4.0, 4, &mut ev));
-        assert_eq!(ev, vec![1]);
-        // and the new entry now closes its g
-        assert!(t.check_and_insert(s, 4.5, 5, &mut ev));
-    }
-
-    #[test]
-    fn without_reopen_never_evicts() {
-        let mut t = DomTable::new(false);
-        let s = sets(1)[0];
-        let mut ev = Vec::new();
-        assert!(!t.check_and_insert(s, 5.0, 1, &mut ev));
-        // better g is kept as an additional entry, nothing evicted
-        assert!(!t.check_and_insert(s, 4.0, 2, &mut ev));
-        assert!(ev.is_empty());
-        // both entries retained: an equal-g arrival is a duplicate
-        assert!(t.check_and_insert(s, 5.0, 3, &mut ev));
-        assert!(t.check_and_insert(s, 4.0, 4, &mut ev));
-    }
-
-    #[test]
-    fn distinct_sets_do_not_interact() {
-        let mut t = DomTable::new(true);
-        let ids = sets(2);
-        let mut ev = Vec::new();
-        assert!(!t.check_and_insert(ids[0], 1.0, 1, &mut ev));
-        assert!(!t.check_and_insert(ids[1], 5.0, 2, &mut ev));
-        assert!(ev.is_empty());
-        // each set closes independently
-        assert!(t.check_and_insert(ids[0], 1.0, 3, &mut ev));
-        assert!(t.check_and_insert(ids[1], 5.0, 4, &mut ev));
-    }
-
-    #[test]
-    fn reopening_chain_evicts_every_superseded_entry() {
-        let mut t = DomTable::new(true);
-        let s = sets(1)[0];
-        let mut ev = Vec::new();
-        assert!(!t.check_and_insert(s, 9.0, 1, &mut ev));
-        assert!(!t.check_and_insert(s, 7.0, 2, &mut ev));
-        assert_eq!(ev, vec![1]);
-        ev.clear();
-        assert!(!t.check_and_insert(s, 3.0, 3, &mut ev));
-        assert_eq!(ev, vec![2]);
     }
 }

@@ -60,7 +60,10 @@ pub struct RgConfig {
     /// Abort after rejecting this many candidate plans at terminal
     /// validation. An unsolvable unleveled instance (scenario A) generates
     /// candidate after candidate whose greedy-max execution fails; this is
-    /// the "bound is reached" cutoff the paper mentions for that case.
+    /// the "bound is reached" cutoff the paper mentions for that case. The
+    /// exit records the rejected candidate's `f` as
+    /// [`RgResult::best_open_f`]: candidates pop in `f` order, so no plan
+    /// the search could still return costs less.
     pub max_candidate_rejects: usize,
     /// Remaining-cost heuristic.
     pub heuristic: Heuristic,
@@ -74,53 +77,13 @@ pub struct RgConfig {
     /// stays bit-identical to the pre-deadline implementation — the
     /// [`crate::reference`] oracle ignores this field for the same reason.
     pub deadline: Option<Instant>,
-    /// Drain-mode dominance: once the drain trigger fires, drop a new
-    /// node when its interned open set was already reached with no-larger
-    /// `g` (closed-set semantics, see `prune::DomTable`). Inert
-    /// before drain mode — collapsing distinct tails over the same open
-    /// set is unsound against the order-sensitive greedy concretizer (see
-    /// `prune.rs`) — and inert without `replay_pruning`. Defaults to
-    /// **off** so the plain search stays counter-identical to
-    /// [`crate::reference`]; the planner facade turns it on.
-    pub dominance: bool,
     /// Orbit symmetry breaking: expand only the lexicographically minimal
     /// representative among achievers that differ solely by a verified
     /// network-node automorphism ([`sekitei_compile::NodeOrbits`]). No-op
-    /// on tasks without nontrivial orbits. Defaults to **off**, same
-    /// reason as `dominance`.
+    /// on tasks without nontrivial orbits. Defaults to **off** so the
+    /// plain search stays counter-identical to [`crate::reference`]; the
+    /// planner facade turns it on.
     pub symmetry: bool,
-    /// g-aware reopening: when a strictly better arrival supersedes a
-    /// closed-set entry in drain mode, mark the superseded node so the
-    /// search skips it if still queued. Only meaningful together with
-    /// `dominance`. Also gates **drain mode** (see `drain_after_rejects`).
-    pub reopen: bool,
-    /// Drain-mode trigger: once this many candidate plans have been
-    /// rejected at terminal validation without a single acceptance, the
-    /// sound pruning rules have demonstrably stopped converging and the
-    /// search switches new arrivals to g-aware closed-set duplicate
-    /// detection over interned sets, with symmetry coarsened to the
-    /// unverified signature classes ([`PlanningTask::sig_classes`]). Plans
-    /// found afterwards still validate against the initial state (always
-    /// sound), but a frontier drained in this mode reports
-    /// `budget_exhausted` instead of an unsolvability proof. The default
-    /// sits 20× above the largest reject count any solvable benchmark
-    /// scenario reaches, so previously-solved instances never engage it.
-    /// Needs `dominance` + `reopen` + `replay_pruning`.
-    pub drain_after_rejects: usize,
-    /// Node-count drain trigger, for searches that drown in breadth
-    /// without ever completing candidates (Large/A reaches 3 candidates in
-    /// 2M nodes). Same semantics as `drain_after_rejects`; the default is
-    /// ~8× the node count of the largest solved benchmark scenario.
-    pub drain_after_nodes: usize,
-    /// Drain-mode depth horizon: open nodes whose tails already hold this
-    /// many actions are cut instead of expanded. Without a horizon the
-    /// duplicate-action rule is the only depth bound, and on an unleveled
-    /// task that is the total ground-action count — a regress chain
-    /// thousands of actions deep that keeps minting fresh open sets
-    /// faster than closure retires them: Large/A drains in ~3 s under a
-    /// 16-action horizon, needs 80 s at 24, and never converges at 32.
-    /// Solved benchmark plans stay comfortably inside the default.
-    pub drain_depth: usize,
 }
 
 /// Amortization stride of the wall-clock deadline check: one `Instant::now`
@@ -132,16 +95,11 @@ impl Default for RgConfig {
     fn default() -> Self {
         RgConfig {
             max_nodes: 2_000_000,
-            max_candidate_rejects: 20_000,
+            max_candidate_rejects: 2_000,
             heuristic: Heuristic::Slrg,
             replay_pruning: true,
             deadline: None,
-            dominance: false,
             symmetry: false,
-            reopen: false,
-            drain_after_rejects: 2_000,
-            drain_after_nodes: 250_000,
-            drain_depth: 16,
         }
     }
 }
@@ -158,25 +116,11 @@ pub struct RgResult {
     pub open_left: usize,
     /// Nodes discarded by optimistic-map replay.
     pub replay_prunes: usize,
-    /// Nodes never created because drain-mode duplicate detection closed
-    /// their open set at no-larger `g` ([`RgConfig::dominance`]).
-    pub dominance_pruned: usize,
     /// Achievers skipped by orbit symmetry breaking
     /// ([`RgConfig::symmetry`]).
     pub symmetry_pruned: usize,
-    /// Closed-set entries superseded by strictly better arrivals in drain
-    /// mode ([`RgConfig::reopen`]); the superseded nodes are skipped when
-    /// popped.
-    pub reopened: usize,
     /// Candidate plans rejected by terminal validation/concretization.
     pub candidate_rejects: usize,
-    /// True when the search escalated to lossy closed-set drain mode
-    /// ([`RgConfig::drain_after_rejects`]); such a run's missing plan is a
-    /// budget verdict, never an unsolvability proof.
-    pub drain_mode: bool,
-    /// Open nodes cut by the drain-mode depth horizon
-    /// ([`RgConfig::drain_depth`]).
-    pub drain_depth_pruned: usize,
     /// Nodes expanded.
     pub expansions: usize,
     /// True when the node budget was exhausted.
@@ -223,12 +167,8 @@ impl RgResult {
             nodes_created: 0,
             open_left: 0,
             replay_prunes: 0,
-            dominance_pruned: 0,
             symmetry_pruned: 0,
-            reopened: 0,
             candidate_rejects: 0,
-            drain_mode: false,
-            drain_depth_pruned: 0,
             expansions: 0,
             budget_exhausted: false,
             deadline_hit: false,
@@ -247,9 +187,6 @@ struct RgNode {
     parent: u32, // u32::MAX = root
     set: SetId,
     g: f64,
-    /// Tail length (root = 0); lets drain mode apply its depth horizon
-    /// without walking the parent chain.
-    depth: u32,
 }
 
 const ROOT: u32 = u32::MAX;
@@ -307,7 +244,7 @@ pub fn search_bounded(
     if !h0.is_finite() {
         return result; // logically unsolvable
     }
-    nodes.push(RgNode { action: ActionId(0), parent: ROOT, set: goal, g: 0.0, depth: 0 });
+    nodes.push(RgNode { action: ActionId(0), parent: ROOT, set: goal, g: 0.0 });
     result.nodes_created += 1;
     open.push((Reverse(h0.to_bits()), 0f64.to_bits(), Reverse(counter), 0));
 
@@ -317,18 +254,8 @@ pub fn search_bounded(
     // wall-clock check; only maintained when a deadline is set
     let mut work_since_check = 0usize;
 
-    // pruning layer (all off at RgConfig::default())
-    let dom_on = cfg.dominance && cfg.replay_pruning;
+    // the pruning layer (off at RgConfig::default())
     let sym_on = cfg.symmetry && task.orbits.nontrivial();
-    // drain mode escalates duplicate detection and coarsens symmetry; the
-    // flip reads only the reject and node counters, never the clock, so
-    // it engages at the same pop on every run
-    let drain_enabled = dom_on && cfg.reopen;
-    let sym_drain_on = cfg.symmetry && task.sig_classes.nontrivial();
-    let mut drain = false;
-    let mut dom = crate::prune::DomTable::new(cfg.reopen);
-    let mut dominated: Vec<bool> = vec![false]; // parallel to `nodes`
-    let mut evicted: Vec<u32> = Vec::new();
     let mut used = crate::prune::UsedNodes::new(task.orbits.num_nodes());
 
     'search: while let Some((Reverse(f_bits), _, _, idx)) = open.pop() {
@@ -361,29 +288,10 @@ pub fn search_bounded(
             result.best_open_f = Some(popped_f);
             break;
         }
-        if drain_enabled
-            && !drain
-            && (result.candidate_rejects >= cfg.drain_after_rejects
-                || result.nodes_created >= cfg.drain_after_nodes)
-        {
-            drain = true;
-            result.drain_mode = true;
-        }
-        if dom_on && dominated[idx as usize] {
-            continue; // superseded by a strictly better arrival at its set
-        }
-        let (set, g, depth) = {
+        let (set, g) = {
             let n = &nodes[idx as usize];
-            (n.set, n.g, n.depth)
+            (n.set, n.g)
         };
-        // drain-mode depth horizon: the unleveled abstraction admits
-        // non-repeating action chains as deep as the whole ground action
-        // set, an abyss no amount of duplicate detection can drain; plans
-        // worth validating are orders of magnitude shorter
-        if drain && set != SetId::EMPTY && depth >= cfg.drain_depth as u32 {
-            result.drain_depth_pruned += 1;
-            continue;
-        }
         result.expansions += 1;
 
         if set == SetId::EMPTY {
@@ -425,9 +333,7 @@ pub fn search_bounded(
         if cfg.replay_pruning {
             scratch.begin_expansion(&parent_tail);
         }
-        let sym_here = if drain { sym_drain_on } else { sym_on };
-        let orbit_table = if drain { &task.sig_classes } else { &task.orbits };
-        if sym_here {
+        if sym_on {
             used.begin();
             for &aid in &parent_tail {
                 used.mark_action(task, aid);
@@ -455,7 +361,7 @@ pub fn search_bounded(
             }
             // symmetry breaking runs before regression so a shadowed child
             // costs neither a set interning nor an SLRG query
-            if sym_here && used.shadowed_by_sibling(task, orbit_table, a) {
+            if sym_on && used.shadowed_by_sibling(task, &task.orbits, a) {
                 result.symmetry_pruned += 1;
                 continue;
             }
@@ -467,32 +373,12 @@ pub fn search_bounded(
             if !h.is_finite() {
                 continue;
             }
-            if cfg.replay_pruning {
-                if scratch.child_tail_fails(task, a, &parent_tail) {
-                    result.replay_prunes += 1;
-                    continue;
-                }
-                // g-aware duplicate detection fires only in drain mode:
-                // collapsing distinct tails over the same open set is
-                // unsound against the order-sensitive greedy concretizer
-                // (see prune.rs), so the pre-drain search keeps every
-                // replay-feasible tail. Candidates (empty set) always go
-                // to terminal validation — dominance never gates them.
-                if drain && dom_on && child_set != SetId::EMPTY {
-                    evicted.clear();
-                    if dom.check_and_insert(child_set, g2, nodes.len() as u32, &mut evicted) {
-                        result.dominance_pruned += 1;
-                        continue;
-                    }
-                    for &e in &evicted {
-                        dominated[e as usize] = true;
-                        result.reopened += 1;
-                    }
-                }
+            if cfg.replay_pruning && scratch.child_tail_fails(task, a, &parent_tail) {
+                result.replay_prunes += 1;
+                continue;
             }
             let child_idx = nodes.len() as u32;
-            nodes.push(RgNode { action: a, parent: idx, set: child_set, g: g2, depth: depth + 1 });
-            dominated.push(false);
+            nodes.push(RgNode { action: a, parent: idx, set: child_set, g: g2 });
             result.nodes_created += 1;
             if cfg.deadline.is_some() {
                 work_since_check += 1;
@@ -512,12 +398,6 @@ pub fn search_bounded(
         // the sound bound, and `None` on an empty frontier proves
         // infeasibility.
         result.best_open_f = open.peek().map(|&(Reverse(f_bits), ..)| f64::from_bits(f_bits));
-    }
-    // a frontier drained under lossy closed-set semantics is a budget
-    // verdict, not an unsolvability proof — branches were merged on set
-    // identity alone
-    if result.drain_mode && result.plan.is_none() {
-        result.budget_exhausted = true;
     }
     result
 }
@@ -645,8 +525,7 @@ mod tests {
             let mut slrg = Slrg::new(&task, &plrg, 50_000);
             let base = search(&task, &plrg, &mut slrg, &RgConfig::default());
             let mut slrg2 = Slrg::new(&task, &plrg, 50_000);
-            let cfg =
-                RgConfig { dominance: true, symmetry: true, reopen: true, ..RgConfig::default() };
+            let cfg = RgConfig { symmetry: true, ..RgConfig::default() };
             let pruned = search(&task, &plrg, &mut slrg2, &cfg);
             match (&base.plan, &pruned.plan) {
                 (Some((_, c1, _)), Some((_, c2, _))) => {
@@ -664,9 +543,7 @@ mod tests {
     #[test]
     fn pruning_flags_off_leave_counters_zero() {
         let (_, r) = run(LevelScenario::C);
-        assert_eq!(r.dominance_pruned, 0);
         assert_eq!(r.symmetry_pruned, 0);
-        assert_eq!(r.reopened, 0);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Pruning soundness suite: with the full pruning layer on (dominance,
-//! node-symmetry breaking, g-aware reopening), the search must return
-//! plans whose *costs* are bit-identical to the boxed reference
-//! implementation — which has no pruning at all — on every scenario the
-//! reference solves, and must agree on solvability everywhere else. Node
-//! counts are expected (and required) to drop; the budget-exhausted rows
-//! additionally pin the ≥5× reduction the pruning layer exists for.
+//! Pruning soundness suite: with the pruning layer on (node-symmetry
+//! breaking), the search must return plans whose *costs* are
+//! bit-identical to the boxed reference implementation — which has no
+//! pruning at all — on every scenario the reference solves, and must agree
+//! on solvability everywhere else. Node counts may only drop.
 //!
 //! The randomized half drives the same comparison over fuzzed Waxman
 //! topologies through the full `Planner` facade: pruning may never change
@@ -23,16 +21,15 @@ use sekitei_topology::{scenarios, waxman, Capacities};
 const SLRG_BUDGET: usize = 50_000;
 
 fn pruned_cfg() -> RgConfig {
-    RgConfig { dominance: true, symmetry: true, reopen: true, ..RgConfig::default() }
+    RgConfig { symmetry: true, ..RgConfig::default() }
 }
 
 /// Reference (no pruning) vs. optimized search with the pruning layer on:
-/// same solvability, bit-identical plan cost, never more nodes. Returns
-/// `(reference nodes, pruned nodes)` for ratio assertions.
-fn assert_cost_preserved(task: &PlanningTask, label: &str) -> (usize, usize) {
+/// same solvability, bit-identical plan cost, never more nodes.
+fn assert_cost_preserved(task: &PlanningTask, label: &str) {
     let plrg = Plrg::build(task);
     if !plrg.solvable(task) {
-        return (0, 0);
+        return;
     }
     let reference = search_reference(task, &plrg, SLRG_BUDGET, &RgConfig::default());
     let mut slrg = Slrg::new(task, &plrg, SLRG_BUDGET);
@@ -51,7 +48,6 @@ fn assert_cost_preserved(task: &PlanningTask, label: &str) -> (usize, usize) {
         reference.nodes_created,
         pruned.nodes_created
     );
-    (reference.nodes_created, pruned.nodes_created)
 }
 
 #[test]
@@ -66,15 +62,7 @@ fn tiny_all_scenarios_keep_reference_costs() {
 fn small_all_scenarios_keep_reference_costs() {
     for sc in LevelScenario::ALL {
         let task = compile(&scenarios::small(sc)).unwrap();
-        let (base, pruned) = assert_cost_preserved(&task, &format!("small/{sc:?}"));
-        if sc == LevelScenario::A {
-            // the budget-exhausted row the pruning layer exists for: the
-            // reject budget burns ≥5× fewer nodes under drain mode
-            assert!(
-                pruned * 5 <= base,
-                "small/A: expected a >=5x node reduction, got {base} -> {pruned}"
-            );
-        }
+        assert_cost_preserved(&task, &format!("small/{sc:?}"));
     }
 }
 
@@ -88,9 +76,9 @@ fn figure1_all_scenarios_keep_reference_costs() {
 
 #[test]
 fn large_solved_scenarios_keep_reference_costs() {
-    // Large/A is excluded: the reference burns its full 2M-node budget
-    // there (minutes in the boxed implementation); its pruned-search
-    // behavior is pinned by the bench trajectory
+    // Large/A is excluded: the boxed reference creates 215 213 nodes on
+    // the way to its reject budget there; its pruned-search counts are
+    // pinned by `search_counts.rs`
     for sc in [LevelScenario::B, LevelScenario::C, LevelScenario::D, LevelScenario::E] {
         let task = compile(&scenarios::large(sc)).unwrap();
         assert_cost_preserved(&task, &format!("large/{sc:?}"));
@@ -124,9 +112,7 @@ fn planner(prune: bool) -> Planner {
         max_nodes: 100_000,
         max_candidate_rejects: 1_000,
         slrg_budget: 20_000,
-        dominance: prune,
         symmetry: prune,
-        reopen: prune,
         ..PlannerConfig::default()
     })
 }
@@ -134,8 +120,8 @@ fn planner(prune: bool) -> Planner {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dominance/symmetry/reopening may thin the search tree but never the
-    /// answer: identical solvability, bit-identical plan cost.
+    /// Symmetry breaking may thin the search tree but never the answer:
+    /// identical solvability, bit-identical plan cost.
     #[test]
     fn pruning_never_prunes_the_optimal_plan(
         seed in 0u64..10_000, n in 6usize..20,

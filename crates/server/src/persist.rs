@@ -53,7 +53,7 @@ const COMPILE_FORMAT: &str = "goal-relevant";
 /// Hash the planner configuration, crate version and compile format into
 /// the fingerprint a snapshot file is bound to. `PlannerConfig`'s `Debug`
 /// form covers every field, so any knob that changes search results
-/// (budgets, heuristic, deadline, drain mode, …) invalidates the file, as
+/// (budgets, heuristic, deadline, symmetry, …) invalidates the file, as
 /// does a version bump that could change plan encoding or a grounder that
 /// builds a different task (`COMPILE_FORMAT`).
 pub fn config_fingerprint(cfg: &PlannerConfig) -> u64 {

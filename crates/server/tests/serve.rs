@@ -143,6 +143,9 @@ fn deadline_tripped_large_a_degrades_instead_of_erroring() {
         planner: PlannerConfig {
             deadline: Some(Duration::from_millis(600)),
             degrade: true,
+            // the default reject budget ends Large/A inside the deadline;
+            // a ten-times larger one keeps the search running past it
+            max_candidate_rejects: 20_000,
             ..PlannerConfig::default()
         },
         ..ServerConfig::default()
