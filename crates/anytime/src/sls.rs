@@ -395,7 +395,6 @@ impl<'t> Engine<'t> {
             };
             tail_exec.clear();
             tail_exec.extend(picks.iter().rev());
-            self.scratch.begin_expansion(&tail_exec);
             cands.clear();
             for &a in self.task.achievers(target) {
                 if !self.plrg.usable(a) || picks.contains(&a) {

@@ -8,20 +8,24 @@
 //! * `slrg`    — cumulative wall time of uncached set-cost A* queries,
 //! * `rg`      — main regression search minus the SLRG share.
 //!
-//! Each combination runs `REPS` times and the minimum wall per phase is
-//! kept (least scheduler noise). Results go to stdout as a table and to
-//! `BENCH_planner.json` in the current directory as machine-readable
-//! records `{phase, scenario, wall_ms, nodes, budget_exhausted}` — the
-//! file the repo's committed baselines under `crates/bench/baselines/`
-//! are snapshots of. `budget_exhausted` flags rows whose search aborted
-//! on a budget (Small/A and Large/A stop at 2 000 rejected candidates),
-//! so their `wall_ms` measures the budget, not the instance.
+//! Every row runs `REPS` times and one helper ([`repeat`]) reduces its
+//! samples: `wall_ms` is the minimum (least scheduler noise), and `q1_ms`
+//! and `q3_ms` are the quartiles of all `reps` walls, so a swing inside the
+//! spread can be told from a regression. Results go to stdout as a table
+//! and to `BENCH_planner.json` in the current directory as
+//! machine-readable records `{phase, scenario, wall_ms, q1_ms, q3_ms,
+//! reps, nodes, budget_exhausted}` — the file the repo's committed
+//! baselines under `crates/bench/baselines/` are snapshots of. `nodes` and
+//! `budget_exhausted` come from the fastest sample. `budget_exhausted`
+//! flags rows whose search aborted on a budget (Small/A and Large/A stop
+//! at 2 000 rejected candidates), so their `wall_ms` measures the budget,
+//! not the instance.
 //!
-//! `rg-prune` is the full search wall (SLRG queries included) with the
-//! pruning layer on (orbit symmetry breaking, the `PlannerConfig`
-//! default); compare its node counts against the `rg` rows to see what
-//! the layer removes. Small/A and Large/A end on the 2 000-candidate
-//! reject budget in both.
+//! The `rg` rows run the raw search with the pruning layer off. `rg-prune`
+//! is the full search wall (SLRG queries included) with the pruning layer
+//! on (orbit symmetry breaking, the `PlannerConfig` default); compare its
+//! node counts against the `rg` rows to see what the layer removes.
+//! Small/A and Large/A end on the 2 000-candidate reject budget in both.
 //!
 //! A fifth pair of phases times the serving path end to end over a real
 //! socket (Tiny and Small scenarios only):
@@ -60,13 +64,14 @@ use sekitei_model::resource::names::LBW;
 use sekitei_model::{
     adapt_problem, AdaptConfig, CppProblem, LevelScenario, LinkClass, MediaConfig,
 };
-use sekitei_planner::{rg, Heuristic, Planner, PlannerConfig, Plrg, RgConfig, Slrg};
+use sekitei_planner::{rg, Heuristic, Planner, PlannerConfig, Plrg, Slrg};
 use sekitei_sim::existing_from_plan;
 use sekitei_topology::scenarios::{self, NetSize};
 use std::time::Instant;
 
 const REPS: usize = 5;
 
+/// One sample of one row.
 #[derive(Clone, Copy)]
 struct PhaseRow {
     wall_ms: f64,
@@ -74,6 +79,43 @@ struct PhaseRow {
     /// The measured run aborted on a search budget (node cap, reject cap
     /// or deadline) — its wall time bounds the budget, not the instance.
     budget_exhausted: bool,
+}
+
+/// One row reduced over its samples: the fastest sample, whose wall,
+/// nodes and flag the row reports, and the spread of every sample's wall.
+#[derive(Clone, Copy)]
+struct Summary {
+    best: PhaseRow,
+    reps: usize,
+    q1_ms: f64,
+    q3_ms: f64,
+}
+
+impl Summary {
+    fn of(samples: impl Iterator<Item = PhaseRow>) -> Summary {
+        let samples: Vec<PhaseRow> = samples.collect();
+        // `min_by` keeps the first of equal walls
+        let best = *samples
+            .iter()
+            .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
+            .expect("at least one sample");
+        let mut walls: Vec<f64> = samples.iter().map(|s| s.wall_ms).collect();
+        walls.sort_by(f64::total_cmp);
+        // nearest-rank quartiles: the 2nd and 4th of `REPS` = 5 walls
+        let n = walls.len() - 1;
+        Summary { best, reps: walls.len(), q1_ms: walls[n / 4], q3_ms: walls[3 * n / 4] }
+    }
+}
+
+/// Run one measurement up to `REPS` times and reduce each of its `N` rows
+/// over the samples. A measurement answers `None` when it has nothing to
+/// measure; that ends the reps, and `None` on the first run means no row.
+fn repeat<const N: usize>(mut run: impl FnMut() -> Option<[PhaseRow; N]>) -> Option<[Summary; N]> {
+    let samples: Vec<[PhaseRow; N]> = (0..REPS).map_while(|_| run()).collect();
+    if samples.is_empty() {
+        return None;
+    }
+    Some(std::array::from_fn(|i| Summary::of(samples.iter().map(|s| s[i]))))
 }
 
 /// One full pipeline run; returns [compile, plrg, slrg, rg] rows.
@@ -89,10 +131,10 @@ fn run_once(size: NetSize, sc: LevelScenario) -> [PhaseRow; 4] {
     let plrg_ms = t.elapsed().as_secs_f64() * 1e3;
     let (pp, pa) = plrg.sizes();
 
-    let mut slrg = Slrg::new(&task, &plrg, 50_000);
-    let cfg = RgConfig::default();
+    let cfg = PlannerConfig { symmetry: false, ..PlannerConfig::default() };
+    let mut slrg = Slrg::new(&task, &plrg, cfg.slrg_budget);
     let t = Instant::now();
-    let r = rg::search(&task, &plrg, &mut slrg, &cfg);
+    let r = rg::search(&task, &plrg, &mut slrg, &cfg, t);
     let search_ms = t.elapsed().as_secs_f64() * 1e3;
     let slrg_ms = slrg.stats().time.as_secs_f64() * 1e3;
     let rg_ms = (search_ms - slrg_ms).max(0.0);
@@ -111,10 +153,10 @@ fn run_pruned(size: NetSize, sc: LevelScenario) -> PhaseRow {
     let p = scenarios::problem(size, sc);
     let task = compile(&p).expect("scenario compiles");
     let plrg = Plrg::build(&task);
-    let mut slrg = Slrg::new(&task, &plrg, 50_000);
-    let cfg = RgConfig { symmetry: true, ..RgConfig::default() };
+    let cfg = PlannerConfig::default();
+    let mut slrg = Slrg::new(&task, &plrg, cfg.slrg_budget);
     let t = Instant::now();
-    let r = rg::search(&task, &plrg, &mut slrg, &cfg);
+    let r = rg::search(&task, &plrg, &mut slrg, &cfg, t);
     PhaseRow {
         wall_ms: t.elapsed().as_secs_f64() * 1e3,
         nodes: r.nodes_created,
@@ -236,9 +278,9 @@ fn repair_once(size: NetSize, sc: LevelScenario) -> Option<[PhaseRow; 2]> {
 /// One certificate-layer measurement: plan once (degrade on, like the
 /// serving path), then time packaging the certificate from the existing
 /// ledger (`cert-emit`) and independently re-checking it against the
-/// compiled task (`cert-check`), min of `REPS` each. `None` when the
+/// compiled task (`cert-check`), `REPS` times each. `None` when the
 /// scenario yields no plan.
-fn cert_once(size: NetSize, sc: LevelScenario) -> Option<[PhaseRow; 2]> {
+fn cert_rows(size: NetSize, sc: LevelScenario) -> Option<[Summary; 2]> {
     let p = scenarios::problem(size, sc);
     let planner =
         Planner::new(sekitei_planner::PlannerConfig { degrade: true, ..Default::default() });
@@ -247,10 +289,7 @@ fn cert_once(size: NetSize, sc: LevelScenario) -> Option<[PhaseRow; 2]> {
     let cert = plan.certificate.as_ref()?;
     let actions: Vec<_> = plan.steps.iter().map(|s| s.action).collect();
 
-    let mut emit_ms = f64::INFINITY;
-    let mut check_ms = f64::INFINITY;
-    let mut entries = 0usize;
-    for _ in 0..REPS {
+    repeat(|| {
         let t = Instant::now();
         let emitted = sekitei_cert::emit(
             &o.task,
@@ -260,38 +299,28 @@ fn cert_once(size: NetSize, sc: LevelScenario) -> Option<[PhaseRow; 2]> {
             cert.outcome,
             cert.bound,
         );
-        emit_ms = emit_ms.min(t.elapsed().as_secs_f64() * 1e3);
+        let emit_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
         let report = sekitei_cert::check_certificate(&o.task, &emitted)
             .expect("issued certificate verifies");
-        check_ms = check_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        entries = report.ledger_entries;
-    }
-    Some([
-        PhaseRow { wall_ms: emit_ms, nodes: plan.steps.len(), budget_exhausted: false },
-        PhaseRow { wall_ms: check_ms, nodes: entries, budget_exhausted: false },
-    ])
+        let check_ms = t.elapsed().as_secs_f64() * 1e3;
+        Some([
+            PhaseRow { wall_ms: emit_ms, nodes: plan.steps.len(), budget_exhausted: false },
+            PhaseRow { wall_ms: check_ms, nodes: report.ledger_entries, budget_exhausted: false },
+        ])
+    })
 }
 
-/// One ablation row: the min wall of `REPS` `Planner::plan` runs.
-fn plan_row(p: &CppProblem, cfg: PlannerConfig) -> PhaseRow {
-    let planner = Planner::new(cfg);
-    let mut best: Option<PhaseRow> = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let o = planner.plan(p).expect("scenario compiles");
-        let row = PhaseRow {
-            wall_ms: t.elapsed().as_secs_f64() * 1e3,
-            nodes: o.stats.rg_nodes,
-            budget_exhausted: o.stats.budget_exhausted,
-        };
-        best = match best {
-            Some(b) if b.wall_ms <= row.wall_ms => Some(b),
-            _ => Some(row),
-        };
+/// One ablation sample: a whole `Planner::plan` run.
+fn plan_once(planner: &Planner, p: &CppProblem) -> PhaseRow {
+    let t = Instant::now();
+    let o = planner.plan(p).expect("scenario compiles");
+    PhaseRow {
+        wall_ms: t.elapsed().as_secs_f64() * 1e3,
+        nodes: o.stats.rg_nodes,
+        budget_exhausted: o.stats.budget_exhausted,
     }
-    best.expect("REPS > 0")
 }
 
 /// Small/A with `k` cutpoints between 80 and 120 on the stream bandwidth
@@ -346,36 +375,36 @@ fn obs_self_check() {
     );
 }
 
+/// Print one row and keep it for `BENCH_planner.json`.
+fn record(
+    records: &mut Vec<(String, &'static str, Summary)>,
+    scenario: &str,
+    phase: &'static str,
+    row: Summary,
+    note: &str,
+) {
+    println!(
+        "{:<10}{:<19}{:>10.3}{:>10.3}{:>10.3}{:>10}{note}",
+        scenario, phase, row.best.wall_ms, row.q1_ms, row.q3_ms, row.best.nodes
+    );
+    records.push((scenario.to_string(), phase, row));
+}
+
 fn main() {
     obs_self_check();
     const PHASES: [&str; 4] = ["compile", "plrg", "slrg", "rg"];
-    let mut records: Vec<(String, &'static str, PhaseRow)> = Vec::new();
+    let mut records = Vec::new();
 
     println!(
-        "{:<10}{:<9}{:>12}{:>10}   (min of {REPS} reps)",
-        "scenario", "phase", "wall_ms", "nodes"
+        "{:<10}{:<19}{:>10}{:>10}{:>10}{:>10}   (min and quartiles of {REPS} reps)",
+        "scenario", "phase", "wall_ms", "q1_ms", "q3_ms", "nodes"
     );
     for size in NetSize::ALL {
         for sc in LevelScenario::ALL {
-            let mut best: Option<[PhaseRow; 4]> = None;
-            for _ in 0..REPS {
-                let rows = run_once(size, sc);
-                best = Some(match best {
-                    None => rows,
-                    Some(mut b) => {
-                        for (bi, ri) in b.iter_mut().zip(rows) {
-                            if ri.wall_ms < bi.wall_ms {
-                                *bi = ri;
-                            }
-                        }
-                        b
-                    }
-                });
-            }
+            let rows = repeat(|| Some(run_once(size, sc))).expect("REPS > 0");
             let label = format!("{}/{}", size.label(), sc.label());
-            for (phase, row) in PHASES.iter().zip(best.unwrap()) {
-                println!("{:<10}{:<9}{:>12.3}{:>10}", label, phase, row.wall_ms, row.nodes);
-                records.push((label.clone(), phase, row));
+            for (phase, row) in PHASES.iter().zip(rows) {
+                record(&mut records, &label, phase, row, "");
             }
         }
     }
@@ -383,27 +412,21 @@ fn main() {
     // the anytime portfolio on the adversarial unleveled scenario: the
     // plain search of the `rg` rows returns nothing there, the portfolio
     // returns a sim-validated incumbent with a measured gap; the gap is
-    // deterministic (fixed sls_seed), the wall is min-of-reps
+    // deterministic (fixed sls_seed), and the largest over the reps is
+    // printed
     const ANYTIME_PHASES: [(&str, u64); 3] =
         [("anytime-10ms", 10), ("anytime-50ms", 50), ("anytime-250ms", 250)];
     for size in [NetSize::Small, NetSize::Large] {
         let label = format!("{}/A", size.label());
         for (phase, deadline_ms) in ANYTIME_PHASES {
-            let mut best: Option<(PhaseRow, f64)> = None;
-            for _ in 0..REPS {
-                let (row, gap) = run_anytime(size, deadline_ms);
-                best = Some(match best {
-                    None => (row, gap),
-                    Some(b) if row.wall_ms < b.0.wall_ms => (row, gap),
-                    Some(b) => b,
-                });
-            }
-            let (row, gap) = best.unwrap();
-            println!(
-                "{:<10}{:<14}{:>7.3}{:>10}   gap ≤ {:.2}",
-                label, phase, row.wall_ms, row.nodes, gap
-            );
-            records.push((label.clone(), phase, row));
+            let mut gap = f64::NAN;
+            let [row] = repeat(|| {
+                let (row, g) = run_anytime(size, deadline_ms);
+                gap = gap.max(g);
+                Some([row])
+            })
+            .expect("REPS > 0");
+            record(&mut records, &label, phase, row, &format!("   gap ≤ {gap:.2}"));
         }
     }
 
@@ -412,18 +435,8 @@ fn main() {
     for size in [NetSize::Small, NetSize::Large] {
         for sc in LevelScenario::ALL {
             let label = format!("{}/{}", size.label(), sc.label());
-            let mut best: Option<PhaseRow> = None;
-            for _ in 0..REPS {
-                let row = run_pruned(size, sc);
-                best = Some(match best {
-                    None => row,
-                    Some(b) if row.wall_ms < b.wall_ms => row,
-                    Some(b) => b,
-                });
-            }
-            let row = best.unwrap();
-            println!("{:<10}{:<9}{:>12.3}{:>10}", label, "rg-prune", row.wall_ms, row.nodes);
-            records.push((label.clone(), "rg-prune", row));
+            let [row] = repeat(|| Some([run_pruned(size, sc)])).expect("REPS > 0");
+            record(&mut records, &label, "rg-prune", row, "");
         }
     }
 
@@ -449,33 +462,18 @@ fn main() {
         ablations.push(("Small/A", phase, cutpoint_problem(k), PlannerConfig::default()));
     }
     for (label, phase, p, cfg) in &ablations {
-        let row = plan_row(p, *cfg);
-        println!("{:<10}{:<19}{:>8.3}{:>10}", label, phase, row.wall_ms, row.nodes);
-        records.push((label.to_string(), phase, row));
+        let planner = Planner::new(*cfg);
+        let [row] = repeat(|| Some([plan_once(&planner, p)])).expect("REPS > 0");
+        record(&mut records, label, phase, row, "");
     }
 
     const SERVE_PHASES: [&str; 2] = ["serve-cold", "serve-warm"];
     for size in [NetSize::Tiny, NetSize::Small] {
         for sc in LevelScenario::ALL {
-            let mut best: Option<[PhaseRow; 2]> = None;
-            for _ in 0..REPS {
-                let rows = serve_once(size, sc);
-                best = Some(match best {
-                    None => rows,
-                    Some(mut b) => {
-                        for (bi, ri) in b.iter_mut().zip(rows) {
-                            if ri.wall_ms < bi.wall_ms {
-                                *bi = ri;
-                            }
-                        }
-                        b
-                    }
-                });
-            }
+            let rows = repeat(|| Some(serve_once(size, sc))).expect("REPS > 0");
             let label = format!("{}/{}", size.label(), sc.label());
-            for (phase, row) in SERVE_PHASES.iter().zip(best.unwrap()) {
-                println!("{:<10}{:<11}{:>10.3}{:>10}", label, phase, row.wall_ms, row.nodes);
-                records.push((label.clone(), phase, row));
+            for (phase, row) in SERVE_PHASES.iter().zip(rows) {
+                record(&mut records, &label, phase, row, "");
             }
         }
     }
@@ -483,26 +481,10 @@ fn main() {
     const REPAIR_PHASES: [&str; 2] = ["adapt-repair", "scratch-repair"];
     for size in [NetSize::Tiny, NetSize::Small] {
         for sc in LevelScenario::ALL {
-            let mut best: Option<[PhaseRow; 2]> = None;
-            for _ in 0..REPS {
-                let Some(rows) = repair_once(size, sc) else { break };
-                best = Some(match best {
-                    None => rows,
-                    Some(mut b) => {
-                        for (bi, ri) in b.iter_mut().zip(rows) {
-                            if ri.wall_ms < bi.wall_ms {
-                                *bi = ri;
-                            }
-                        }
-                        b
-                    }
-                });
-            }
-            let Some(best) = best else { continue };
+            let Some(rows) = repeat(|| repair_once(size, sc)) else { continue };
             let label = format!("{}/{}", size.label(), sc.label());
-            for (phase, row) in REPAIR_PHASES.iter().zip(best) {
-                println!("{:<10}{:<15}{:>6.3}{:>10}", label, phase, row.wall_ms, row.nodes);
-                records.push((label.clone(), phase, row));
+            for (phase, row) in REPAIR_PHASES.iter().zip(rows) {
+                record(&mut records, &label, phase, row, "");
             }
         }
     }
@@ -513,11 +495,10 @@ fn main() {
     const CERT_PHASES: [&str; 2] = ["cert-emit", "cert-check"];
     for size in NetSize::ALL {
         for sc in LevelScenario::ALL {
-            let Some(rows) = cert_once(size, sc) else { continue };
+            let Some(rows) = cert_rows(size, sc) else { continue };
             let label = format!("{}/{}", size.label(), sc.label());
             for (phase, row) in CERT_PHASES.iter().zip(rows) {
-                println!("{:<10}{:<11}{:>10.3}{:>10}", label, phase, row.wall_ms, row.nodes);
-                records.push((label.clone(), phase, row));
+                record(&mut records, &label, phase, row, "");
             }
         }
     }
@@ -525,13 +506,16 @@ fn main() {
     let mut json = String::from("[\n");
     for (i, (scenario, phase, row)) in records.iter().enumerate() {
         json.push_str(&format!(
-            "  {{\"phase\": \"{}\", \"scenario\": \"{}\", \"wall_ms\": {:.3}, \"nodes\": {}, \
-             \"budget_exhausted\": {}}}{}\n",
+            "  {{\"phase\": \"{}\", \"scenario\": \"{}\", \"wall_ms\": {:.3}, \"q1_ms\": {:.3}, \
+             \"q3_ms\": {:.3}, \"reps\": {}, \"nodes\": {}, \"budget_exhausted\": {}}}{}\n",
             phase,
             scenario,
-            row.wall_ms,
-            row.nodes,
-            row.budget_exhausted,
+            row.best.wall_ms,
+            row.q1_ms,
+            row.q3_ms,
+            row.reps,
+            row.best.nodes,
+            row.best.budget_exhausted,
             if i + 1 < records.len() { "," } else { "" }
         ));
     }

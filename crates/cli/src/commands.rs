@@ -157,13 +157,19 @@ fn parse_size_level(v: &str) -> Result<(NetSize, LevelScenario), String> {
     let (size, level) = v
         .split_once('-')
         .ok_or_else(|| format!("bad --scenario `{v}` (expected <size>-<level>, e.g. small-b)"))?;
-    let size = match size.to_ascii_lowercase().as_str() {
-        "tiny" => NetSize::Tiny,
-        "small" => NetSize::Small,
-        "large" => NetSize::Large,
-        other => return Err(format!("unknown network size `{other}` (use tiny|small|large)")),
-    };
-    Ok((size, parse_scenario(level)?))
+    Ok((parse_size(size)?, parse_scenario(level)?))
+}
+
+/// Parse a network size (`tiny`, `small` or `large`, any case): the one
+/// parser behind `plan --scenario`, `scenario`, `churn --scenario` and
+/// `loadgen --corpus`.
+fn parse_size(v: &str) -> Result<NetSize, String> {
+    match v.to_ascii_lowercase().as_str() {
+        "tiny" => Ok(NetSize::Tiny),
+        "small" => Ok(NetSize::Small),
+        "large" => Ok(NetSize::Large),
+        _ => Err(format!("unknown network size `{v}` (use tiny|small|large)")),
+    }
 }
 
 fn report_outcome(
@@ -684,14 +690,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             }
             "--corpus" => {
                 i += 1;
-                corpus_size = match need(args.get(i), "--corpus")?.as_str() {
-                    "tiny" => NetSize::Tiny,
-                    "small" => NetSize::Small,
-                    "large" => NetSize::Large,
-                    other => {
-                        return Err(format!("unknown corpus `{other}` (use tiny|small|large)"))
-                    }
-                };
+                corpus_size = parse_size(&need(args.get(i), "--corpus")?)?;
             }
             "--bench-json" => {
                 i += 1;
@@ -866,12 +865,7 @@ fn parse_scenario(s: &str) -> Result<LevelScenario, String> {
 }
 
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
-    let size = match args.first().map(String::as_str) {
-        Some("tiny") => NetSize::Tiny,
-        Some("small") => NetSize::Small,
-        Some("large") => NetSize::Large,
-        other => return Err(format!("unknown network size `{other:?}`\n{USAGE}")),
-    };
+    let size = parse_size(args.first().ok_or(USAGE)?)?;
     let sc = parse_scenario(args.get(1).ok_or(USAGE)?)?;
     let problem = scenarios::problem(size, sc);
     if args.iter().any(|a| a == "--emit") {
@@ -1032,12 +1026,7 @@ fn cmd_churn(args: &[String]) -> Result<(), String> {
         match args[i].as_str() {
             "--scenario" => {
                 i += 1;
-                size = match need(args.get(i), "--scenario")?.as_str() {
-                    "tiny" => NetSize::Tiny,
-                    "small" => NetSize::Small,
-                    "large" => NetSize::Large,
-                    other => return Err(format!("unknown network size `{other}`")),
-                };
+                size = parse_size(&need(args.get(i), "--scenario")?)?;
             }
             "--level" => {
                 i += 1;
@@ -1396,6 +1385,21 @@ mod tests {
         assert!(
             dispatch(&[s(&["plan"]), vec![sp], s(&["--deadline-ms", "soon"])].concat()).is_err()
         );
+    }
+
+    #[test]
+    fn every_network_size_flag_shares_one_parser_and_message() {
+        let want = "unknown network size `galactic` (use tiny|small|large)";
+        for args in [
+            &["plan", "--scenario", "galactic-c"][..],
+            &["scenario", "galactic", "C"],
+            &["churn", "--scenario", "galactic"],
+            &["loadgen", "--corpus", "galactic"],
+        ] {
+            assert_eq!(dispatch(&s(args)).unwrap_err(), want, "{args:?}");
+        }
+        assert_eq!(parse_size("Large"), Ok(NetSize::Large));
+        assert_eq!(dispatch(&s(&["scenario"])).unwrap_err(), USAGE);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use pool::{SetId, SetPool};
 pub use prune::IncumbentBound;
 pub use reference::{search_reference, ReferenceOutcome};
 pub use replay::{replay_tail, ReplayFail, ReplayScratch, ResourceMap};
-pub use rg::{Heuristic, RgConfig, RgResult};
+pub use rg::{Heuristic, RgResult};
 pub use setkey::SetKey;
 pub use slrg::{SetCost, Slrg, SlrgStats};
 pub use viz::{network_dot, plan_dot};
@@ -57,7 +57,9 @@ use sekitei_compile::{compile, CompileError, CompileStats, PlanningTask};
 use sekitei_model::{ActionId, CppProblem};
 use std::time::{Duration, Instant};
 
-/// Planner configuration.
+/// Planner configuration: the one configuration of the whole pipeline,
+/// read by the RG search ([`rg::search`]), the reference oracle
+/// ([`search_reference`]) and the anytime facade alike.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
     /// RG node budget: the search aborts (reporting
@@ -68,22 +70,30 @@ pub struct PlannerConfig {
     /// loops (`crates/churn`) use it to hard-bound worst-case search
     /// without giving up run-to-run reproducibility.
     pub max_nodes: usize,
-    /// RG candidate-reject budget ([`RgConfig::max_candidate_rejects`]):
-    /// bounds effort on unsolvable instances, and its exit leaves an
-    /// admissible [`PlannerStats::best_bound`].
+    /// RG candidate-reject budget: the search aborts after rejecting this
+    /// many candidate plans at terminal validation. An unsolvable
+    /// unleveled instance (scenario A) generates candidate after candidate
+    /// whose greedy-max execution fails; this is the "bound is reached"
+    /// cutoff the paper mentions for that case. The exit records the
+    /// rejected candidate's `f` as [`PlannerStats::best_bound`]
+    /// ([`RgResult::best_open_f`]): candidates pop in `f` order, so no plan
+    /// the search could still return costs less.
     pub max_candidate_rejects: usize,
     /// SLRG per-query expansion budget.
     pub slrg_budget: usize,
     /// Remaining-cost heuristic for the RG.
     pub heuristic: Heuristic,
-    /// Optimistic-map replay pruning (ablation knob; keep on).
+    /// Replay tails through optimistic maps and prune failures. Keep on;
+    /// turning it off is the ablation showing why Figure 8 matters.
     pub replay_pruning: bool,
     /// Wall-clock budget for one planning run, measured from the `t0`
-    /// anchor (request arrival; includes compilation). Checked amortized in
-    /// the RG expansion loop; tripping it sets
-    /// [`PlannerStats::budget_exhausted`] and
+    /// anchor (request arrival; includes compilation). The RG checks it
+    /// amortized, every [`rg::DEADLINE_CHECK_STRIDE`] units of search
+    /// work; tripping it sets [`PlannerStats::budget_exhausted`] and
     /// [`PlannerStats::deadline_hit`]. `None` (the default) never reads
-    /// the clock.
+    /// the clock, so the search stays bit-identical to one without
+    /// deadlines; the [`mod@reference`] oracle ignores this field for the same
+    /// reason.
     pub deadline: Option<Duration>,
     /// Graceful degradation: when the search ends without a validated
     /// optimal plan, a step after the search returns the cheapest rejected
@@ -91,11 +101,15 @@ pub struct PlannerConfig {
     /// [`Plan::degraded`], instead of no plan at all. The search itself
     /// runs the same either way.
     pub degrade: bool,
-    /// Orbit symmetry breaking ([`RgConfig::symmetry`]): expand one
-    /// placement representative per verified network-node equivalence
-    /// class. On by default — the differential suite
+    /// Orbit symmetry breaking: among achievers that differ solely by a
+    /// verified network-node automorphism
+    /// ([`sekitei_compile::NodeOrbits`]), expand only the lexicographically
+    /// minimal representative. A no-op on tasks without nontrivial orbits.
+    /// On by default: the differential suite
     /// (`tests/pruning_equivalence.rs`) holds plan costs bit-identical to
-    /// the unpruned reference; `--no-prune` is the CLI escape hatch.
+    /// the unpruned reference, and `--no-prune` is the CLI escape hatch.
+    /// [`search_reference`] has no pruning layer, so its counters equal
+    /// those of a search with this off.
     pub symmetry: bool,
     /// Anytime portfolio mode (`crates/anytime`): race the exact RG
     /// search against a seeded greedy constructor + stochastic
@@ -364,18 +378,10 @@ impl Planner {
 
         let plan = if plrg.solvable(&task) {
             let mut slrg = Slrg::new(&task, &plrg, self.config.slrg_budget);
-            let rg_cfg = RgConfig {
-                max_nodes: self.config.max_nodes,
-                max_candidate_rejects: self.config.max_candidate_rejects,
-                heuristic: self.config.heuristic,
-                replay_pruning: self.config.replay_pruning,
-                deadline: self.config.deadline.map(|d| t0 + d),
-                symmetry: self.config.symmetry,
-            };
             let r = {
                 let _g = sekitei_obs::span("rg");
                 let search_t0 = sekitei_obs::now_ns();
-                let r = rg::search_bounded(&task, &plrg, &mut slrg, &rg_cfg, incumbent);
+                let r = rg::search_bounded(&task, &plrg, &mut slrg, &self.config, t0, incumbent);
                 // SLRG queries and candidate concretization interleave with
                 // RG expansions, so their externally-measured totals enter
                 // the trace as aggregate child spans of "rg" — self-time
@@ -568,11 +574,12 @@ mod tests {
 
     #[test]
     fn rejected_candidates_are_recorded_in_cost_order() {
-        let pruned = RgConfig { symmetry: true, ..RgConfig::default() };
-        let capped = |cfg: RgConfig| RgConfig { max_nodes: 35_000, ..cfg };
+        let plain = PlannerConfig { symmetry: false, ..PlannerConfig::default() };
+        let pruned = PlannerConfig::default();
+        let capped = |cfg: PlannerConfig| PlannerConfig { max_nodes: 35_000, ..cfg };
         let runs = [
-            (scenarios::tiny(LevelScenario::A), RgConfig::default()),
-            (scenarios::small(LevelScenario::A), RgConfig::default()),
+            (scenarios::tiny(LevelScenario::A), plain),
+            (scenarios::small(LevelScenario::A), plain),
             (scenarios::small(LevelScenario::A), pruned),
             (scenarios::large(LevelScenario::A), capped(pruned)),
             (scenarios::large(LevelScenario::B), capped(pruned)),
@@ -580,8 +587,8 @@ mod tests {
         for (i, (p, cfg)) in runs.iter().enumerate() {
             let task = compile(p).unwrap();
             let plrg = Plrg::build(&task);
-            let mut slrg = Slrg::new(&task, &plrg, 50_000);
-            let r = rg::search(&task, &plrg, &mut slrg, cfg);
+            let mut slrg = Slrg::new(&task, &plrg, cfg.slrg_budget);
+            let r = rg::search(&task, &plrg, &mut slrg, cfg, Instant::now());
             assert!(!r.rejected.is_empty(), "run {i}: no rejected candidate recorded");
             assert!(r.rejected.len() <= r.candidate_rejects, "run {i}");
             for w in r.rejected.windows(2) {

@@ -189,8 +189,9 @@ pub fn plan_metrics(problem: &CppProblem, task: &PlanningTask, plan: &Plan) -> P
 mod tests {
     use super::*;
     use crate::plrg::Plrg;
-    use crate::rg::{search, RgConfig};
+    use crate::rg::search;
     use crate::slrg::Slrg;
+    use crate::PlannerConfig;
     use sekitei_compile::compile;
     use sekitei_model::LevelScenario;
     use sekitei_topology::scenarios;
@@ -200,7 +201,8 @@ mod tests {
         let task = compile(&p).unwrap();
         let plrg = Plrg::build(&task);
         let mut slrg = Slrg::new(&task, &plrg, 50_000);
-        let r = search(&task, &plrg, &mut slrg, &RgConfig::default());
+        let cfg = PlannerConfig { symmetry: false, ..PlannerConfig::default() };
+        let r = search(&task, &plrg, &mut slrg, &cfg, std::time::Instant::now());
         let (actions, cost, exec) = r.plan.expect("solvable");
         let plan = Plan::from_actions(&task, &actions, cost, exec);
         (p, task, plan)

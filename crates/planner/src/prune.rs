@@ -24,7 +24,7 @@
 //! million nodes. Any tail-collapsing rule has this hole — even
 //! exact-multiset witnesses differ in order — so the search keeps every
 //! replay-feasible tail, and budget-bound searches end on the candidate
-//! reject budget ([`crate::RgConfig::max_candidate_rejects`]) instead.
+//! reject budget ([`crate::PlannerConfig::max_candidate_rejects`]) instead.
 
 use sekitei_compile::{ActionKind, PlanningTask, PropData};
 use sekitei_model::{ActionId, NodeId, PropId};

@@ -2,10 +2,10 @@
 //! differential-testing oracle.
 //!
 //! The optimized [`crate::slrg`]/[`crate::rg`] pipeline interns
-//! proposition sets in a [`crate::pool::SetPool`], replays tails
-//! incrementally and reuses scratch buffers — all of which is supposed to
-//! be *behavior-preserving*: identical plans, identical cost bounds,
-//! identical node/prune/reject counts. This module preserves the original
+//! proposition sets in a [`crate::pool::SetPool`], replays tails through a
+//! reused dense store and reuses scratch buffers — all of which is
+//! supposed to be *behavior-preserving*: identical plans, identical cost
+//! bounds, identical node/prune/reject counts. This module preserves the original
 //! boxed-[`SetKey`] implementation (allocating regression, `HashMap`
 //! memoization, full `collect_tail` + [`replay_tail`] on every node
 //! creation) so `tests/search_equivalence.rs` can assert that equivalence
@@ -16,8 +16,9 @@
 use crate::concretize::{concretize, ConcreteExecution};
 use crate::plrg::Plrg;
 use crate::replay::replay_tail;
-use crate::rg::{Heuristic, RgConfig};
+use crate::rg::Heuristic;
 use crate::setkey::SetKey;
+use crate::PlannerConfig;
 use sekitei_compile::PlanningTask;
 use sekitei_model::{ActionId, PropId};
 use std::cmp::Reverse;
@@ -204,20 +205,19 @@ fn select_prop(plrg: &Plrg, set: &SetKey) -> PropId {
         .expect("non-empty set")
 }
 
-/// Run the original RG search (full per-child tail replay, boxed set keys).
+/// Run the original RG search (full per-child tail replay, boxed set keys)
+/// with the SLRG's per-query budget from [`PlannerConfig::slrg_budget`].
 ///
-/// The oracle deliberately ignores [`RgConfig::deadline`]: wall-clock cutoffs
-/// are nondeterministic by nature, so the differential `search_equivalence`
-/// suite only ever compares runs with `deadline: None`, where the optimized
-/// search never reads the clock either.
-pub fn search_reference(
-    task: &PlanningTask,
-    plrg: &Plrg,
-    slrg_budget: usize,
-    cfg: &RgConfig,
-) -> ReferenceOutcome {
-    let mut slrg =
-        RefSlrg { task, plrg, budget: slrg_budget, cache: HashMap::new(), nodes: 0, cache_hits: 0 };
+/// The oracle has no pruning layer, so it ignores
+/// [`PlannerConfig::symmetry`]; compare it with a `symmetry: false`
+/// search for equal counters. It also ignores
+/// [`PlannerConfig::deadline`]: wall-clock cutoffs are nondeterministic by
+/// nature, so the differential `search_equivalence` suite only ever
+/// compares runs with `deadline: None`, where the optimized search never
+/// reads the clock either.
+pub fn search_reference(task: &PlanningTask, plrg: &Plrg, cfg: &PlannerConfig) -> ReferenceOutcome {
+    let budget = cfg.slrg_budget;
+    let mut slrg = RefSlrg { task, plrg, budget, cache: HashMap::new(), nodes: 0, cache_hits: 0 };
     let mut result = ReferenceOutcome {
         plan: None,
         nodes_created: 0,

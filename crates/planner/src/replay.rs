@@ -232,116 +232,27 @@ impl IvStore for DenseStore {
     }
 }
 
-/// Allocation-free incremental tail replay for the RG hot path.
+/// Allocation-free replay of child tails for the RG hot path.
 ///
-/// Per expanded node the RG calls [`ReplayScratch::begin_expansion`] once
-/// with the node's tail, then [`ReplayScratch::child_tail_fails`] per
-/// generated child. The scheme exploits two facts:
-///
-/// 1. A child's tail is `[a] ++ parent_tail` and the parent's own tail
-///    already replayed successfully from the empty optimistic map when the
-///    parent was created — otherwise it would have been pruned.
-/// 2. Each replay step reads and writes only the variables syntactically
-///    mentioned by its action (optimistic, conditions, effect targets and
-///    value expressions, post levels).
-///
-/// So after stepping `a` from the empty store, if `vars(a)` is disjoint
-/// from the union of the tail actions' variables, the remaining steps
-/// evolve exactly as the parent's successful replay did and cannot fail —
-/// the check short-circuits. Otherwise the parent tail is re-stepped from
-/// the post-`a` store, which *is* the full replay, just through a dense
-/// store with O(1) reset instead of a freshly allocated `HashMap`. Either
-/// way the accept/prune outcome is identical to
+/// A child's tail is `[a] ++ parent_tail`.
+/// [`ReplayScratch::child_tail_fails`] steps `a` and then the parent tail
+/// from the empty optimistic map, through a dense store with O(1) reset
+/// instead of a freshly allocated `HashMap`, so its outcome is exactly
 /// `replay_tail(task, &child_tail, None).is_err()`.
 pub struct ReplayScratch {
-    /// The task's touched-variable index.
-    index: ReplayIndex,
     store: DenseStore,
-    /// `tail_stamp[v] == tail_epoch` ⇔ `v` is touched by the current
-    /// expansion's parent tail.
-    tail_stamp: Vec<u32>,
-    tail_epoch: u32,
     /// Effect-value buffer shared across steps.
     vals: Vec<Interval>,
 }
 
-/// The immutable per-task half of [`ReplayScratch`]: per-action
-/// touched-variable lists in CSR form (`var_off[a]..var_off[a+1]` bounds
-/// action `a`'s slice of `var_flat`).
-struct ReplayIndex {
-    var_flat: Vec<GVarId>,
-    var_off: Vec<u32>,
-    num_vars: usize,
-}
-
-impl ReplayIndex {
-    /// Precompute the touched-variable index for a task.
-    fn new(task: &PlanningTask) -> Self {
-        let mut var_flat = Vec::new();
-        let mut var_off = Vec::with_capacity(task.num_actions() + 1);
-        var_off.push(0u32);
-        let mut buf: Vec<GVarId> = Vec::new();
-        for act in &task.actions {
-            buf.clear();
-            for &(v, _) in &act.optimistic {
-                buf.push(v);
-            }
-            for c in act.conditions.iter() {
-                c.for_each_var(&mut |v| buf.push(*v));
-            }
-            for e in act.effects.iter() {
-                e.for_each_var(&mut |v| buf.push(*v));
-            }
-            for &(v, _) in &act.post {
-                buf.push(v);
-            }
-            buf.sort_unstable();
-            buf.dedup();
-            var_flat.extend_from_slice(&buf);
-            var_off.push(var_flat.len() as u32);
-        }
-        ReplayIndex { var_flat, var_off, num_vars: task.gvars.len() }
-    }
-}
-
 impl ReplayScratch {
-    /// Precompute the touched-variable index for a task and wrap it in a
-    /// private scratch.
+    /// A scratch sized for the task's ground variables.
     pub fn new(task: &PlanningTask) -> Self {
-        let index = ReplayIndex::new(task);
-        let num_vars = index.num_vars;
-        ReplayScratch {
-            index,
-            store: DenseStore::new(num_vars),
-            tail_stamp: vec![0; num_vars],
-            tail_epoch: 0,
-            vals: Vec::new(),
-        }
-    }
-
-    fn var_range(&self, a: ActionId) -> std::ops::Range<usize> {
-        self.index.var_off[a.index()] as usize..self.index.var_off[a.index() + 1] as usize
-    }
-
-    /// Mark the variables touched by the parent tail of the node about to
-    /// be expanded.
-    pub fn begin_expansion(&mut self, parent_tail: &[ActionId]) {
-        self.tail_epoch = self.tail_epoch.wrapping_add(1);
-        if self.tail_epoch == 0 {
-            self.tail_stamp.fill(0);
-            self.tail_epoch = 1;
-        }
-        for &aid in parent_tail {
-            for i in self.var_range(aid) {
-                let v = self.index.var_flat[i];
-                self.tail_stamp[v.index()] = self.tail_epoch;
-            }
-        }
+        ReplayScratch { store: DenseStore::new(task.gvars.len()), vals: Vec::new() }
     }
 
     /// Exact replacement for `replay_tail(task, &[a] ++ parent_tail,
-    /// None).is_err()` given a preceding
-    /// [`begin_expansion`](Self::begin_expansion)`(parent_tail)`.
+    /// None).is_err()`.
     pub fn child_tail_fails(
         &mut self,
         task: &PlanningTask,
@@ -349,22 +260,9 @@ impl ReplayScratch {
         parent_tail: &[ActionId],
     ) -> bool {
         self.store.reset();
-        if step_action(task.action(a), 0, &mut self.store, false, &mut self.vals).is_err() {
-            return true;
-        }
-        let disjoint = self
-            .var_range(a)
-            .all(|i| self.tail_stamp[self.index.var_flat[i].index()] != self.tail_epoch);
-        if disjoint {
-            return false;
-        }
-        for (i, &aid) in parent_tail.iter().enumerate() {
-            if step_action(task.action(aid), i + 1, &mut self.store, false, &mut self.vals).is_err()
-            {
-                return true;
-            }
-        }
-        false
+        std::iter::once(&a).chain(parent_tail).enumerate().any(|(step, &aid)| {
+            step_action(task.action(aid), step, &mut self.store, false, &mut self.vals).is_err()
+        })
     }
 }
 

@@ -21,11 +21,14 @@
 //! Hot-path engineering (behavior-identical to
 //! [`crate::reference::search_reference`], enforced by
 //! `tests/search_equivalence.rs`): node sets are interned [`SetId`]s in the
-//! SLRG's shared [`crate::pool::SetPool`], the per-node mid-search replay
-//! runs through the incremental [`ReplayScratch`] instead of collecting and
-//! re-replaying the whole tail per child, and the full
-//! [`replay_tail`]-from-init check is reserved for terminal candidate
-//! validation.
+//! SLRG's shared [`crate::pool::SetPool`], each expansion collects its tail
+//! once, and the per-child mid-search replay steps through the
+//! allocation-free [`ReplayScratch`]; the [`replay_tail`]-from-init check
+//! is reserved for terminal candidate validation.
+//!
+//! The search reads its budgets, heuristic and switches from the planner's
+//! one [`PlannerConfig`]; fields the RG has no use for (`slrg_budget`,
+//! `degrade`, the anytime knobs) belong to its callers.
 
 use crate::concretize::{concretize, ConcreteExecution};
 use crate::plrg::Plrg;
@@ -33,6 +36,7 @@ use crate::pool::SetId;
 use crate::prune::IncumbentBound;
 use crate::replay::{replay_tail, ReplayScratch};
 use crate::slrg::Slrg;
+use crate::PlannerConfig;
 use sekitei_compile::PlanningTask;
 use sekitei_model::{ActionId, PropId};
 use std::cmp::Reverse;
@@ -52,57 +56,10 @@ pub enum Heuristic {
     Blind,
 }
 
-/// RG search configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RgConfig {
-    /// Abort after creating this many nodes.
-    pub max_nodes: usize,
-    /// Abort after rejecting this many candidate plans at terminal
-    /// validation. An unsolvable unleveled instance (scenario A) generates
-    /// candidate after candidate whose greedy-max execution fails; this is
-    /// the "bound is reached" cutoff the paper mentions for that case. The
-    /// exit records the rejected candidate's `f` as
-    /// [`RgResult::best_open_f`]: candidates pop in `f` order, so no plan
-    /// the search could still return costs less.
-    pub max_candidate_rejects: usize,
-    /// Remaining-cost heuristic.
-    pub heuristic: Heuristic,
-    /// Replay tails through optimistic maps and prune failures
-    /// (disabling this is the ablation showing why Figure 8 matters).
-    pub replay_pruning: bool,
-    /// Wall-clock cutoff. Checked amortized (every
-    /// [`DEADLINE_CHECK_STRIDE`] units of search work) in the expansion
-    /// loop; tripping it sets `budget_exhausted` and `deadline_hit` on the
-    /// result. `None` (the default) never checks the clock, so the search
-    /// stays bit-identical to the pre-deadline implementation — the
-    /// [`crate::reference`] oracle ignores this field for the same reason.
-    pub deadline: Option<Instant>,
-    /// Orbit symmetry breaking: expand only the lexicographically minimal
-    /// representative among achievers that differ solely by a verified
-    /// network-node automorphism ([`sekitei_compile::NodeOrbits`]). No-op
-    /// on tasks without nontrivial orbits. Defaults to **off** so the
-    /// plain search stays counter-identical to [`crate::reference`]; the
-    /// planner facade turns it on.
-    pub symmetry: bool,
-}
-
 /// Amortization stride of the wall-clock deadline check: one `Instant::now`
 /// per this many node creations + expansions, bounding both the overshoot
 /// past the deadline and the syscall overhead when no deadline is set.
 pub const DEADLINE_CHECK_STRIDE: usize = 1024;
-
-impl Default for RgConfig {
-    fn default() -> Self {
-        RgConfig {
-            max_nodes: 2_000_000,
-            max_candidate_rejects: 2_000,
-            heuristic: Heuristic::Slrg,
-            replay_pruning: true,
-            deadline: None,
-            symmetry: false,
-        }
-    }
-}
 
 /// Outcome of the RG search.
 #[derive(Debug)]
@@ -117,7 +74,7 @@ pub struct RgResult {
     /// Nodes discarded by optimistic-map replay.
     pub replay_prunes: usize,
     /// Achievers skipped by orbit symmetry breaking
-    /// ([`RgConfig::symmetry`]).
+    /// ([`PlannerConfig::symmetry`]).
     pub symmetry_pruned: usize,
     /// Candidate plans rejected by terminal validation/concretization.
     pub candidate_rejects: usize,
@@ -191,9 +148,16 @@ struct RgNode {
 
 const ROOT: u32 = u32::MAX;
 
-/// Run the RG search.
-pub fn search(task: &PlanningTask, plrg: &Plrg, slrg: &mut Slrg<'_>, cfg: &RgConfig) -> RgResult {
-    search_bounded(task, plrg, slrg, cfg, IncumbentBound::none())
+/// Run the RG search. `t0` anchors [`PlannerConfig::deadline`] (the
+/// request's arrival); it is never read without a deadline.
+pub fn search(
+    task: &PlanningTask,
+    plrg: &Plrg,
+    slrg: &mut Slrg<'_>,
+    cfg: &PlannerConfig,
+    t0: Instant,
+) -> RgResult {
+    search_bounded(task, plrg, slrg, cfg, t0, IncumbentBound::none())
 }
 
 /// [`search`] with an anytime incumbent upper bound.
@@ -201,10 +165,12 @@ pub fn search_bounded(
     task: &PlanningTask,
     plrg: &Plrg,
     slrg: &mut Slrg<'_>,
-    cfg: &RgConfig,
+    cfg: &PlannerConfig,
+    t0: Instant,
     incumbent: IncumbentBound<'_>,
 ) -> RgResult {
     let mut result = RgResult::empty();
+    let deadline = cfg.deadline.map(|d| t0 + d);
 
     let goal_props: Vec<PropId> =
         task.goal_props.iter().copied().filter(|&p| !task.initially(p)).collect();
@@ -254,7 +220,7 @@ pub fn search_bounded(
     // wall-clock check; only maintained when a deadline is set
     let mut work_since_check = 0usize;
 
-    // the pruning layer (off at RgConfig::default())
+    // the pruning layer
     let sym_on = cfg.symmetry && task.orbits.nontrivial();
     let mut used = crate::prune::UsedNodes::new(task.orbits.num_nodes());
 
@@ -269,7 +235,7 @@ pub fn search_bounded(
             result.best_open_f = Some(popped_f);
             break;
         }
-        if let Some(deadline) = cfg.deadline {
+        if let Some(deadline) = deadline {
             work_since_check += 1;
             if work_since_check >= DEADLINE_CHECK_STRIDE {
                 work_since_check = 0;
@@ -328,11 +294,8 @@ pub fn search_bounded(
         }
 
         // collected once per expansion: serves the duplicate-action check
-        // and seeds the incremental replay for every child
+        // and every child's replay
         collect_tail_into(&nodes, idx, &mut parent_tail);
-        if cfg.replay_pruning {
-            scratch.begin_expansion(&parent_tail);
-        }
         if sym_on {
             used.begin();
             for &aid in &parent_tail {
@@ -380,7 +343,7 @@ pub fn search_bounded(
             let child_idx = nodes.len() as u32;
             nodes.push(RgNode { action: a, parent: idx, set: child_set, g: g2 });
             result.nodes_created += 1;
-            if cfg.deadline.is_some() {
+            if deadline.is_some() {
                 work_since_check += 1;
             }
             counter += 1;
@@ -438,12 +401,27 @@ mod tests {
     use sekitei_model::LevelScenario;
     use sekitei_topology::scenarios;
 
+    /// The search with the pruning layer off.
+    fn plain() -> PlannerConfig {
+        PlannerConfig { symmetry: false, ..PlannerConfig::default() }
+    }
+
+    /// [`super::search`] anchored now; no test here sets a deadline.
+    fn search(
+        task: &PlanningTask,
+        plrg: &Plrg,
+        slrg: &mut Slrg<'_>,
+        cfg: &PlannerConfig,
+    ) -> RgResult {
+        super::search(task, plrg, slrg, cfg, Instant::now())
+    }
+
     fn run(sc: LevelScenario) -> (PlanningTask, RgResult) {
         let p = scenarios::tiny(sc);
         let task = compile(&p).unwrap();
         let plrg = Plrg::build(&task);
         let mut slrg = Slrg::new(&task, &plrg, 50_000);
-        let r = search(&task, &plrg, &mut slrg, &RgConfig::default());
+        let r = search(&task, &plrg, &mut slrg, &plain());
         (task, r)
     }
 
@@ -496,7 +474,7 @@ mod tests {
         let task = compile(&p).unwrap();
         let plrg = Plrg::build(&task);
         let mut slrg = Slrg::new(&task, &plrg, 50_000);
-        let cfg = RgConfig { replay_pruning: false, ..RgConfig::default() };
+        let cfg = PlannerConfig { replay_pruning: false, ..plain() };
         let r = search(&task, &plrg, &mut slrg, &cfg);
         let (plan, _, _) = r.plan.expect("still solvable without replay pruning");
         assert_eq!(plan.len(), 7);
@@ -509,9 +487,9 @@ mod tests {
         let task = compile(&p).unwrap();
         let plrg = Plrg::build(&task);
         let mut slrg = Slrg::new(&task, &plrg, 50_000);
-        let slrg_cost = search(&task, &plrg, &mut slrg, &RgConfig::default()).plan.unwrap().1;
+        let slrg_cost = search(&task, &plrg, &mut slrg, &plain()).plan.unwrap().1;
         let mut slrg2 = Slrg::new(&task, &plrg, 50_000);
-        let cfg = RgConfig { heuristic: Heuristic::PlrgMax, ..RgConfig::default() };
+        let cfg = PlannerConfig { heuristic: Heuristic::PlrgMax, ..plain() };
         let plrg_cost = search(&task, &plrg, &mut slrg2, &cfg).plan.unwrap().1;
         assert!((slrg_cost - plrg_cost).abs() < 1e-9, "{slrg_cost} vs {plrg_cost}");
     }
@@ -523,9 +501,9 @@ mod tests {
             let task = compile(&p).unwrap();
             let plrg = Plrg::build(&task);
             let mut slrg = Slrg::new(&task, &plrg, 50_000);
-            let base = search(&task, &plrg, &mut slrg, &RgConfig::default());
+            let base = search(&task, &plrg, &mut slrg, &plain());
             let mut slrg2 = Slrg::new(&task, &plrg, 50_000);
-            let cfg = RgConfig { symmetry: true, ..RgConfig::default() };
+            let cfg = PlannerConfig { symmetry: true, ..plain() };
             let pruned = search(&task, &plrg, &mut slrg2, &cfg);
             match (&base.plan, &pruned.plan) {
                 (Some((_, c1, _)), Some((_, c2, _))) => {
@@ -553,7 +531,7 @@ mod tests {
         let task = compile(&p).unwrap();
         let plrg = Plrg::build(&task);
         let mut slrg = Slrg::new(&task, &plrg, 50_000);
-        let r = search(&task, &plrg, &mut slrg, &RgConfig::default());
+        let r = search(&task, &plrg, &mut slrg, &plain());
         assert!(r.plan.is_none());
         assert_eq!(r.nodes_created, 0);
     }

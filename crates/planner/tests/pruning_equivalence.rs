@@ -14,14 +14,13 @@ use sekitei_model::{
     media_domain_with, CppProblem, Goal, LevelScenario, MediaConfig, NodeId, StreamSource,
 };
 use sekitei_planner::reference::search_reference;
-use sekitei_planner::rg::{search, RgConfig};
+use sekitei_planner::rg::search;
 use sekitei_planner::{Planner, PlannerConfig, Plrg, Slrg};
 use sekitei_topology::{scenarios, waxman, Capacities};
+use std::time::Instant;
 
-const SLRG_BUDGET: usize = 50_000;
-
-fn pruned_cfg() -> RgConfig {
-    RgConfig { symmetry: true, ..RgConfig::default() }
+fn pruned_cfg() -> PlannerConfig {
+    PlannerConfig { symmetry: true, ..PlannerConfig::default() }
 }
 
 /// Reference (no pruning) vs. optimized search with the pruning layer on:
@@ -31,9 +30,11 @@ fn assert_cost_preserved(task: &PlanningTask, label: &str) {
     if !plrg.solvable(task) {
         return;
     }
-    let reference = search_reference(task, &plrg, SLRG_BUDGET, &RgConfig::default());
-    let mut slrg = Slrg::new(task, &plrg, SLRG_BUDGET);
-    let pruned = search(task, &plrg, &mut slrg, &pruned_cfg());
+    let cfg = pruned_cfg();
+    // the reference has no pruning layer: it ignores `symmetry`
+    let reference = search_reference(task, &plrg, &cfg);
+    let mut slrg = Slrg::new(task, &plrg, cfg.slrg_budget);
+    let pruned = search(task, &plrg, &mut slrg, &cfg, Instant::now());
 
     match (&reference.plan, &pruned.plan) {
         (None, None) => {}

@@ -8,21 +8,26 @@
 use sekitei_compile::{compile, PlanningTask};
 use sekitei_model::LevelScenario;
 use sekitei_planner::reference::search_reference;
-use sekitei_planner::rg::{search, Heuristic, RgConfig};
-use sekitei_planner::{Plrg, Slrg};
+use sekitei_planner::rg::{search, Heuristic};
+use sekitei_planner::{PlannerConfig, Plrg, Slrg};
 use sekitei_topology::scenarios;
+use std::time::Instant;
 
-const SLRG_BUDGET: usize = 50_000;
+/// The planner's defaults with the pruning layer off: the reference has
+/// none, so only this configuration is counter-comparable.
+fn plain() -> PlannerConfig {
+    PlannerConfig { symmetry: false, ..PlannerConfig::default() }
+}
 
-fn assert_equivalent(task: &PlanningTask, cfg: &RgConfig, label: &str) {
+fn assert_equivalent(task: &PlanningTask, cfg: &PlannerConfig, label: &str) {
     let plrg = Plrg::build(task);
     if !plrg.solvable(task) {
         // both pipelines would refuse before searching; nothing to compare
         return;
     }
-    let mut slrg = Slrg::new(task, &plrg, SLRG_BUDGET);
-    let opt = search(task, &plrg, &mut slrg, cfg);
-    let reference = search_reference(task, &plrg, SLRG_BUDGET, cfg);
+    let mut slrg = Slrg::new(task, &plrg, cfg.slrg_budget);
+    let opt = search(task, &plrg, &mut slrg, cfg, Instant::now());
+    let reference = search_reference(task, &plrg, cfg);
 
     assert_eq!(opt.nodes_created, reference.nodes_created, "{label}: nodes_created");
     assert_eq!(opt.open_left, reference.open_left, "{label}: open_left");
@@ -46,7 +51,7 @@ fn assert_equivalent(task: &PlanningTask, cfg: &RgConfig, label: &str) {
 fn check_all_scenarios(make: impl Fn(LevelScenario) -> sekitei_model::CppProblem, topo: &str) {
     for sc in LevelScenario::ALL {
         let task = compile(&make(sc)).unwrap();
-        assert_equivalent(&task, &RgConfig::default(), &format!("{topo}/{sc:?}/default"));
+        assert_equivalent(&task, &plain(), &format!("{topo}/{sc:?}/default"));
     }
 }
 
@@ -65,16 +70,16 @@ fn tiny_scenario_a_still_fails_and_b_finds_seven_action_plan() {
     // the two paper-anchored outcomes, asserted against both pipelines
     let task_a = compile(&scenarios::tiny(LevelScenario::A)).unwrap();
     let plrg_a = Plrg::build(&task_a);
-    let mut slrg_a = Slrg::new(&task_a, &plrg_a, SLRG_BUDGET);
-    let ra = search(&task_a, &plrg_a, &mut slrg_a, &RgConfig::default());
-    let ra_ref = search_reference(&task_a, &plrg_a, SLRG_BUDGET, &RgConfig::default());
+    let mut slrg_a = Slrg::new(&task_a, &plrg_a, plain().slrg_budget);
+    let ra = search(&task_a, &plrg_a, &mut slrg_a, &plain(), Instant::now());
+    let ra_ref = search_reference(&task_a, &plrg_a, &plain());
     assert!(ra.plan.is_none() && ra_ref.plan.is_none(), "scenario A must fail in both");
 
     let task_b = compile(&scenarios::tiny(LevelScenario::B)).unwrap();
     let plrg_b = Plrg::build(&task_b);
-    let mut slrg_b = Slrg::new(&task_b, &plrg_b, SLRG_BUDGET);
-    let rb = search(&task_b, &plrg_b, &mut slrg_b, &RgConfig::default());
-    let rb_ref = search_reference(&task_b, &plrg_b, SLRG_BUDGET, &RgConfig::default());
+    let mut slrg_b = Slrg::new(&task_b, &plrg_b, plain().slrg_budget);
+    let rb = search(&task_b, &plrg_b, &mut slrg_b, &plain(), Instant::now());
+    let rb_ref = search_reference(&task_b, &plrg_b, &plain());
     let (plan, cost, _) = rb.plan.expect("B solves Tiny");
     let (plan_ref, cost_ref, _) = rb_ref.plan.expect("B solves Tiny (reference)");
     assert_eq!(plan.len(), 7);
@@ -85,7 +90,7 @@ fn tiny_scenario_a_still_fails_and_b_finds_seven_action_plan() {
 
 #[test]
 fn equivalence_holds_without_replay_pruning() {
-    let cfg = RgConfig { replay_pruning: false, ..RgConfig::default() };
+    let cfg = PlannerConfig { replay_pruning: false, ..plain() };
     for sc in [LevelScenario::B, LevelScenario::C, LevelScenario::E] {
         let task = compile(&scenarios::tiny(sc)).unwrap();
         assert_equivalent(&task, &cfg, &format!("tiny/{sc:?}/no-pruning"));
@@ -95,7 +100,7 @@ fn equivalence_holds_without_replay_pruning() {
 #[test]
 fn equivalence_holds_under_plrg_and_blind_heuristics() {
     for h in [Heuristic::PlrgMax, Heuristic::Blind] {
-        let cfg = RgConfig { heuristic: h, ..RgConfig::default() };
+        let cfg = PlannerConfig { heuristic: h, ..plain() };
         for sc in [LevelScenario::B, LevelScenario::D] {
             let task = compile(&scenarios::tiny(sc)).unwrap();
             assert_equivalent(&task, &cfg, &format!("tiny/{sc:?}/{h:?}"));
@@ -106,7 +111,7 @@ fn equivalence_holds_under_plrg_and_blind_heuristics() {
 #[test]
 fn equivalence_holds_under_tight_node_budget() {
     // budget-exhaustion paths must cut off at the same node, too
-    let cfg = RgConfig { max_nodes: 40, ..RgConfig::default() };
+    let cfg = PlannerConfig { max_nodes: 40, ..plain() };
     let task = compile(&scenarios::small(LevelScenario::E)).unwrap();
     assert_equivalent(&task, &cfg, "small/E/max_nodes=40");
 }
@@ -115,7 +120,7 @@ fn equivalence_holds_under_tight_node_budget() {
 fn equivalence_holds_with_tracing_enabled() {
     // Instrumentation must be purely observational: the full pipeline with
     // tracing on produces bit-identical plans and counters to tracing off.
-    use sekitei_planner::{Planner, PlannerConfig};
+    use sekitei_planner::Planner;
     for sc in LevelScenario::ALL {
         let problem = scenarios::tiny(sc);
         let planner = Planner::new(PlannerConfig::default());
