@@ -15,7 +15,10 @@
 //! and to `BENCH_planner.json` in the current directory as
 //! machine-readable records `{phase, scenario, wall_ms, q1_ms, q3_ms,
 //! reps, nodes, budget_exhausted}` — the file the repo's committed
-//! baselines under `crates/bench/baselines/` are snapshots of. `nodes` and
+//! baselines under `crates/bench/baselines/` are snapshots of. The file
+//! opens with the run's provenance in `perfbench`'s shape: the commit
+//! checked out and an FNV digest of `crates/` and `Cargo.lock`, so a row
+//! names the code it measured. Run it from the repository root. `nodes` and
 //! `budget_exhausted` come from the fastest sample. `budget_exhausted`
 //! flags rows whose search aborted on a budget (Small/A and Large/A stop
 //! at 2 000 rejected candidates), so their `wall_ms` measures the budget,
@@ -375,6 +378,55 @@ fn obs_self_check() {
     );
 }
 
+/// The commit checked out, read from `.git` in the working directory
+/// (no git process, nothing read outside the checkout); "unknown" when
+/// the checkout is not a repository.
+fn commit() -> String {
+    let read = |p: &str| std::fs::read_to_string(format!(".git/{p}")).ok();
+    let head = read("HEAD").unwrap_or_default();
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return if head.is_empty() { "unknown".into() } else { head.to_string() };
+    };
+    read(reference)
+        .map(|h| h.trim().to_string())
+        .or_else(|| {
+            read("packed-refs")?.lines().find_map(|l| {
+                let (hash, name) = l.split_once(' ')?;
+                (name == reference).then(|| hash.to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// FNV-1a digest of the sources the rows measure: every `.rs` and `.toml`
+/// file under `crates/`, and `Cargo.lock`, each path then its bytes, in
+/// path order. It names the code measured where git is unavailable.
+fn source_digest() -> String {
+    fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else { return };
+        for e in entries.flatten() {
+            let p = e.path();
+            if p.is_dir() {
+                walk(&p, out);
+            } else if p.extension().is_some_and(|x| x == "rs" || x == "toml") {
+                out.push(p);
+            }
+        }
+    }
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+    let mut files = vec![std::path::PathBuf::from("Cargo.lock")];
+    walk("crates".as_ref(), &mut files);
+    files.sort();
+    let h = files.iter().fold(0xcbf2_9ce4_8422_2325, |h, f| {
+        let h = fnv(h, f.to_string_lossy().as_bytes());
+        fnv(h, &std::fs::read(f).unwrap_or_default())
+    });
+    format!("{h:016x}")
+}
+
 /// Print one row and keep it for `BENCH_planner.json`.
 fn record(
     records: &mut Vec<(String, &'static str, Summary)>,
@@ -503,7 +555,11 @@ fn main() {
         }
     }
 
-    let mut json = String::from("[\n");
+    let mut json = format!(
+        "{{\"provenance\": {{\"commit\": \"{}\", \"source_digest\": \"{}\"}},\n\"rows\": [\n",
+        commit(),
+        source_digest()
+    );
     for (i, (scenario, phase, row)) in records.iter().enumerate() {
         json.push_str(&format!(
             "  {{\"phase\": \"{}\", \"scenario\": \"{}\", \"wall_ms\": {:.3}, \"q1_ms\": {:.3}, \
@@ -519,7 +575,7 @@ fn main() {
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
-    json.push_str("]\n");
+    json.push_str("]}\n");
     std::fs::write("BENCH_planner.json", &json).expect("write BENCH_planner.json");
     eprintln!("wrote BENCH_planner.json ({} records)", records.len());
 }

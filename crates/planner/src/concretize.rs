@@ -12,7 +12,7 @@
 //! the caller if all conditions hold exactly, no resource goes negative
 //! and every goal demand is met at these concrete values.
 
-use crate::replay::ResourceMap;
+use crate::replay::{DenseStore, ResourceMap};
 use sekitei_cert::{LedgerRow, ResourceLedger};
 use sekitei_compile::{GVarData, PlanningTask};
 use sekitei_model::{ActionId, AssignOp, GVarId, Interval};
@@ -84,115 +84,7 @@ pub fn concretize(
     plan: &[ActionId],
     final_map: &ResourceMap,
 ) -> Result<ConcreteExecution, ConcretizeFail> {
-    // Greedy source choices. Level requirement intervals carry shaved
-    // upper bounds (`[90, 100 - 1e-6]` for the half-open `[90, 100)`), but
-    // the paper's planner reserves the cutpoint itself ("the plans involve
-    // processing 100 units"), so we first try the values snapped up to the
-    // cutpoint grid and fall back to the raw interval tops if the snapped
-    // execution fails.
-    let snapped = source_choices(task, final_map, true);
-    match execute(task, plan, &snapped) {
-        Ok(exec) => Ok(exec),
-        Err(_) => {
-            let raw = source_choices(task, final_map, false);
-            execute(task, plan, &raw)
-        }
-    }
-}
-
-fn source_choices(task: &PlanningTask, final_map: &ResourceMap, snap: bool) -> Vec<(GVarId, f64)> {
-    let mut out = Vec::new();
-    for (i, init) in task.init_values.iter().enumerate() {
-        let Some(init) = init else { continue };
-        if !matches!(task.gvars[i], GVarData::IfaceProp { .. }) {
-            continue;
-        }
-        let v = GVarId::from_index(i);
-        let feasible = final_map.get(&v).copied().unwrap_or(*init).intersect(init);
-        let mut chosen = feasible.finite_hi(init.hi);
-        if snap {
-            // undo the LEVEL_SHAVE: round up onto a 1e-5 grid
-            chosen = ((chosen + 2.0 * sekitei_model::levels::LEVEL_SHAVE) * 1e5).round() / 1e5;
-            chosen = chosen.min(init.hi); // never exceed availability
-        }
-        out.push((v, chosen));
-    }
-    out
-}
-
-fn execute(
-    task: &PlanningTask,
-    plan: &[ActionId],
-    sources: &[(GVarId, f64)],
-) -> Result<ConcreteExecution, ConcretizeFail> {
-    // capacities are point intervals, read from the task until the plan
-    // writes them: `state` holds only the sources (stream-source
-    // variables from `source_choices`, never capacities) and the written
-    // variables, so an execution costs what the plan touches, not the size
-    // of the network (relaxed binding executes up to ~130 times per
-    // candidate)
-    let capacity = |v: GVarId| match task.init_values[v.index()] {
-        Some(init) if !matches!(task.gvars[v.index()], GVarData::IfaceProp { .. }) => Some(init.lo),
-        _ => None,
-    };
-    let read =
-        |state: &HashMap<GVarId, f64>, v: GVarId| state.get(&v).copied().or_else(|| capacity(v));
-    let mut state: HashMap<GVarId, f64> = sources.iter().copied().collect();
-    let source_values = sources.to_vec();
-
-    // exact forward execution, recording the ledger as it binds
-    let mut ledger = ResourceLedger { rows: Vec::with_capacity(plan.len()) };
-    for (step, &aid) in plan.iter().enumerate() {
-        let act = task.action(aid);
-        // reads must be defined
-        for &(v, _) in &act.optimistic {
-            if read(&state, v).is_none() {
-                return Err(ConcretizeFail::UndefinedRead { step, var: v });
-            }
-        }
-        {
-            let mut env = |v: &GVarId| read(&state, *v).unwrap_or(0.0);
-            for (ci, cond) in act.conditions.iter().enumerate() {
-                if !cond.holds(&mut env) {
-                    return Err(ConcretizeFail::ConditionFailed { step, cond: ci });
-                }
-            }
-        }
-        let values: Vec<f64> = act
-            .effects
-            .iter()
-            .map(|e| {
-                let mut env = |v: &GVarId| read(&state, *v).unwrap_or(0.0);
-                e.value.eval(&mut env)
-            })
-            .collect();
-        let mut written = Vec::with_capacity(act.effects.len());
-        for (e, val) in act.effects.iter().zip(values) {
-            let new = match e.op {
-                AssignOp::Set => val,
-                AssignOp::Sub => {
-                    let pre = read(&state, e.target).unwrap_or(0.0);
-                    let post = pre - val;
-                    if post < -sekitei_model::EPS {
-                        return Err(ConcretizeFail::ResourceExhausted { step, var: e.target });
-                    }
-                    post.max(0.0)
-                }
-                AssignOp::Add => read(&state, e.target).unwrap_or(0.0) + val,
-            };
-            state.insert(e.target, new);
-            written.push((e.target, new));
-        }
-        ledger.rows.push(LedgerRow { writes: written });
-    }
-    for i in 0..task.init_values.len() {
-        let v = GVarId::from_index(i);
-        if let Some(c) = capacity(v) {
-            state.entry(v).or_insert(c);
-        }
-    }
-
-    Ok(ConcreteExecution { source_values, final_state: state, ledger })
+    Executor::new(task).greedy(plan, |v| final_map.get(&v).copied())
 }
 
 /// Degraded-mode concretization for the serving path: bind sources to *any*
@@ -214,42 +106,281 @@ pub fn concretize_relaxed(
     plan: &[ActionId],
     final_map: &ResourceMap,
 ) -> Result<ConcreteExecution, ConcretizeFail> {
-    let greedy_err = match concretize(task, plan, final_map) {
-        Ok(exec) => return Ok(exec),
-        Err(e) => e,
-    };
-    const GRID_STEPS: usize = 64;
-    let mut choices = source_choices(task, final_map, false);
-    for _pass in 0..2 {
-        for i in 0..choices.len() {
-            if execute(task, plan, &choices).is_ok() {
-                break;
-            }
-            let v = choices[i].0;
-            let Some(init) = task.init_values[v.index()] else { continue };
-            let feasible = final_map.get(&v).copied().unwrap_or(init).intersect(&init);
-            let lo = feasible.lo.max(0.0);
-            let hi = feasible.finite_hi(init.hi);
-            let saved = choices[i].1;
-            let mut found = false;
-            for k in 0..=GRID_STEPS {
-                let x = lo + (hi - lo) * (k as f64 / GRID_STEPS as f64);
-                // demands are round numbers: snap up onto the 1e-5 grid
-                choices[i].1 = (x * 1e5).ceil() / 1e5;
-                if execute(task, plan, &choices).is_ok() {
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                choices[i].1 = saved;
-            }
-        }
-        if let Ok(exec) = execute(task, plan, &choices) {
-            return Ok(exec);
+    Executor::new(task).relaxed(plan, |v| final_map.get(&v).copied())
+}
+
+/// The concrete executor: exact forward execution of a plan at chosen
+/// source values, on a dense per-variable state reused across executions.
+///
+/// One executor serves a whole search (or degradation step), so an
+/// execution allocates nothing until it succeeds: the ledger is kept in
+/// flat reusable buffers, and [`Executor::finish`] builds the
+/// [`ConcreteExecution`] only for an execution the caller returns. An
+/// unwritten capacity reads its point value from the task, so an
+/// execution costs what the plan touches, not the size of the network
+/// (relaxed binding executes up to ~130 times per candidate).
+pub(crate) struct Executor<'t> {
+    task: &'t PlanningTask,
+    /// The stream-source variables (interface properties with an
+    /// availability) in id order, found once per executor.
+    sources: Vec<GVarId>,
+    /// Per variable, the capacity an unwritten read returns: the point
+    /// availability of a node or link resource, `None` for every other
+    /// variable.
+    capacity: Vec<Option<f64>>,
+    /// The value bound to each source, in `sources` order.
+    choices: Vec<(GVarId, f64)>,
+    /// The sources and every variable the execution wrote.
+    state: DenseStore<f64>,
+    /// The ledger of the last execution, flat: step `i` wrote
+    /// `writes[row_ends[i - 1]..row_ends[i]]`.
+    writes: Vec<(GVarId, f64)>,
+    row_ends: Vec<usize>,
+    /// Effect values of the current step, evaluated on its pre-state.
+    vals: Vec<f64>,
+}
+
+impl<'t> Executor<'t> {
+    pub(crate) fn new(task: &'t PlanningTask) -> Self {
+        let is_stream = |i: usize| matches!(task.gvars[i], GVarData::IfaceProp { .. });
+        let sources = (0..task.init_values.len())
+            .filter(|&i| task.init_values[i].is_some() && is_stream(i))
+            .map(GVarId::from_index)
+            .collect();
+        let capacity = task
+            .init_values
+            .iter()
+            .enumerate()
+            .map(|(i, init)| init.filter(|_| !is_stream(i)).map(|iv| iv.lo))
+            .collect();
+        Executor {
+            task,
+            sources,
+            capacity,
+            choices: Vec::new(),
+            state: DenseStore::new(task.gvars.len(), 0.0),
+            writes: Vec::new(),
+            row_ends: Vec::new(),
+            vals: Vec::new(),
         }
     }
-    Err(greedy_err)
+
+    /// [`concretize`], with `final_iv` reading the terminal replay's
+    /// interval state.
+    pub(crate) fn greedy(
+        &mut self,
+        plan: &[ActionId],
+        final_iv: impl Fn(GVarId) -> Option<Interval>,
+    ) -> Result<ConcreteExecution, ConcretizeFail> {
+        self.run_greedy(plan, &final_iv)?;
+        Ok(self.finish())
+    }
+
+    /// [`concretize_relaxed`], with `final_iv` reading the terminal
+    /// replay's interval state.
+    pub(crate) fn relaxed(
+        &mut self,
+        plan: &[ActionId],
+        final_iv: impl Fn(GVarId) -> Option<Interval>,
+    ) -> Result<ConcreteExecution, ConcretizeFail> {
+        let greedy_err = match self.greedy(plan, &final_iv) {
+            Ok(exec) => return Ok(exec),
+            Err(e) => e,
+        };
+        const GRID_STEPS: usize = 64;
+        self.choose(&final_iv, false);
+        for _pass in 0..2 {
+            for i in 0..self.choices.len() {
+                if self.run(plan).is_ok() {
+                    break;
+                }
+                let feasible = self.feasible(i, &final_iv);
+                let lo = feasible.lo.max(0.0);
+                let hi = feasible.finite_hi(self.availability(i).hi);
+                let saved = self.choices[i].1;
+                let mut found = false;
+                for k in 0..=GRID_STEPS {
+                    let x = lo + (hi - lo) * (k as f64 / GRID_STEPS as f64);
+                    // demands are round numbers: snap up onto the 1e-5 grid
+                    self.choices[i].1 = (x * 1e5).ceil() / 1e5;
+                    if self.run(plan).is_ok() {
+                        found = true;
+                        break;
+                    }
+                }
+                if !found {
+                    self.choices[i].1 = saved;
+                }
+            }
+            if self.run(plan).is_ok() {
+                return Ok(self.finish());
+            }
+        }
+        Err(greedy_err)
+    }
+
+    /// [`minimize_sources`], with `final_iv` reading the terminal replay's
+    /// interval state.
+    fn minimized(
+        &mut self,
+        plan: &[ActionId],
+        final_iv: impl Fn(GVarId) -> Option<Interval>,
+    ) -> Result<ConcreteExecution, ConcretizeFail> {
+        // start from the validated greedy choice
+        self.run_greedy(plan, &final_iv)?;
+        for i in 0..self.choices.len() {
+            let hi = self.choices[i].1;
+            let lo_bound = self.feasible(i, &final_iv).lo.max(0.0);
+            let executes = |x: f64, ex: &mut Self| {
+                ex.choices[i].1 = x;
+                ex.run(plan).is_ok()
+            };
+            let mut lo = lo_bound;
+            let mut best = hi;
+            if executes(lo, self) {
+                best = lo;
+            } else {
+                let mut hi_cur = hi;
+                for _ in 0..60 {
+                    let mid = 0.5 * (lo + hi_cur);
+                    if executes(mid, self) {
+                        best = mid;
+                        hi_cur = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+            }
+            // snap the minimized value up onto a friendly grid (demands are
+            // typically round numbers); fall back to the raw bound otherwise
+            let snapped = (best * 1e5).ceil() / 1e5;
+            if executes(snapped, self) {
+                best = snapped;
+            }
+            self.choices[i].1 = best;
+        }
+        self.run(plan)?;
+        Ok(self.finish())
+    }
+
+    /// Bind the greedy choice and execute it. Level requirement intervals
+    /// carry shaved upper bounds (`[90, 100 - 1e-6]` for the half-open
+    /// `[90, 100)`), but the paper's planner reserves the cutpoint itself
+    /// ("the plans involve processing 100 units"), so this first tries the
+    /// values snapped up to the cutpoint grid and falls back to the raw
+    /// interval tops if the snapped execution fails.
+    fn run_greedy(
+        &mut self,
+        plan: &[ActionId],
+        final_iv: &impl Fn(GVarId) -> Option<Interval>,
+    ) -> Result<(), ConcretizeFail> {
+        self.choose(final_iv, true);
+        if self.run(plan).is_err() {
+            self.choose(final_iv, false);
+            self.run(plan)?;
+        }
+        Ok(())
+    }
+
+    /// The availability of the `i`-th source.
+    fn availability(&self, i: usize) -> Interval {
+        self.task.init_values[self.sources[i].index()].expect("a source has an availability")
+    }
+
+    /// The source values consistent with the plan's optimistic assumptions:
+    /// the replay's interval for the `i`-th source, within its
+    /// availability.
+    fn feasible(&self, i: usize, final_iv: &impl Fn(GVarId) -> Option<Interval>) -> Interval {
+        let init = self.availability(i);
+        final_iv(self.sources[i]).unwrap_or(init).intersect(&init)
+    }
+
+    /// Bind every source to the top of its feasible interval, snapped up
+    /// onto the cutpoint grid when `snap`.
+    fn choose(&mut self, final_iv: &impl Fn(GVarId) -> Option<Interval>, snap: bool) {
+        self.choices.clear();
+        for i in 0..self.sources.len() {
+            let init = self.availability(i);
+            let mut chosen = self.feasible(i, final_iv).finite_hi(init.hi);
+            if snap {
+                // undo the LEVEL_SHAVE: round up onto a 1e-5 grid
+                chosen = ((chosen + 2.0 * sekitei_model::levels::LEVEL_SHAVE) * 1e5).round() / 1e5;
+                chosen = chosen.min(init.hi); // never exceed availability
+            }
+            self.choices.push((self.sources[i], chosen));
+        }
+    }
+
+    /// Execute `plan` exactly at the current source choices, recording the
+    /// ledger as it binds.
+    fn run(&mut self, plan: &[ActionId]) -> Result<(), ConcretizeFail> {
+        let Executor { task, capacity, choices, state, writes, row_ends, vals, .. } = self;
+        state.reset();
+        for &(v, x) in choices.iter() {
+            state.set(v, x);
+        }
+        writes.clear();
+        row_ends.clear();
+        let read = |state: &DenseStore<f64>, v: GVarId| state.get(v).or(capacity[v.index()]);
+        for (step, &aid) in plan.iter().enumerate() {
+            let act = task.action(aid);
+            // reads must be defined
+            for &(v, _) in &act.optimistic {
+                if read(state, v).is_none() {
+                    return Err(ConcretizeFail::UndefinedRead { step, var: v });
+                }
+            }
+            let mut env = |v: &GVarId| read(state, *v).unwrap_or(0.0);
+            for (ci, cond) in act.conditions.iter().enumerate() {
+                if !cond.holds(&mut env) {
+                    return Err(ConcretizeFail::ConditionFailed { step, cond: ci });
+                }
+            }
+            vals.clear();
+            vals.extend(act.effects.iter().map(|e| e.value.eval(&mut env)));
+            for (e, &val) in act.effects.iter().zip(vals.iter()) {
+                let new = match e.op {
+                    AssignOp::Set => val,
+                    AssignOp::Sub => {
+                        let pre = read(state, e.target).unwrap_or(0.0);
+                        let post = pre - val;
+                        if post < -sekitei_model::EPS {
+                            return Err(ConcretizeFail::ResourceExhausted { step, var: e.target });
+                        }
+                        post.max(0.0)
+                    }
+                    AssignOp::Add => read(state, e.target).unwrap_or(0.0) + val,
+                };
+                state.set(e.target, new);
+                writes.push((e.target, new));
+            }
+            row_ends.push(writes.len());
+        }
+        Ok(())
+    }
+
+    /// The [`ConcreteExecution`] of the last, successful, [`Executor::run`].
+    fn finish(&self) -> ConcreteExecution {
+        let mut start = 0;
+        let rows = self
+            .row_ends
+            .iter()
+            .map(|&end| {
+                let writes = self.writes[start..end].to_vec();
+                start = end;
+                LedgerRow { writes }
+            })
+            .collect();
+        let final_state = (0..self.capacity.len())
+            .map(GVarId::from_index)
+            .filter_map(|v| Some((v, self.state.get(v).or(self.capacity[v.index()])?)))
+            .collect();
+        ConcreteExecution {
+            source_values: self.choices.clone(),
+            final_state,
+            ledger: ResourceLedger { rows },
+        }
+    }
 }
 
 /// Convert the chosen source interval to the greedy concrete value without
@@ -275,49 +406,7 @@ pub fn minimize_sources(
     plan: &[ActionId],
     final_map: &ResourceMap,
 ) -> Result<ConcreteExecution, ConcretizeFail> {
-    // start from the validated greedy choice
-    let mut choices = source_choices(task, final_map, true);
-    if execute(task, plan, &choices).is_err() {
-        choices = source_choices(task, final_map, false);
-        execute(task, plan, &choices)?;
-    }
-
-    for i in 0..choices.len() {
-        let v = choices[i].0;
-        let hi = choices[i].1;
-        let lo_bound = task.init_values[v.index()]
-            .map(|iv| final_map.get(&v).copied().unwrap_or(iv).intersect(&iv).lo)
-            .unwrap_or(0.0)
-            .max(0.0);
-        let feasible = |x: f64, choices: &mut Vec<(GVarId, f64)>| {
-            choices[i].1 = x;
-            execute(task, plan, choices).is_ok()
-        };
-        let mut lo = lo_bound;
-        let mut best = hi;
-        if feasible(lo, &mut choices) {
-            best = lo;
-        } else {
-            let mut hi_cur = hi;
-            for _ in 0..60 {
-                let mid = 0.5 * (lo + hi_cur);
-                if feasible(mid, &mut choices) {
-                    best = mid;
-                    hi_cur = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-        }
-        // snap the minimized value up onto a friendly grid (demands are
-        // typically round numbers); fall back to the raw bound otherwise
-        let snapped = (best * 1e5).ceil() / 1e5;
-        if feasible(snapped, &mut choices) {
-            best = snapped;
-        }
-        choices[i].1 = best;
-    }
-    execute(task, plan, &choices)
+    Executor::new(task).minimized(plan, |v| final_map.get(&v).copied())
 }
 
 #[cfg(test)]

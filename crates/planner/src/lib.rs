@@ -482,9 +482,11 @@ impl Planner {
 /// many rejected tails bind at no concrete value and are skipped.
 fn degraded_plan(task: &PlanningTask, rejected: &[(Vec<ActionId>, f64)]) -> Option<Plan> {
     let _g = sekitei_obs::span("degrade");
+    let mut scratch = ReplayScratch::new(task);
+    let mut executor = concretize::Executor::new(task);
     rejected.iter().find_map(|(tail, g)| {
-        let map = replay_tail(task, tail, Some(&task.init_values)).ok()?;
-        let exec = concretize_relaxed(task, tail, &map).ok()?;
+        let fin = scratch.replay_from_init(task, tail).ok()?;
+        let exec = executor.relaxed(tail, |v| fin.get(v)).ok()?;
         let mut plan = Plan::from_actions(task, tail, *g, exec);
         plan.degraded = true;
         Some(plan)

@@ -9,7 +9,8 @@
 //! three-way merge instead of allocating and re-sorting per child.
 
 use sekitei_model::PropId;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identity of an interned proposition set. Two ids are equal iff the sets
 /// are equal (the pool guarantees canonical, deduplicated storage).
@@ -34,6 +35,27 @@ fn hash_props(props: &[PropId]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Hasher for keys that already are [`hash_props`] digests: no SipHash
+/// round, just the high half folded into the low one. FNV-1a's low bits
+/// depend only on the low bits of its input, and the table indexes its
+/// buckets by the low bits.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the pool keys its table by u64 digests only")
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
 }
 
 /// The merge behind [`SetPool::regress`]: `out = (set \ adds) ∪
@@ -108,8 +130,11 @@ pub struct SetPool {
     props: Vec<PropId>,
     /// `spans[i]` bounds set `i` inside `props`.
     spans: Vec<(u32, u32)>,
-    /// Content hash → candidate ids (collisions resolved by slice compare).
-    table: HashMap<u64, Vec<SetId>>,
+    /// Content digest → the newest set with that digest.
+    heads: HashMap<u64, SetId, BuildHasherDefault<DigestHasher>>,
+    /// `next[i]`: the next older set sharing set `i`'s digest (collisions
+    /// resolved by slice compare along the chain).
+    next: Vec<Option<SetId>>,
     /// Reusable merge buffer for [`SetPool::regress`].
     scratch: Vec<PropId>,
 }
@@ -126,7 +151,8 @@ impl SetPool {
         let mut pool = SetPool {
             props: Vec::new(),
             spans: Vec::new(),
-            table: HashMap::new(),
+            heads: HashMap::default(),
+            next: Vec::new(),
             scratch: Vec::new(),
         };
         let empty = pool.intern_sorted(&[]);
@@ -153,20 +179,28 @@ impl SetPool {
     /// Intern a canonical (sorted, deduplicated) slice.
     pub fn intern_sorted(&mut self, props: &[PropId]) -> SetId {
         debug_assert!(props.windows(2).all(|w| w[0] < w[1]), "set must be sorted+deduped");
-        let h = hash_props(props);
-        if let Some(cands) = self.table.get(&h) {
-            for &id in cands {
-                let (s, e) = self.spans[id.index()];
-                if &self.props[s as usize..e as usize] == props {
-                    return id;
+        let id = SetId(self.spans.len() as u32);
+        let older = match self.heads.entry(hash_props(props)) {
+            Entry::Occupied(mut head) => {
+                let mut cur = Some(*head.get());
+                while let Some(c) = cur {
+                    let (s, e) = self.spans[c.index()];
+                    if &self.props[s as usize..e as usize] == props {
+                        return c;
+                    }
+                    cur = self.next[c.index()];
                 }
+                Some(head.insert(id))
             }
-        }
+            Entry::Vacant(head) => {
+                head.insert(id);
+                None
+            }
+        };
         let start = self.props.len() as u32;
         self.props.extend_from_slice(props);
-        let id = SetId(self.spans.len() as u32);
         self.spans.push((start, self.props.len() as u32));
-        self.table.entry(h).or_default().push(id);
+        self.next.push(older);
         id
     }
 

@@ -71,10 +71,11 @@ impl std::fmt::Display for ReplayFail {
 /// The interval state threaded through a replay.
 pub type ResourceMap = HashMap<GVarId, Interval>;
 
-/// Interval-state storage a replay steps through. Two implementations: the
-/// public [`ResourceMap`] (callers inspect the final map) and the dense
-/// epoch-stamped store inside [`ReplayScratch`] (the RG hot path, which
-/// only cares whether the replay fails).
+/// Interval-state storage a replay steps through. Three implementations:
+/// the public [`ResourceMap`] (callers inspect the final map), and inside
+/// [`ReplayScratch`] the dense epoch-stamped store (a child replay from the
+/// empty optimistic map) and that store over the initial state (terminal
+/// validation).
 trait IvStore {
     fn read(&self, v: GVarId) -> Option<Interval>;
     fn write(&mut self, v: GVarId, iv: Interval);
@@ -195,20 +196,22 @@ fn step_action<S: IvStore>(
     Ok(())
 }
 
-/// Dense epoch-stamped interval store: `reset` is O(1), absent variables
-/// are recognized by a stale stamp.
-struct DenseStore {
-    val: Vec<Interval>,
+/// Dense epoch-stamped per-variable store: `reset` is O(1), an unwritten
+/// variable is recognized by a stale stamp. The replay keeps intervals in
+/// it, the concrete executor ([`mod@crate::concretize`]) values.
+pub(crate) struct DenseStore<T> {
+    val: Vec<T>,
     stamp: Vec<u32>,
     epoch: u32,
 }
 
-impl DenseStore {
-    fn new(num_vars: usize) -> Self {
-        DenseStore { val: vec![Interval::nonneg(); num_vars], stamp: vec![0; num_vars], epoch: 0 }
+impl<T: Copy> DenseStore<T> {
+    pub(crate) fn new(num_vars: usize, fill: T) -> Self {
+        DenseStore { val: vec![fill; num_vars], stamp: vec![0; num_vars], epoch: 1 }
     }
 
-    fn reset(&mut self) {
+    /// Forget every write.
+    pub(crate) fn reset(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // epoch wrapped: old stamps could alias, wipe them once
@@ -216,31 +219,73 @@ impl DenseStore {
             self.epoch = 1;
         }
     }
-}
 
-impl IvStore for DenseStore {
-    fn read(&self, v: GVarId) -> Option<Interval> {
-        if self.stamp[v.index()] == self.epoch {
-            Some(self.val[v.index()])
-        } else {
-            None
-        }
+    /// The value written to `v` since the last reset.
+    #[inline]
+    pub(crate) fn get(&self, v: GVarId) -> Option<T> {
+        (self.stamp[v.index()] == self.epoch).then(|| self.val[v.index()])
     }
-    fn write(&mut self, v: GVarId, iv: Interval) {
-        self.val[v.index()] = iv;
+
+    #[inline]
+    pub(crate) fn set(&mut self, v: GVarId, x: T) {
+        self.val[v.index()] = x;
         self.stamp[v.index()] = self.epoch;
     }
 }
 
-/// Allocation-free replay of child tails for the RG hot path.
+impl IvStore for DenseStore<Interval> {
+    fn read(&self, v: GVarId) -> Option<Interval> {
+        self.get(v)
+    }
+    fn write(&mut self, v: GVarId, iv: Interval) {
+        self.set(v, iv);
+    }
+}
+
+/// A [`DenseStore`] over the initial state: an unwritten variable reads its
+/// `task.init_values` entry, so the replay from the initial state needs no
+/// seeding and its reset stays O(1).
+struct OverInit<'a> {
+    store: &'a mut DenseStore<Interval>,
+    init: &'a [Option<Interval>],
+}
+
+impl IvStore for OverInit<'_> {
+    fn read(&self, v: GVarId) -> Option<Interval> {
+        self.store.get(v).or(self.init[v.index()])
+    }
+    fn write(&mut self, v: GVarId, iv: Interval) {
+        self.store.set(v, iv);
+    }
+}
+
+/// The interval state a successful [`ReplayScratch::replay_from_init`]
+/// left behind.
+pub struct InitReplay<'a> {
+    store: &'a DenseStore<Interval>,
+    init: &'a [Option<Interval>],
+}
+
+impl InitReplay<'_> {
+    /// The interval of `v`: what the map of `replay_tail(task, tail,
+    /// Some(&task.init_values))` holds for it, `None` where it holds none.
+    pub fn get(&self, v: GVarId) -> Option<Interval> {
+        self.store.get(v).or(self.init[v.index()])
+    }
+}
+
+/// Allocation-free replays for the RG hot path, through one dense store
+/// with O(1) reset instead of a freshly allocated `HashMap`.
 ///
-/// A child's tail is `[a] ++ parent_tail`.
-/// [`ReplayScratch::child_tail_fails`] steps `a` and then the parent tail
-/// from the empty optimistic map, through a dense store with O(1) reset
-/// instead of a freshly allocated `HashMap`, so its outcome is exactly
-/// `replay_tail(task, &child_tail, None).is_err()`.
+/// - [`ReplayScratch::child_tail_fails`] replays a child's tail `[a] ++
+///   parent_tail` from the empty optimistic map: it steps `a` and then the
+///   parent tail, so its outcome is exactly `replay_tail(task,
+///   &child_tail, None).is_err()`.
+/// - [`ReplayScratch::replay_from_init`] replays a candidate's tail from
+///   the initial state, as `replay_tail(task, tail,
+///   Some(&task.init_values))` does.
 pub struct ReplayScratch {
-    store: DenseStore,
+    store: DenseStore<Interval>,
     /// Effect-value buffer shared across steps.
     vals: Vec<Interval>,
 }
@@ -248,7 +293,10 @@ pub struct ReplayScratch {
 impl ReplayScratch {
     /// A scratch sized for the task's ground variables.
     pub fn new(task: &PlanningTask) -> Self {
-        ReplayScratch { store: DenseStore::new(task.gvars.len()), vals: Vec::new() }
+        ReplayScratch {
+            store: DenseStore::new(task.gvars.len(), Interval::nonneg()),
+            vals: Vec::new(),
+        }
     }
 
     /// Exact replacement for `replay_tail(task, &[a] ++ parent_tail,
@@ -263,6 +311,22 @@ impl ReplayScratch {
         std::iter::once(&a).chain(parent_tail).enumerate().any(|(step, &aid)| {
             step_action(task.action(aid), step, &mut self.store, false, &mut self.vals).is_err()
         })
+    }
+
+    /// Exact replacement for `replay_tail(task, tail,
+    /// Some(&task.init_values))`: the same failure, or on success a view
+    /// that reads what the returned map holds.
+    pub fn replay_from_init<'a>(
+        &'a mut self,
+        task: &'a PlanningTask,
+        tail: &[ActionId],
+    ) -> Result<InitReplay<'a>, ReplayFail> {
+        self.store.reset();
+        let mut store = OverInit { store: &mut self.store, init: &task.init_values };
+        for (step, &aid) in tail.iter().enumerate() {
+            step_action(task.action(aid), step, &mut store, true, &mut self.vals)?;
+        }
+        Ok(InitReplay { store: &self.store, init: &task.init_values })
     }
 }
 

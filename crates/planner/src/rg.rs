@@ -21,20 +21,25 @@
 //! Hot-path engineering (behavior-identical to
 //! [`crate::reference::search_reference`], enforced by
 //! `tests/search_equivalence.rs`): node sets are interned [`SetId`]s in the
-//! SLRG's shared [`crate::pool::SetPool`], each expansion collects its tail
-//! once, and the per-child mid-search replay steps through the
-//! allocation-free [`ReplayScratch`]; the [`replay_tail`]-from-init check
-//! is reserved for terminal candidate validation.
+//! SLRG's shared [`crate::pool::SetPool`], and each expansion collects its
+//! tail once. One allocation-free [`ReplayScratch`] serves both replays:
+//! each child's mid-search replay from the empty optimistic map, and a
+//! candidate's replay from the initial state
+//! ([`ReplayScratch::replay_from_init`], exactly
+//! [`crate::replay::replay_tail`] with the initial values). The candidate
+//! then executes on the search's one reusable concrete executor, so
+//! validating a rejected candidate allocates nothing beyond the tail
+//! [`RgResult::rejected`] records.
 //!
 //! The search reads its budgets, heuristic and switches from the planner's
 //! one [`PlannerConfig`]; fields the RG has no use for (`slrg_budget`,
 //! `degrade`, the anytime knobs) belong to its callers.
 
-use crate::concretize::{concretize, ConcreteExecution};
+use crate::concretize::{ConcreteExecution, Executor};
 use crate::plrg::Plrg;
 use crate::pool::SetId;
 use crate::prune::IncumbentBound;
-use crate::replay::{replay_tail, ReplayScratch};
+use crate::replay::ReplayScratch;
 use crate::slrg::Slrg;
 use crate::PlannerConfig;
 use sekitei_compile::PlanningTask;
@@ -175,11 +180,12 @@ pub fn search_bounded(
     let goal_props: Vec<PropId> =
         task.goal_props.iter().copied().filter(|&p| !task.initially(p)).collect();
 
+    // candidate validation's executor, reused by every candidate
+    let mut executor = Executor::new(task);
     // the virtual root: nothing executed yet, the goal set open
     if goal_props.is_empty() {
         // goals already satisfied: the empty plan, executed trivially
-        let exec = concretize(task, &[], &std::collections::HashMap::new())
-            .expect("empty plan always executes");
+        let exec = executor.greedy(&[], |_| None).expect("empty plan always executes");
         result.plan = Some((Vec::new(), 0.0, exec));
         return result;
     }
@@ -216,6 +222,7 @@ pub fn search_bounded(
 
     let mut scratch = ReplayScratch::new(task);
     let mut parent_tail: Vec<ActionId> = Vec::new();
+    let mut candidate: Vec<ActionId> = Vec::new();
     // search-work units (expansions + node creations) since the last
     // wall-clock check; only maintained when a deadline is set
     let mut work_since_check = 0usize;
@@ -264,16 +271,16 @@ pub fn search_bounded(
             // candidate plan: validate from the initial state
             let t_cand = Instant::now();
             let mut solved = false;
-            let tail = collect_tail(&nodes, idx);
-            match replay_tail(task, &tail, Some(&task.init_values)) {
-                Ok(map) => match concretize(task, &tail, &map) {
+            collect_tail_into(&nodes, idx, &mut candidate);
+            match scratch.replay_from_init(task, &candidate) {
+                Ok(fin) => match executor.greedy(&candidate, |v| fin.get(v)) {
                     Ok(exec) => {
-                        result.plan = Some((tail, g, exec));
+                        result.plan = Some((candidate.clone(), g, exec));
                         solved = true;
                     }
                     Err(_) => {
                         result.candidate_rejects += 1;
-                        result.rejected.push((tail, g));
+                        result.rejected.push((candidate.clone(), g));
                     }
                 },
                 Err(_) => {
@@ -367,12 +374,6 @@ pub fn search_bounded(
 
 /// Plan tail of a node in execution order: the node's own action runs
 /// first, the root's child's action runs last.
-fn collect_tail(nodes: &[RgNode], idx: u32) -> Vec<ActionId> {
-    let mut tail = Vec::new();
-    collect_tail_into(nodes, idx, &mut tail);
-    tail
-}
-
 fn collect_tail_into(nodes: &[RgNode], mut idx: u32, tail: &mut Vec<ActionId>) {
     tail.clear();
     loop {

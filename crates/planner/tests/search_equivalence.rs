@@ -1,5 +1,6 @@
 //! Differential test: the optimized search core (interned `SetId`s, CSR
-//! achievers, incremental tail replay) must be *behavior-identical* to the
+//! achievers, replays and candidate validation on reusable dense state)
+//! must be *behavior-identical* to the
 //! original boxed-`SetKey` implementation preserved in
 //! [`sekitei_planner::reference`] — same plans, same cost bounds, same
 //! node/prune/reject counters, on every scenario of both benchmark
