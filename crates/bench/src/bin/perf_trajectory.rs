@@ -63,6 +63,7 @@
 //!   stream bandwidth, the paper's §4.3 levels-vs-performance tradeoff.
 
 use sekitei_compile::compile;
+use sekitei_model::codec::Fnv1a;
 use sekitei_model::resource::names::LBW;
 use sekitei_model::{
     adapt_problem, AdaptConfig, CppProblem, LevelScenario, LinkClass, MediaConfig,
@@ -414,17 +415,15 @@ fn source_digest() -> String {
             }
         }
     }
-    fn fnv(h: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
-    }
     let mut files = vec![std::path::PathBuf::from("Cargo.lock")];
     walk("crates".as_ref(), &mut files);
     files.sort();
-    let h = files.iter().fold(0xcbf2_9ce4_8422_2325, |h, f| {
-        let h = fnv(h, f.to_string_lossy().as_bytes());
-        fnv(h, &std::fs::read(f).unwrap_or_default())
-    });
-    format!("{h:016x}")
+    let mut h = Fnv1a::new();
+    for f in &files {
+        h.write(f.to_string_lossy().as_bytes());
+        h.write(&std::fs::read(f).unwrap_or_default());
+    }
+    format!("{:016x}", h.finish())
 }
 
 /// Print one row and keep it for `BENCH_planner.json`.

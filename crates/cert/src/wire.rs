@@ -1,14 +1,16 @@
 //! `SKC1` — the certificate wire encoding.
 //!
-//! A self-describing big-endian byte format, hand-rolled like the `SKO1`
-//! outcome framing: fixed magic, explicit lengths, option tags, and hard
-//! rejection of trailing bytes. The blob travels opaquely inside `SKO1`
-//! responses and in `--emit-cert` files; both ends speak only this module.
+//! A self-describing big-endian byte format on [`sekitei_model::codec`],
+//! like the `SKO1` outcome framing: fixed magic, explicit lengths, option
+//! tags, and hard rejection of trailing bytes. The blob travels opaquely
+//! inside `SKO1` responses and in `--emit-cert` files; both ends speak
+//! only this module.
 
 use crate::{
     BoundTrail, CertStep, CertViolation, GapBasis, GoalWitness, OutcomeClass, PlanCertificate,
     PrecondWitness, Provenance,
 };
+use sekitei_model::codec::{DecodeError, Reader, Writer};
 use sekitei_model::{ActionId, GVarId, PropId};
 
 /// Leading magic of every encoded certificate.
@@ -16,97 +18,69 @@ pub const CERT_MAGIC: &[u8; 4] = b"SKC1";
 
 /// Upper bound on any single length field, to bound allocation on
 /// malformed input before the payload is validated.
-const MAX_LEN: u32 = 1 << 22;
+const MAX_LEN: usize = 1 << 22;
 
-// ---------------------------------------------------------------- encode
+impl From<DecodeError> for CertViolation {
+    fn from(e: DecodeError) -> Self {
+        CertViolation::Malformed(e.to_string())
+    }
+}
 
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_be_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
+fn put_provenance(w: &mut Writer, p: Provenance) {
+    match p {
+        Provenance::Init => w.u8(0),
+        Provenance::Step(k) => {
+            w.u8(1);
+            w.u32(k);
         }
     }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-    fn provenance(&mut self, p: Provenance) {
-        match p {
-            Provenance::Init => self.u8(0),
-            Provenance::Step(k) => {
-                self.u8(1);
-                self.u32(k);
-            }
-        }
+}
+
+fn get_provenance(r: &mut Reader<'_>) -> Result<Provenance, DecodeError> {
+    match r.u8()? {
+        0 => Ok(Provenance::Init),
+        1 => Ok(Provenance::Step(r.u32()?)),
+        tag => Err(DecodeError::BadTag { field: "provenance", tag }),
     }
 }
 
 /// Serialize a certificate to its `SKC1` byte form.
 pub fn encode_certificate(cert: &PlanCertificate) -> Vec<u8> {
-    let mut e = Enc(Vec::with_capacity(256));
-    e.0.extend_from_slice(CERT_MAGIC);
-    e.u32(cert.version);
-    e.u64(cert.task_fingerprint);
-    e.u8(match cert.outcome {
+    let mut w = Writer::with_capacity(256);
+    w.bytes(CERT_MAGIC);
+    w.u32(cert.version);
+    w.u64(cert.task_fingerprint);
+    w.u8(match cert.outcome {
         OutcomeClass::Exact => 0,
         OutcomeClass::Degraded => 1,
         OutcomeClass::AnytimeIncumbent => 2,
         OutcomeClass::ChurnRepair => 3,
     });
-    e.u32(cert.steps.len() as u32);
-    for s in &cert.steps {
-        e.u32(s.action.index() as u32);
-        e.str(&s.name);
-        e.u32(s.preconds.len() as u32);
-        for w in &s.preconds {
-            e.u32(w.prop.index() as u32);
-            e.provenance(w.by);
-        }
-        e.u32(s.writes.len() as u32);
-        for &(v, x) in &s.writes {
-            e.u32(v.index() as u32);
-            e.f64(x);
-        }
-    }
-    e.u32(cert.sources.len() as u32);
-    for &(v, x) in &cert.sources {
-        e.u32(v.index() as u32);
-        e.f64(x);
-    }
-    e.u32(cert.goals.len() as u32);
-    for g in &cert.goals {
-        e.u32(g.prop.index() as u32);
-        e.provenance(g.by);
-    }
+    w.list(&cert.steps, |w, s| {
+        w.u32(s.action.index() as u32);
+        w.str(&s.name);
+        w.list(&s.preconds, |w, p| {
+            w.u32(p.prop.index() as u32);
+            put_provenance(w, p.by);
+        });
+        w.list(&s.writes, put_value);
+    });
+    w.list(&cert.sources, put_value);
+    w.list(&cert.goals, |w, g| {
+        w.u32(g.prop.index() as u32);
+        put_provenance(w, g.by);
+    });
     let b = &cert.bound;
-    e.f64(b.plan_cost);
-    e.opt_f64(b.root_bound);
-    e.opt_f64(b.frontier_bound);
-    e.u8(match b.gap_basis {
+    w.f64(b.plan_cost);
+    w.opt_f64(b.root_bound);
+    w.opt_f64(b.frontier_bound);
+    w.u8(match b.gap_basis {
         GapBasis::Proved => 0,
         GapBasis::RootBound => 1,
         GapBasis::FrontierBound => 2,
         GapBasis::Unbounded => 3,
     });
-    e.opt_f64(b.claimed_gap);
+    w.opt_f64(b.claimed_gap);
     let mut flags = 0u8;
     for (bit, on) in [
         b.incumbent_cutoff,
@@ -123,138 +97,64 @@ pub fn encode_certificate(cert: &PlanCertificate) -> Vec<u8> {
             flags |= 1 << bit;
         }
     }
-    e.u8(flags);
-    e.0
+    w.u8(flags);
+    w.into_vec()
 }
 
-// ---------------------------------------------------------------- decode
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
+fn put_value(w: &mut Writer, &(v, x): &(GVarId, f64)) {
+    w.u32(v.index() as u32);
+    w.f64(x);
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CertViolation> {
-        if self.buf.len() - self.at < n {
-            return Err(CertViolation::Malformed(format!(
-                "truncated at byte {} (need {n} more)",
-                self.at
-            )));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CertViolation> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CertViolation> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, CertViolation> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, CertViolation> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>, CertViolation> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            t => Err(CertViolation::Malformed(format!("bad option tag {t}"))),
-        }
-    }
-    fn len(&mut self) -> Result<usize, CertViolation> {
-        let n = self.u32()?;
-        if n > MAX_LEN {
-            return Err(CertViolation::Malformed(format!("length {n} exceeds limit")));
-        }
-        Ok(n as usize)
-    }
-    fn str(&mut self) -> Result<String, CertViolation> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CertViolation::Malformed("non-UTF-8 name".into()))
-    }
-    fn provenance(&mut self) -> Result<Provenance, CertViolation> {
-        match self.u8()? {
-            0 => Ok(Provenance::Init),
-            1 => Ok(Provenance::Step(self.u32()?)),
-            t => Err(CertViolation::Malformed(format!("bad provenance tag {t}"))),
-        }
-    }
+fn get_value(r: &mut Reader<'_>) -> Result<(GVarId, f64), DecodeError> {
+    Ok((GVarId::from_index(r.u32()? as usize), r.f64()?))
 }
 
 /// Deserialize an `SKC1` certificate, rejecting malformed or trailing bytes.
 pub fn decode_certificate(bytes: &[u8]) -> Result<PlanCertificate, CertViolation> {
-    let mut d = Dec { buf: bytes, at: 0 };
-    if d.take(4)? != CERT_MAGIC {
-        return Err(CertViolation::Malformed("bad magic (expected SKC1)".into()));
-    }
-    let version = d.u32()?;
-    let task_fingerprint = d.u64()?;
-    let outcome = match d.u8()? {
-        0 => OutcomeClass::Exact,
-        1 => OutcomeClass::Degraded,
-        2 => OutcomeClass::AnytimeIncumbent,
-        3 => OutcomeClass::ChurnRepair,
-        t => return Err(CertViolation::Malformed(format!("bad outcome class {t}"))),
-    };
-    let nsteps = d.len()?;
-    let mut steps = Vec::with_capacity(nsteps.min(4096));
-    for _ in 0..nsteps {
-        let action = ActionId::from_index(d.u32()? as usize);
-        let name = d.str()?;
-        let npre = d.len()?;
-        let mut preconds = Vec::with_capacity(npre.min(4096));
-        for _ in 0..npre {
-            let prop = PropId::from_index(d.u32()? as usize);
-            let by = d.provenance()?;
-            preconds.push(PrecondWitness { prop, by });
-        }
-        let nw = d.len()?;
-        let mut writes = Vec::with_capacity(nw.min(4096));
-        for _ in 0..nw {
-            let v = GVarId::from_index(d.u32()? as usize);
-            writes.push((v, d.f64()?));
-        }
-        steps.push(CertStep { action, name, preconds, writes });
-    }
-    let nsrc = d.len()?;
-    let mut sources = Vec::with_capacity(nsrc.min(4096));
-    for _ in 0..nsrc {
-        let v = GVarId::from_index(d.u32()? as usize);
-        sources.push((v, d.f64()?));
-    }
-    let ngoal = d.len()?;
-    let mut goals = Vec::with_capacity(ngoal.min(4096));
-    for _ in 0..ngoal {
-        let prop = PropId::from_index(d.u32()? as usize);
-        goals.push(GoalWitness { prop, by: d.provenance()? });
-    }
-    let plan_cost = d.f64()?;
-    let root_bound = d.opt_f64()?;
-    let frontier_bound = d.opt_f64()?;
-    let gap_basis = match d.u8()? {
-        0 => GapBasis::Proved,
-        1 => GapBasis::RootBound,
-        2 => GapBasis::FrontierBound,
-        3 => GapBasis::Unbounded,
-        t => return Err(CertViolation::Malformed(format!("bad gap basis {t}"))),
-    };
-    let claimed_gap = d.opt_f64()?;
-    let flags = d.u8()?;
+    let mut r = Reader::new(bytes);
+    r.magic(CERT_MAGIC)?;
+    let version = r.u32()?;
+    let task_fingerprint = r.u64()?;
+    let outcome = r.tag(
+        "outcome class",
+        &[
+            OutcomeClass::Exact,
+            OutcomeClass::Degraded,
+            OutcomeClass::AnytimeIncumbent,
+            OutcomeClass::ChurnRepair,
+        ],
+    )?;
+    let steps = r.list(MAX_LEN, |r| {
+        Ok(CertStep {
+            action: ActionId::from_index(r.u32()? as usize),
+            name: r.str(MAX_LEN)?,
+            preconds: r.list(MAX_LEN, |r| {
+                Ok(PrecondWitness {
+                    prop: PropId::from_index(r.u32()? as usize),
+                    by: get_provenance(r)?,
+                })
+            })?,
+            writes: r.list(MAX_LEN, get_value)?,
+        })
+    })?;
+    let sources = r.list(MAX_LEN, get_value)?;
+    let goals = r.list(MAX_LEN, |r| {
+        Ok(GoalWitness { prop: PropId::from_index(r.u32()? as usize), by: get_provenance(r)? })
+    })?;
+    let plan_cost = r.f64()?;
+    let root_bound = r.opt_f64()?;
+    let frontier_bound = r.opt_f64()?;
+    let gap_basis = r.tag(
+        "gap basis",
+        &[GapBasis::Proved, GapBasis::RootBound, GapBasis::FrontierBound, GapBasis::Unbounded],
+    )?;
+    let claimed_gap = r.opt_f64()?;
+    let flags = r.u8()?;
     if flags & !0x3f != 0 {
         return Err(CertViolation::Malformed(format!("unknown flag bits {flags:#x}")));
     }
-    if d.at != bytes.len() {
-        return Err(CertViolation::Malformed(format!(
-            "{} trailing bytes after certificate",
-            bytes.len() - d.at
-        )));
-    }
+    r.finish()?;
     Ok(PlanCertificate {
         version,
         task_fingerprint,

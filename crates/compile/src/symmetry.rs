@@ -45,6 +45,7 @@
 //! canonicalization rule needs.
 
 use crate::task::{ActionKind, GVarData, GroundAction, PlanningTask, PropData};
+use sekitei_model::codec::Fnv1a;
 use sekitei_model::{Cond, Effect, Expr, GVarId, Interval, LinkId, NodeId, PropId};
 use std::collections::HashMap;
 
@@ -118,29 +119,6 @@ impl NodeOrbits {
             }
         }
         NodeOrbits { orbit_of, members }
-    }
-}
-
-/// FNV-1a 64-bit running hash for structural action fingerprints.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn u8(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-    fn u32(&mut self, x: u32) {
-        for b in x.to_le_bytes() {
-            self.u8(b);
-        }
-    }
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.u8(b);
-        }
     }
 }
 
@@ -261,48 +239,48 @@ impl<'t> Swap<'t> {
         })
     }
 
-    fn hash_expr(&self, e: &Expr<GVarId>, h: &mut Fnv) -> Option<()> {
+    fn hash_expr(&self, e: &Expr<GVarId>, h: &mut Fnv1a) -> Option<()> {
         match e {
             Expr::Const(c) => {
-                h.u8(0);
-                h.u64(c.to_bits());
+                h.write_u8(0);
+                h.write_u64(c.to_bits());
             }
             Expr::Var(v) => {
-                h.u8(1);
-                h.u32(self.gvar(*v)?.index() as u32);
+                h.write_u8(1);
+                h.write_u32(self.gvar(*v)?.index() as u32);
             }
             Expr::Add(a, b) => {
-                h.u8(2);
+                h.write_u8(2);
                 self.hash_expr(a, h)?;
                 self.hash_expr(b, h)?;
             }
             Expr::Sub(a, b) => {
-                h.u8(3);
+                h.write_u8(3);
                 self.hash_expr(a, h)?;
                 self.hash_expr(b, h)?;
             }
             Expr::Mul(a, b) => {
-                h.u8(4);
+                h.write_u8(4);
                 self.hash_expr(a, h)?;
                 self.hash_expr(b, h)?;
             }
             Expr::Div(a, b) => {
-                h.u8(5);
+                h.write_u8(5);
                 self.hash_expr(a, h)?;
                 self.hash_expr(b, h)?;
             }
             Expr::Min(a, b) => {
-                h.u8(6);
+                h.write_u8(6);
                 self.hash_expr(a, h)?;
                 self.hash_expr(b, h)?;
             }
             Expr::Max(a, b) => {
-                h.u8(7);
+                h.write_u8(7);
                 self.hash_expr(a, h)?;
                 self.hash_expr(b, h)?;
             }
             Expr::Neg(a) => {
-                h.u8(8);
+                h.write_u8(8);
                 self.hash_expr(a, h)?;
             }
         }
@@ -315,19 +293,19 @@ impl<'t> Swap<'t> {
     /// their order (compilation emits them in schema order, which is
     /// identical across symmetric groundings).
     fn action_hash(&self, act: &GroundAction) -> Option<u64> {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         match self.kind(&act.kind)? {
             ActionKind::Place { comp, node } => {
-                h.u8(0);
-                h.u32(comp.index() as u32);
-                h.u32(node.index() as u32);
+                h.write_u8(0);
+                h.write_u32(comp.index() as u32);
+                h.write_u32(node.index() as u32);
             }
             ActionKind::Cross { iface, dir } => {
-                h.u8(1);
-                h.u32(iface.index() as u32);
-                h.u32(dir.link.index() as u32);
-                h.u32(dir.from.index() as u32);
-                h.u32(dir.to.index() as u32);
+                h.write_u8(1);
+                h.write_u32(iface.index() as u32);
+                h.write_u32(dir.link.index() as u32);
+                h.write_u32(dir.from.index() as u32);
+                h.write_u32(dir.to.index() as u32);
             }
         }
         let mut props: Vec<u32> = Vec::with_capacity(act.preconds.len().max(act.adds.len()));
@@ -337,21 +315,21 @@ impl<'t> Swap<'t> {
                 props.push(self.prop(p)?.index() as u32);
             }
             props.sort_unstable();
-            h.u8(0xb7); // group separator
+            h.write_u8(0xb7); // group separator
             for &p in &props {
-                h.u32(p);
+                h.write_u32(p);
             }
         }
         for c in act.conditions.iter() {
-            h.u8(0xc0);
+            h.write_u8(0xc0);
             self.hash_expr(&c.lhs, &mut h)?;
-            h.u8(cmp_tag(c));
+            h.write_u8(cmp_tag(c));
             self.hash_expr(&c.rhs, &mut h)?;
         }
         for e in act.effects.iter() {
-            h.u8(0xe0);
-            h.u32(self.gvar(e.target)?.index() as u32);
-            h.u8(assign_tag(e));
+            h.write_u8(0xe0);
+            h.write_u32(self.gvar(e.target)?.index() as u32);
+            h.write_u8(assign_tag(e));
             self.hash_expr(&e.value, &mut h)?;
         }
         let mut ivs: Vec<(u32, u64, u64)> = Vec::new();
@@ -361,11 +339,11 @@ impl<'t> Swap<'t> {
                 ivs.push((self.gvar(v)?.index() as u32, iv.lo.to_bits(), iv.hi.to_bits()));
             }
             ivs.sort_unstable();
-            h.u8(0xa0);
+            h.write_u8(0xa0);
             for &(v, lo, hi) in &ivs {
-                h.u32(v);
-                h.u64(lo);
-                h.u64(hi);
+                h.write_u32(v);
+                h.write_u64(lo);
+                h.write_u64(hi);
             }
         }
         let mut lvls: Vec<(u32, u8)> = Vec::new();
@@ -374,11 +352,11 @@ impl<'t> Swap<'t> {
         }
         lvls.sort_unstable();
         for &(v, l) in &lvls {
-            h.u32(v);
-            h.u8(l);
+            h.write_u32(v);
+            h.write_u8(l);
         }
-        h.u64(act.cost.to_bits());
-        Some(h.0)
+        h.write_u64(act.cost.to_bits());
+        Some(h.finish())
     }
 
     /// Exact structural equality of `a`'s image with `b` (collision guard
@@ -511,13 +489,13 @@ fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) ->
         .into_iter()
         .map(|(l, mut v)| {
             v.sort_unstable();
-            let mut h = Fnv::new();
+            let mut h = Fnv1a::new();
             for (r, lo, hi) in v {
-                h.u32(r as u32);
-                h.u64(lo);
-                h.u64(hi);
+                h.write_u32(r as u32);
+                h.write_u64(lo);
+                h.write_u64(hi);
             }
-            (l, h.0)
+            (l, h.finish())
         })
         .collect();
 
@@ -560,22 +538,22 @@ fn signature_groups(task: &PlanningTask, num_nodes: usize, links: &LinkTable) ->
         if pinned[n] {
             continue; // sources/clients/pre-placed hosts stay singleton
         }
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for &(r, lo, hi) in &node_res[n] {
-            h.u32(r as u32);
-            h.u64(lo);
-            h.u64(hi);
+            h.write_u32(r as u32);
+            h.write_u64(lo);
+            h.write_u64(hi);
         }
-        h.u8(0xee);
+        h.write_u8(0xee);
         for &s in &incident[n] {
-            h.u64(s);
+            h.write_u64(s);
         }
-        h.u8(0xef);
+        h.write_u8(0xef);
         let (p, o, i) = mentions[n];
-        h.u32(p);
-        h.u32(o);
-        h.u32(i);
-        let g = *group_of_sig.entry(h.0).or_insert_with(|| {
+        h.write_u32(p);
+        h.write_u32(o);
+        h.write_u32(i);
+        let g = *group_of_sig.entry(h.finish()).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
         });

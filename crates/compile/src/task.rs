@@ -12,6 +12,7 @@
 //! * an *optimistic resource map* — the level intervals the action assumes,
 //! * a lower-bound cost evaluated at those intervals.
 
+use sekitei_model::codec::Fnv1a;
 use sekitei_model::{
     ActionId, CompId, Cond, DirLink, Effect, GVarId, IfaceId, Interval, LevelIdx, LinkId, NodeId,
     PropId,
@@ -242,14 +243,10 @@ impl PlanningTask {
     /// task caches and cross-process sanity checks that doesn't require
     /// hashing the whole struct.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = Fnv1a::new();
         let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            h ^= 0xff; // separator so field boundaries can't alias
-            h = h.wrapping_mul(0x100000001b3);
+            h.write(bytes);
+            h.write_u8(0xff); // separator so field boundaries can't alias
         };
         for n in &self.prop_names {
             eat(n.as_bytes());
@@ -276,7 +273,7 @@ impl PlanningTask {
         for p in &self.goal_props {
             eat(&(p.index() as u64).to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Number of ground propositions.

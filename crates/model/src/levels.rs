@@ -29,7 +29,8 @@ impl LevelSpec {
     /// Build from cutpoints. They are sorted, deduplicated (within
     /// [`EPS`]) and must all be strictly positive and finite.
     pub fn new(mut cutpoints: Vec<f64>) -> Result<Self, crate::error::ModelError> {
-        cutpoints.sort_by(|a, b| a.partial_cmp(b).expect("NaN cutpoint"));
+        // a total order, so a NaN sorts instead of panicking and is refused below
+        cutpoints.sort_by(f64::total_cmp);
         cutpoints.dedup_by(|a, b| (*a - *b).abs() <= EPS);
         for &c in &cutpoints {
             if !(c.is_finite() && c > 0.0) {
@@ -221,6 +222,7 @@ mod tests {
         assert!(LevelSpec::new(vec![0.0]).is_err());
         assert!(LevelSpec::new(vec![-5.0]).is_err());
         assert!(LevelSpec::new(vec![f64::INFINITY]).is_err());
+        assert!(LevelSpec::new(vec![30.0, f64::NAN, 70.0]).is_err());
     }
 
     #[test]

@@ -17,12 +17,15 @@
 //! Formulas are [`expr::Expr`] ASTs evaluated over points or
 //! [`interval::Interval`]s; [`levels::LevelSpec`] provides the resource
 //! discretization at the heart of the paper's contribution.
+//! [`codec`] holds the byte reader and writer every wire format is
+//! built on, and the workspace's one FNV-1a.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod adapt;
 pub mod advisor;
+pub mod codec;
 pub mod component;
 pub mod error;
 pub mod expr;

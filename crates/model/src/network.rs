@@ -132,12 +132,12 @@ impl Network {
     }
 
     /// All nodes with data.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &NodeData)> {
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = (NodeId, &NodeData)> {
         self.nodes.iter().enumerate().map(|(i, d)| (NodeId::from_index(i), d))
     }
 
     /// All links with data.
-    pub fn links(&self) -> impl Iterator<Item = (LinkId, &LinkData)> {
+    pub fn links(&self) -> impl ExactSizeIterator<Item = (LinkId, &LinkData)> {
         self.links.iter().enumerate().map(|(i, d)| (LinkId::from_index(i), d))
     }
 

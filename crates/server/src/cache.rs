@@ -22,16 +22,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-/// FNV-1a 64-bit content hash — deterministic across runs and platforms,
-/// no dependencies, and fast enough to disappear next to a TCP round-trip.
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+/// The cache key of a problem: FNV-1a ([`sekitei_model::codec::fnv1a`])
+/// over its bytes — deterministic across runs and platforms, and fast
+/// enough to disappear next to a TCP round-trip.
+pub use sekitei_model::codec::fnv1a as content_hash;
 
 /// A FIFO-bounded hash map. Inserting past capacity evicts the oldest
 /// entry; re-inserting an existing key refreshes its value but not its

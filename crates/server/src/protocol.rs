@@ -5,8 +5,10 @@
 //! capped at [`MAX_FRAME`] bytes. The first payload byte is an envelope
 //! tag; plan requests carry a `spec::wire`-encoded problem (`SKT1`) and
 //! plan responses carry a `spec::wire`-encoded outcome (`SKO1`), so the
-//! heavy payloads reuse the existing codecs unchanged.
+//! heavy payloads reuse the existing codecs unchanged. Envelopes are
+//! written and read with [`sekitei_model::codec`], like the payloads.
 
+use sekitei_model::codec::{DecodeError, Reader, Writer};
 use sekitei_spec::{
     decode_outcome, decode_phases, encode_outcome, encode_phases, SpecError, WireOutcome, WirePhase,
 };
@@ -80,16 +82,6 @@ impl Priority {
             Priority::Low => 2,
         }
     }
-
-    /// Decode a wire ordinal.
-    pub fn from_u8(v: u8) -> Option<Priority> {
-        match v {
-            0 => Some(Priority::High),
-            1 => Some(Priority::Normal),
-            2 => Some(Priority::Low),
-            _ => None,
-        }
-    }
 }
 
 /// A client request.
@@ -135,13 +127,13 @@ const PLAN_FLAG_PROFILE: u8 = 1;
 pub fn encode_request(r: &Request) -> Vec<u8> {
     match r {
         Request::Plan { trace_id, profile, priority, problem } => {
-            let mut b = Vec::with_capacity(11 + problem.len());
-            b.push(REQ_PLAN);
-            b.extend_from_slice(&trace_id.to_be_bytes());
-            b.push(if *profile { PLAN_FLAG_PROFILE } else { 0 });
-            b.push(priority.as_u8());
-            b.extend_from_slice(problem);
-            b
+            let mut w = Writer::with_capacity(11 + problem.len());
+            w.u8(REQ_PLAN);
+            w.u64(*trace_id);
+            w.u8(if *profile { PLAN_FLAG_PROFILE } else { 0 });
+            w.u8(priority.as_u8());
+            w.bytes(problem);
+            w.into_vec()
         }
         Request::Shutdown => vec![REQ_SHUTDOWN],
         Request::Metrics => vec![REQ_METRICS],
@@ -151,35 +143,29 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
 
 /// Decode a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, SpecError> {
-    match payload.split_first() {
-        Some((&REQ_PLAN, rest)) => {
-            if rest.len() < 11 {
-                return Err(SpecError::wire("truncated plan request header"));
-            }
-            let trace_id = u64::from_be_bytes(rest[0..8].try_into().unwrap());
-            let flags = rest[8];
+    let mut r = Reader::new(payload);
+    let request = match r.u8()? {
+        REQ_PLAN => {
+            let trace_id = r.u64()?;
+            let flags = r.u8()?;
             if flags & !PLAN_FLAG_PROFILE != 0 {
                 return Err(SpecError::wire(format!("bad plan flags {flags:#x}")));
             }
-            let priority = Priority::from_u8(rest[9])
-                .ok_or_else(|| SpecError::wire(format!("bad plan priority {}", rest[9])))?;
-            let problem = rest[10..].to_vec();
+            let priority =
+                r.tag("plan priority", &[Priority::High, Priority::Normal, Priority::Low])?;
+            let problem = r.rest().to_vec();
             if problem.is_empty() {
                 return Err(SpecError::wire("empty plan request"));
             }
-            Ok(Request::Plan {
-                trace_id,
-                profile: flags & PLAN_FLAG_PROFILE != 0,
-                priority,
-                problem,
-            })
+            Request::Plan { trace_id, profile: flags & PLAN_FLAG_PROFILE != 0, priority, problem }
         }
-        Some((&REQ_SHUTDOWN, [])) => Ok(Request::Shutdown),
-        Some((&REQ_METRICS, [])) => Ok(Request::Metrics),
-        Some((&REQ_FLIGHT, [])) => Ok(Request::FlightRecorder),
-        Some((&t, _)) => Err(SpecError::wire(format!("bad request tag {t}"))),
-        None => Err(SpecError::wire("empty request")),
-    }
+        REQ_SHUTDOWN => Request::Shutdown,
+        REQ_METRICS => Request::Metrics,
+        REQ_FLIGHT => Request::FlightRecorder,
+        tag => return Err(DecodeError::BadTag { field: "request", tag }.into()),
+    };
+    r.finish()?;
+    Ok(request)
 }
 
 /// How an outcome response was produced, as reported in the response
@@ -209,16 +195,6 @@ impl ServedVia {
             ServedVia::Computed => 0,
             ServedVia::Cache => 1,
             ServedVia::Coalesced => 2,
-        }
-    }
-
-    /// Decode a wire ordinal.
-    pub fn from_u8(v: u8) -> Option<ServedVia> {
-        match v {
-            0 => Some(ServedVia::Computed),
-            1 => Some(ServedVia::Cache),
-            2 => Some(ServedVia::Coalesced),
-            _ => None,
         }
     }
 }
@@ -272,22 +248,6 @@ const RESP_BYE: u8 = 4;
 const RESP_METRICS: u8 = 5;
 const RESP_FLIGHT: u8 = 6;
 
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    b.extend_from_slice(&(s.len() as u32).to_be_bytes());
-    b.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(b: &[u8]) -> Result<String, SpecError> {
-    if b.len() < 4 {
-        return Err(SpecError::wire("truncated string"));
-    }
-    let len = u32::from_be_bytes([b[0], b[1], b[2], b[3]]) as usize;
-    if b.len() != 4 + len {
-        return Err(SpecError::wire("bad string length"));
-    }
-    String::from_utf8(b[4..].to_vec()).map_err(|_| SpecError::wire("invalid utf-8"))
-}
-
 /// Build the `RESP_OUTCOME` payload header (everything before the `SKO1`
 /// bytes): served-via byte, trace-id echo, and the length-prefixed `SKP1`
 /// phase table (length 0 when no profile was requested). Shared with the
@@ -298,14 +258,22 @@ pub(crate) fn outcome_header(
     trace_id: u64,
     phases: &[WirePhase],
 ) -> Vec<u8> {
-    let phase_blob = if phases.is_empty() { Vec::new() } else { encode_phases(phases).to_vec() };
-    let mut b = Vec::with_capacity(14 + phase_blob.len());
-    b.push(RESP_OUTCOME);
-    b.push(served_via.as_u8());
-    b.extend_from_slice(&trace_id.to_be_bytes());
-    b.extend_from_slice(&(phase_blob.len() as u32).to_be_bytes());
-    b.extend_from_slice(&phase_blob);
-    b
+    let phase_blob = (!phases.is_empty()).then(|| encode_phases(phases));
+    let phase_blob = phase_blob.as_deref().unwrap_or_default();
+    let mut w = Writer::with_capacity(14 + phase_blob.len());
+    w.u8(RESP_OUTCOME);
+    w.u8(served_via.as_u8());
+    w.u64(trace_id);
+    w.prefixed(phase_blob);
+    w.into_vec()
+}
+
+/// A text response: its tag, then the length-prefixed UTF-8 text.
+fn text_response(tag: u8, text: &str) -> Vec<u8> {
+    let mut w = Writer::with_capacity(5 + text.len());
+    w.u8(tag);
+    w.str(text);
+    w.into_vec()
 }
 
 /// Encode a response payload.
@@ -316,62 +284,39 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
             b.extend_from_slice(&encode_outcome(outcome));
             b
         }
-        Response::Rejected(msg) => {
-            let mut b = vec![RESP_REJECTED];
-            put_str(&mut b, msg);
-            b
-        }
-        Response::Error(msg) => {
-            let mut b = vec![RESP_ERROR];
-            put_str(&mut b, msg);
-            b
-        }
+        Response::Rejected(msg) => text_response(RESP_REJECTED, msg),
+        Response::Error(msg) => text_response(RESP_ERROR, msg),
         Response::Bye => vec![RESP_BYE],
-        Response::Metrics(text) => {
-            let mut b = vec![RESP_METRICS];
-            put_str(&mut b, text);
-            b
-        }
-        Response::FlightRecorder(text) => {
-            let mut b = vec![RESP_FLIGHT];
-            put_str(&mut b, text);
-            b
-        }
+        Response::Metrics(text) => text_response(RESP_METRICS, text),
+        Response::FlightRecorder(text) => text_response(RESP_FLIGHT, text),
     }
 }
 
 /// Decode a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, SpecError> {
-    match payload.split_first() {
-        Some((&RESP_OUTCOME, rest)) => {
-            if rest.len() < 13 {
-                return Err(SpecError::wire("truncated outcome response"));
-            }
-            let served_via = ServedVia::from_u8(rest[0])
-                .ok_or_else(|| SpecError::wire(format!("bad served-via byte {}", rest[0])))?;
-            let trace_id = u64::from_be_bytes(rest[1..9].try_into().unwrap());
-            let phase_len = u32::from_be_bytes(rest[9..13].try_into().unwrap()) as usize;
-            let rest = &rest[13..];
-            if rest.len() < phase_len {
-                return Err(SpecError::wire("truncated phase table"));
-            }
+    const MAX_TEXT: usize = MAX_FRAME as usize;
+    let mut r = Reader::new(payload);
+    let response = match r.u8()? {
+        RESP_OUTCOME => {
+            let served_via = r.tag(
+                "served-via",
+                &[ServedVia::Computed, ServedVia::Cache, ServedVia::Coalesced],
+            )?;
+            let trace_id = r.u64()?;
+            let phase_blob = r.prefixed(MAX_TEXT)?;
             let phases =
-                if phase_len == 0 { Vec::new() } else { decode_phases(&rest[..phase_len])? };
-            Ok(Response::Outcome {
-                served_via,
-                trace_id,
-                phases,
-                outcome: decode_outcome(&rest[phase_len..])?,
-            })
+                if phase_blob.is_empty() { Vec::new() } else { decode_phases(phase_blob)? };
+            Response::Outcome { served_via, trace_id, phases, outcome: decode_outcome(r.rest())? }
         }
-        Some((&RESP_REJECTED, rest)) => Ok(Response::Rejected(get_str(rest)?)),
-        Some((&RESP_ERROR, rest)) => Ok(Response::Error(get_str(rest)?)),
-        Some((&RESP_BYE, [])) => Ok(Response::Bye),
-        Some((&RESP_METRICS, rest)) => Ok(Response::Metrics(get_str(rest)?)),
-        Some((&RESP_FLIGHT, rest)) => Ok(Response::FlightRecorder(get_str(rest)?)),
-        Some((&t, _)) => Err(SpecError::wire(format!("bad response tag {t}"))),
-        None => Err(SpecError::wire("empty response")),
-    }
+        RESP_REJECTED => Response::Rejected(r.str(MAX_TEXT)?),
+        RESP_ERROR => Response::Error(r.str(MAX_TEXT)?),
+        RESP_BYE => Response::Bye,
+        RESP_METRICS => Response::Metrics(r.str(MAX_TEXT)?),
+        RESP_FLIGHT => Response::FlightRecorder(r.str(MAX_TEXT)?),
+        tag => return Err(DecodeError::BadTag { field: "response", tag }.into()),
+    };
+    r.finish()?;
+    Ok(response)
 }
 
 #[cfg(test)]

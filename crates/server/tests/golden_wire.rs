@@ -6,19 +6,22 @@
 //! table — a changed digest is a changed wire format, not a number to
 //! paste in.
 //!
-//! The same file checks that the envelope decoders are total: random
-//! byte strings, every truncation and every single-byte flip of the
-//! golden frames decode to `Ok` or `Err`, never a panic.
+//! The same file checks that every decoder is total: random byte strings,
+//! every truncation and every single-byte flip of the golden frames, and
+//! hostile problems (formulas nested far past the depth cap, a NaN level
+//! cutpoint) decode to `Ok` or `Err`, never a panic.
 
-use sekitei_model::LevelScenario;
+use sekitei_cert::decode_certificate;
+use sekitei_model::{Expr, LevelScenario, LevelSpec};
 use sekitei_planner::{Planner, PlannerConfig};
 use sekitei_server::{
     decode_request, decode_response, encode_request, encode_response, outcome_to_wire, Priority,
     Request, Response, ServedVia,
 };
 use sekitei_spec::{
-    encode, encode_outcome, encode_phases, encode_snapshot_header, encode_snapshot_record,
-    WireOutcome, WirePhase, WirePlan, WireSnapshotRecord, WireStats, WireStep, WireStepKind,
+    decode_snapshot_header, decode_snapshot_record, encode, encode_outcome, encode_phases,
+    encode_snapshot_header, encode_snapshot_record, WireOutcome, WirePhase, WirePlan,
+    WireSnapshotRecord, WireStats, WireStep, WireStepKind,
 };
 use sekitei_topology::scenarios::{self, NetSize};
 use sekitei_util::SplitMix64;
@@ -244,16 +247,32 @@ fn wire_bytes_match_their_recorded_digests() {
     assert!(got == want, "wire bytes changed; now:\n{table}");
 }
 
-/// The envelope decoders are total: whatever the bytes, they return.
-/// Runs as a seeded SplitMix64 property (failures reproduce exactly):
-/// random byte strings with a biased tag byte, then every truncation and
-/// every single-byte flip (each bit alone and all eight) of each golden
-/// frame, each through both decoders.
+/// `bytes` with the one occurrence of `from` replaced by `to`.
+fn splice(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+    let at = bytes.windows(from.len()).position(|w| w == from).expect("pattern present");
+    [&bytes[..at], to, &bytes[at + from.len()..]].concat()
+}
+
+/// A constant no scenario uses, to find a field in encoded bytes.
+const MARK: f64 = 123.25;
+
+/// Every decoder is total: whatever the bytes, they return. Runs as a
+/// seeded SplitMix64 property (failures reproduce exactly): random byte
+/// strings with a biased tag byte, then every truncation and every
+/// single-byte flip (each bit alone and all eight) of each golden frame
+/// (of the `SKT1` grid, the Tiny row: the larger nets repeat its layout),
+/// then hostile problems: formulas nested 10 000 deep and a NaN level
+/// cutpoint, bare and in plan requests. Each goes through the envelope,
+/// `SKT1`, `SKS1` and `SKC1` decoders.
 #[test]
 fn envelope_decoders_never_panic() {
     let decode = |b: &[u8]| {
         let _ = decode_request(b);
         let _ = decode_response(b);
+        let _ = sekitei_spec::decode(b);
+        let _ = decode_snapshot_header(b);
+        let _ = decode_snapshot_record(b);
+        let _ = decode_certificate(b);
     };
     let mut rng = SplitMix64::new(0x901D_E2E5);
     for _ in 0..4_096 {
@@ -267,9 +286,10 @@ fn envelope_decoders_never_panic() {
         decode(&bytes);
     }
 
-    let requests = request_samples().into_iter().map(|(_, r)| encode_request(&r));
-    let responses = response_samples().into_iter().map(|(_, r)| encode_response(&r));
-    for frame in requests.chain(responses) {
+    let frames = encodings()
+        .into_iter()
+        .filter(|(label, _)| !label.starts_with("SKT1/") || label.starts_with("SKT1/Tiny/"));
+    for (_, frame) in frames {
         for cut in 0..frame.len() {
             decode(&frame[..cut]);
         }
@@ -281,5 +301,31 @@ fn envelope_decoders_never_panic() {
                 flipped[i] ^= mask;
             }
         }
+    }
+
+    // formulas 10 000 deep, bare and in plan requests, and a level
+    // cutpoint that is NaN
+    let leaf = [&[0u8][..], &1.0f64.to_be_bytes()].concat();
+    let depth = 10_000;
+    let deep = [
+        [vec![8u8; depth - 1], leaf.clone()].concat(),
+        [vec![2u8; depth - 1], leaf.repeat(depth)].concat(),
+        [[&[2u8][..], &leaf].concat().repeat(depth - 1), leaf.clone()].concat(),
+    ];
+    let mut marked = scenarios::tiny(LevelScenario::B);
+    marked.components[0].cost = Expr::c(MARK);
+    let marked = encode(&marked);
+    let mark_leaf = [&[0u8][..], &MARK.to_be_bytes()].concat();
+    let mut hostile: Vec<Vec<u8>> =
+        deep.iter().map(|formula| splice(&marked, &mark_leaf, formula)).collect();
+    let mut cuts = scenarios::tiny(LevelScenario::B);
+    cuts.resources[0].levels = LevelSpec::new(vec![MARK, 2.0 * MARK]).unwrap();
+    hostile.push(splice(&encode(&cuts), &MARK.to_be_bytes(), &f64::NAN.to_be_bytes()));
+    for problem in hostile {
+        assert!(sekitei_spec::decode(&problem).is_err());
+        decode(&problem);
+        let plan =
+            Request::Plan { trace_id: 1, profile: false, priority: Priority::Normal, problem };
+        decode(&encode_request(&plan));
     }
 }

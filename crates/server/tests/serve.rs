@@ -2,7 +2,7 @@
 //! actual planner behind them. Every test binds an ephemeral port and
 //! tears the server down before asserting the join result.
 
-use sekitei_model::LevelScenario;
+use sekitei_model::{Expr, LevelScenario};
 use sekitei_planner::PlannerConfig;
 use sekitei_server::{
     request_plan, request_shutdown, request_stats, ClientError, Connection, Priority, ServedVia,
@@ -189,6 +189,32 @@ fn malformed_problem_bytes_get_an_error_response() {
     // the connection survives a bad request and still serves good ones
     let (outcome, _) = conn.plan(&scenarios::tiny(LevelScenario::D)).unwrap();
     assert!(outcome.plan.is_some());
+    request_shutdown(addr).unwrap();
+    join.join().unwrap().unwrap();
+}
+
+/// A plan frame whose problem nests one formula 10 000 deep (~11.7 KB):
+/// decoding it recursively exhausted a worker's stack and aborted the
+/// whole server. The depth cap turns it into an `Error` reply.
+#[test]
+fn deeply_nested_formula_gets_an_error_reply_and_the_server_keeps_serving() {
+    let mut p = scenarios::tiny(LevelScenario::B);
+    p.components[0].cost = Expr::c(-123.25);
+    let bytes = sekitei_spec::encode(&p).to_vec();
+    let leaf = [&[0u8][..], &(-123.25f64).to_be_bytes()].concat();
+    let at = bytes.windows(leaf.len()).position(|w| w == leaf).expect("marker encoded");
+    let negs = vec![8u8; 10_000]; // `Neg` tags above the leaf
+    let hostile = [&bytes[..at], &negs, &bytes[at..]].concat();
+
+    let (addr, _, join) = start(small_cfg());
+    let mut conn = Connection::connect(addr).unwrap();
+    match conn.plan_bytes(&hostile) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("nests deeper"), "msg: {msg}"),
+        other => panic!("expected a server-side decode error, got {other:?}"),
+    }
+    let (outcome, _) = conn.plan(&scenarios::tiny(LevelScenario::B)).unwrap();
+    assert_eq!(outcome.plan.expect("Tiny/B is solvable").steps.len(), 7);
+    drop(conn);
     request_shutdown(addr).unwrap();
     join.join().unwrap().unwrap();
 }

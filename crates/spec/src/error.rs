@@ -58,6 +58,12 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<sekitei_model::codec::DecodeError> for SpecError {
+    fn from(e: sekitei_model::codec::DecodeError) -> Self {
+        SpecError::Wire(e.to_string())
+    }
+}
+
 impl From<sekitei_model::ModelError> for SpecError {
     fn from(e: sekitei_model::ModelError) -> Self {
         SpecError::Model(e)

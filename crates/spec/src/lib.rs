@@ -49,6 +49,14 @@ pub mod printer;
 pub mod wire;
 
 pub use error::SpecError;
+
+/// Deepest formula the text parser and the `SKT1` decoder accept: a
+/// constant or variable has depth 1 and each operator adds one (the
+/// parser also counts an open parenthesis as a level). Compilation,
+/// evaluation and encoding recurse over formulas, so the bound keeps one
+/// hostile specification from exhausting a thread's stack. The deepest
+/// formula of the scenario and `random_media` problems has depth 4.
+pub const MAX_EXPR_DEPTH: usize = 64;
 pub use parser::{parse_expr, parse_problem};
 pub use printer::print_problem;
 pub use wire::{

@@ -40,6 +40,7 @@
 
 use crate::error::SpecError;
 use crate::lexer::{lex, Spanned, Tok};
+use crate::MAX_EXPR_DEPTH;
 use sekitei_model::resource::{Elasticity, Locus};
 use sekitei_model::{
     AssignOp, CmpOp, ComponentSpec, Cond, CppProblem, Effect, Expr, Goal, InterfaceSpec, Interval,
@@ -51,7 +52,7 @@ use std::collections::BTreeMap;
 /// Parse a complete specification into a validated [`CppProblem`].
 pub fn parse_problem(src: &str) -> Result<CppProblem, SpecError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, nest: 0 };
     let problem = p.spec()?;
     problem.validate()?;
     Ok(problem)
@@ -61,7 +62,7 @@ pub fn parse_problem(src: &str) -> Result<CppProblem, SpecError> {
 /// `when` and `effect` clauses). The whole input must be consumed.
 pub fn parse_expr(src: &str) -> Result<SExpr, SpecError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, nest: 0 };
     let e = p.expr()?;
     if p.pos != p.toks.len() {
         return Err(SpecError::parse(p.line(), "trailing input after expression"));
@@ -72,6 +73,10 @@ pub fn parse_expr(src: &str) -> Result<SExpr, SpecError> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Parentheses, unary minus and `min`/`max` calls open around the
+    /// formula being parsed; with its own tree depth, bounded by
+    /// [`MAX_EXPR_DEPTH`].
+    nest: usize,
 }
 
 impl Parser {
@@ -541,70 +546,102 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<SExpr, SpecError> {
-        let mut lhs = self.term()?;
-        loop {
-            match self.peek() {
-                Some(Tok::Plus) => {
-                    self.pos += 1;
-                    lhs = lhs + self.term()?;
-                }
-                Some(Tok::Minus) => {
-                    self.pos += 1;
-                    lhs = lhs - self.term()?;
-                }
-                _ => break,
-            }
-        }
-        Ok(lhs)
+        Ok(self.sum()?.0)
     }
 
-    fn term(&mut self) -> Result<SExpr, SpecError> {
-        let mut lhs = self.factor()?;
+    /// `product (('+' | '-') product)*`, left-associative, and its tree
+    /// depth.
+    fn sum(&mut self) -> Result<(SExpr, usize), SpecError> {
+        let (mut lhs, mut depth) = self.product()?;
         loop {
-            match self.peek() {
-                Some(Tok::Star) => {
-                    self.pos += 1;
-                    lhs = lhs * self.factor()?;
-                }
-                Some(Tok::Slash) => {
-                    self.pos += 1;
-                    lhs = lhs / self.factor()?;
-                }
+            let plus = match self.peek() {
+                Some(Tok::Plus) => true,
+                Some(Tok::Minus) => false,
                 _ => break,
-            }
+            };
+            self.pos += 1;
+            let (rhs, d) = self.product()?;
+            depth = self.fits(depth.max(d) + 1)?;
+            lhs = if plus { lhs + rhs } else { lhs - rhs };
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn factor(&mut self) -> Result<SExpr, SpecError> {
+    /// `factor (('*' | '/') factor)*`, left-associative, and its tree
+    /// depth.
+    fn product(&mut self) -> Result<(SExpr, usize), SpecError> {
+        let (mut lhs, mut depth) = self.factor()?;
+        loop {
+            let times = match self.peek() {
+                Some(Tok::Star) => true,
+                Some(Tok::Slash) => false,
+                _ => break,
+            };
+            self.pos += 1;
+            let (rhs, d) = self.factor()?;
+            depth = self.fits(depth.max(d) + 1)?;
+            lhs = if times { lhs * rhs } else { lhs / rhs };
+        }
+        Ok((lhs, depth))
+    }
+
+    fn factor(&mut self) -> Result<(SExpr, usize), SpecError> {
         let line = self.line();
         match self.peek().cloned() {
             Some(Tok::Num(n)) => {
                 self.pos += 1;
-                Ok(Expr::c(n))
+                Ok((Expr::c(n), 1))
             }
             Some(Tok::Minus) => {
                 self.pos += 1;
-                Ok(Expr::Neg(Box::new(self.factor()?)))
+                let (e, d) = self.nested(Self::factor)?;
+                Ok((Expr::Neg(Box::new(e)), self.fits(d + 1)?))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.expr()?;
+                let e = self.nested(Self::sum)?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
             Some(Tok::Ident(name)) if name == "min" || name == "max" => {
                 self.pos += 1;
                 self.expect(&Tok::LParen)?;
-                let a = self.expr()?;
+                let (a, da) = self.nested(Self::sum)?;
                 self.expect(&Tok::Comma)?;
-                let b = self.expr()?;
+                let (b, db) = self.nested(Self::sum)?;
                 self.expect(&Tok::RParen)?;
-                Ok(if name == "min" { a.min_e(b) } else { a.max_e(b) })
+                let depth = self.fits(da.max(db) + 1)?;
+                Ok((if name == "min" { a.min_e(b) } else { a.max_e(b) }, depth))
             }
-            Some(Tok::Ident(_)) => Ok(Expr::var(self.lval()?)),
+            Some(Tok::Ident(_)) => Ok((Expr::var(self.lval()?), 1)),
             other => Err(SpecError::parse(line, format!("expected expression, found `{other:?}`"))),
         }
+    }
+
+    /// Parse with one more group open, refusing to descend past
+    /// [`MAX_EXPR_DEPTH`] so a hostile formula cannot exhaust the stack.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        self.nest += 1;
+        self.fits(1)?;
+        let e = parse(self);
+        self.nest -= 1;
+        e
+    }
+
+    /// `depth`, the tree depth of a formula parsed inside the open
+    /// groups, or a parse error when the two together exceed
+    /// [`MAX_EXPR_DEPTH`].
+    fn fits(&self, depth: usize) -> Result<usize, SpecError> {
+        if self.nest + depth > MAX_EXPR_DEPTH {
+            return Err(SpecError::parse(
+                self.line(),
+                format!("formula nests deeper than {MAX_EXPR_DEPTH} levels"),
+            ));
+        }
+        Ok(depth)
     }
 }
 
@@ -718,6 +755,31 @@ mod tests {
         let mut env = |_: &SpecVar| 10.0;
         assert!(c.conditions[0].holds(&mut env));
         assert_eq!(c.cost.eval(&mut env), -10.0 + 4.0);
+    }
+
+    #[test]
+    fn formulas_deeper_than_the_cap_are_parse_errors() {
+        let too_deep = |src: &str| matches!(parse_expr(src), Err(SpecError::Parse { msg, .. }) if msg.contains("nests deeper"));
+        let chain = |n: usize, op: &str| format!("1{}", format!(" {op} 1").repeat(n));
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        let minuses = |n: usize| format!("{}1", "- ".repeat(n));
+        let mins = |n: usize| format!("{}1{}", "min(1, ".repeat(n), ")".repeat(n));
+        // exactly MAX_EXPR_DEPTH deep: accepted
+        let at_cap = MAX_EXPR_DEPTH - 1;
+        for src in [chain(at_cap, "+"), chain(at_cap, "/"), parens(at_cap), minuses(at_cap)] {
+            assert!(parse_expr(&src).is_ok(), "{src}");
+        }
+        // one level past the cap, and the stack-exhausting sizes
+        for n in [MAX_EXPR_DEPTH, 100_000] {
+            for src in [chain(n, "+"), chain(n, "*"), parens(n), minuses(n), mins(n)] {
+                assert!(too_deep(&src), "{n} levels of {}", &src[..12]);
+            }
+        }
+        // a problem carrying one reports the line
+        let deep =
+            MERGER.replace("cost 1 + (T.ibw + I.ibw) / 10;", &format!("cost {};", parens(99)));
+        let err = parse_problem(&deep).unwrap_err();
+        assert!(matches!(err, SpecError::Parse { line, .. } if line > 0), "{err}");
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! Used to ship problem instances between processes (e.g. a deployment
 //! service handing work to planner workers) without paying text parsing on
 //! the hot path. The format is versioned with a magic header; decoding
-//! validates the problem before returning it.
+//! validates the problem before returning it. Every format here is built
+//! on [`sekitei_model::codec`]; the encoders return [`Bytes`].
 
 use crate::error::SpecError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::MAX_EXPR_DEPTH;
+use bytes::Bytes;
+use sekitei_model::codec::{fnv1a, DecodeError, Reader, Writer};
 use sekitei_model::resource::Elasticity;
 use sekitei_model::resource::Locus;
 use sekitei_model::{
@@ -17,286 +20,185 @@ use sekitei_model::{
 
 const MAGIC: &[u8; 4] = b"SKT1";
 
+/// Cap on every string and every list count in `SKT1`, `SKO1` and `SKP1`.
+const MAX_LEN: usize = 1 << 20;
+
 /// Encode a problem to bytes.
 pub fn encode(p: &CppProblem) -> Bytes {
-    let mut b = BytesMut::with_capacity(4096);
-    b.put_slice(MAGIC);
-
-    b.put_u32(p.resources.len() as u32);
-    for r in &p.resources {
-        put_str(&mut b, &r.name);
-        b.put_u8(match r.locus {
+    let mut w = Writer::with_capacity(4096);
+    w.bytes(MAGIC);
+    w.list(&p.resources, |w, r| {
+        w.str(&r.name);
+        w.u8(match r.locus {
             Locus::Node => 0,
             Locus::Link => 1,
         });
-        b.put_u8(r.consumable as u8);
-        b.put_u8(match r.elasticity {
+        w.u8(r.consumable as u8);
+        w.u8(match r.elasticity {
             Elasticity::Degradable => 0,
             Elasticity::Upgradable => 1,
             Elasticity::Rigid => 2,
         });
-        put_levels(&mut b, &r.levels);
-    }
-
-    b.put_u32(p.interfaces.len() as u32);
-    for i in &p.interfaces {
-        put_str(&mut b, &i.name);
-        b.put_u32(i.properties.len() as u32);
-        for prop in &i.properties {
-            put_str(&mut b, prop);
-        }
-        b.put_u8(i.degradable as u8);
-        b.put_u32(i.cross_conditions.len() as u32);
-        for c in &i.cross_conditions {
-            put_cond(&mut b, c);
-        }
-        b.put_u32(i.cross_effects.len() as u32);
-        for e in &i.cross_effects {
-            put_effect(&mut b, e);
-        }
-        put_expr(&mut b, &i.cross_cost);
-        b.put_u32(i.levels.len() as u32);
-        for (prop, ls) in &i.levels {
-            put_str(&mut b, prop);
-            put_levels(&mut b, ls);
-        }
-    }
-
-    b.put_u32(p.components.len() as u32);
-    for c in &p.components {
-        put_str(&mut b, &c.name);
-        put_strs(&mut b, &c.requires);
-        put_strs(&mut b, &c.implements);
-        b.put_u32(c.conditions.len() as u32);
-        for cd in &c.conditions {
-            put_cond(&mut b, cd);
-        }
-        b.put_u32(c.effects.len() as u32);
-        for e in &c.effects {
-            put_effect(&mut b, e);
-        }
-        put_expr(&mut b, &c.cost);
+        put_levels(w, &r.levels);
+    });
+    w.list(&p.interfaces, |w, i| {
+        w.str(&i.name);
+        w.list(&i.properties, |w, prop| w.str(prop));
+        w.u8(i.degradable as u8);
+        w.list(&i.cross_conditions, put_cond);
+        w.list(&i.cross_effects, put_effect);
+        put_expr(w, &i.cross_cost);
+        w.list(&i.levels, |w, (prop, ls)| {
+            w.str(prop);
+            put_levels(w, ls);
+        });
+    });
+    w.list(&p.components, |w, c| {
+        w.str(&c.name);
+        w.list(&c.requires, |w, s| w.str(s));
+        w.list(&c.implements, |w, s| w.str(s));
+        w.list(&c.conditions, put_cond);
+        w.list(&c.effects, put_effect);
+        put_expr(w, &c.cost);
         match &c.placement {
-            Placement::Anywhere => b.put_u8(0),
+            Placement::Anywhere => w.u8(0),
             Placement::Only(nodes) => {
-                b.put_u8(1);
-                put_strs(&mut b, nodes);
+                w.u8(1);
+                w.list(nodes, |w, s| w.str(s));
             }
         }
-    }
-
-    // network
-    b.put_u32(p.network.num_nodes() as u32);
-    for (_, n) in p.network.nodes() {
-        put_str(&mut b, &n.name);
-        b.put_u32(n.resources.len() as u32);
-        for (k, v) in &n.resources {
-            put_str(&mut b, k);
-            b.put_f64(*v);
-        }
-    }
-    b.put_u32(p.network.num_links() as u32);
-    for (_, l) in p.network.links() {
-        b.put_u32(l.a.0);
-        b.put_u32(l.b.0);
-        b.put_u8(match l.class {
+    });
+    w.list(p.network.nodes(), |w, (_, n)| {
+        w.str(&n.name);
+        w.list(&n.resources, put_amount);
+    });
+    w.list(p.network.links(), |w, (_, l)| {
+        w.u32(l.a.0);
+        w.u32(l.b.0);
+        w.u8(match l.class {
             LinkClass::Lan => 0,
             LinkClass::Wan => 1,
             LinkClass::Other => 2,
         });
-        b.put_u32(l.resources.len() as u32);
-        for (k, v) in &l.resources {
-            put_str(&mut b, k);
-            b.put_f64(*v);
-        }
-    }
-
-    b.put_u32(p.sources.len() as u32);
-    for s in &p.sources {
-        put_str(&mut b, &s.iface);
-        b.put_u32(s.node.0);
-        b.put_u32(s.properties.len() as u32);
-        for (k, iv) in &s.properties {
-            put_str(&mut b, k);
-            b.put_f64(iv.lo);
-            b.put_f64(iv.hi);
-        }
-    }
-    b.put_u32(p.pre_placed.len() as u32);
-    for pp in &p.pre_placed {
-        put_str(&mut b, &pp.component);
-        b.put_u32(pp.node.0);
-    }
-    b.put_u32(p.goals.len() as u32);
-    for g in &p.goals {
-        put_str(&mut b, &g.component);
-        b.put_u32(g.node.0);
-    }
-    b.freeze()
+        w.list(&l.resources, put_amount);
+    });
+    w.list(&p.sources, |w, s| {
+        w.str(&s.iface);
+        w.u32(s.node.0);
+        w.list(&s.properties, |w, (k, iv)| {
+            w.str(k);
+            w.f64(iv.lo);
+            w.f64(iv.hi);
+        });
+    });
+    w.list(&p.pre_placed, |w, pp| {
+        w.str(&pp.component);
+        w.u32(pp.node.0);
+    });
+    w.list(&p.goals, |w, g| {
+        w.str(&g.component);
+        w.u32(g.node.0);
+    });
+    w.into_vec().into()
 }
 
 /// Decode and validate a problem from bytes.
-pub fn decode(mut buf: &[u8]) -> Result<CppProblem, SpecError> {
-    let b = &mut buf;
-    let mut magic = [0u8; 4];
-    take(b, &mut magic)?;
-    if &magic != MAGIC {
-        return Err(SpecError::wire("bad magic"));
-    }
-
-    let mut resources = Vec::new();
-    for _ in 0..get_u32(b)? {
-        let name = get_str(b)?;
-        let locus = match get_u8(b)? {
-            0 => Locus::Node,
-            1 => Locus::Link,
-            x => return Err(SpecError::wire(format!("bad locus {x}"))),
-        };
-        let consumable = get_u8(b)? != 0;
-        let elasticity = match get_u8(b)? {
-            0 => Elasticity::Degradable,
-            1 => Elasticity::Upgradable,
-            2 => Elasticity::Rigid,
-            x => return Err(SpecError::wire(format!("bad elasticity {x}"))),
-        };
-        let levels = get_levels(b)?;
-        resources.push(ResourceDef { name, locus, consumable, levels, elasticity });
-    }
-
-    let mut interfaces = Vec::new();
-    for _ in 0..get_u32(b)? {
-        let name = get_str(b)?;
-        let mut properties = Vec::new();
-        for _ in 0..get_u32(b)? {
-            properties.push(get_str(b)?);
-        }
-        let degradable = get_u8(b)? != 0;
-        let mut cross_conditions = Vec::new();
-        for _ in 0..get_u32(b)? {
-            cross_conditions.push(get_cond(b)?);
-        }
-        let mut cross_effects = Vec::new();
-        for _ in 0..get_u32(b)? {
-            cross_effects.push(get_effect(b)?);
-        }
-        let cross_cost = get_expr(b)?;
-        let mut levels = std::collections::BTreeMap::new();
-        for _ in 0..get_u32(b)? {
-            let prop = get_str(b)?;
-            levels.insert(prop, get_levels(b)?);
-        }
-        interfaces.push(InterfaceSpec {
-            name,
-            properties,
-            degradable,
-            cross_conditions,
-            cross_effects,
-            cross_cost,
-            levels,
-        });
-    }
-
-    let mut components = Vec::new();
-    for _ in 0..get_u32(b)? {
-        let name = get_str(b)?;
-        let requires = get_strs(b)?;
-        let implements = get_strs(b)?;
-        let mut conditions = Vec::new();
-        for _ in 0..get_u32(b)? {
-            conditions.push(get_cond(b)?);
-        }
-        let mut effects = Vec::new();
-        for _ in 0..get_u32(b)? {
-            effects.push(get_effect(b)?);
-        }
-        let cost = get_expr(b)?;
-        let placement = match get_u8(b)? {
-            0 => Placement::Anywhere,
-            1 => Placement::Only(get_strs(b)?),
-            x => return Err(SpecError::wire(format!("bad placement {x}"))),
-        };
-        components.push(ComponentSpec {
-            name,
-            requires,
-            implements,
-            conditions,
-            effects,
-            cost,
-            placement,
-        });
-    }
-
-    let mut network = Network::new();
-    for _ in 0..get_u32(b)? {
-        let name = get_str(b)?;
-        let mut res = Vec::new();
-        for _ in 0..get_u32(b)? {
-            let k = get_str(b)?;
-            let v = get_f64(b)?;
-            res.push((k, v));
-        }
-        network.add_node(name, res);
-    }
-    for _ in 0..get_u32(b)? {
-        let a = NodeId(get_u32(b)?);
-        let bb = NodeId(get_u32(b)?);
-        let class = match get_u8(b)? {
-            0 => LinkClass::Lan,
-            1 => LinkClass::Wan,
-            2 => LinkClass::Other,
-            x => return Err(SpecError::wire(format!("bad link class {x}"))),
-        };
-        let mut res = Vec::new();
-        for _ in 0..get_u32(b)? {
-            let k = get_str(b)?;
-            let v = get_f64(b)?;
-            res.push((k, v));
-        }
-        if a.index() >= network.num_nodes() || bb.index() >= network.num_nodes() || a == bb {
-            return Err(SpecError::wire("bad link endpoints"));
-        }
-        network.add_link(a, bb, class, res);
-    }
-
-    let mut sources = Vec::new();
-    for _ in 0..get_u32(b)? {
-        let iface = get_str(b)?;
-        let node = NodeId(get_u32(b)?);
-        let mut properties = std::collections::BTreeMap::new();
-        for _ in 0..get_u32(b)? {
-            let k = get_str(b)?;
-            let lo = get_f64(b)?;
-            let hi = get_f64(b)?;
-            properties.insert(k, Interval::new(lo, hi));
-        }
-        sources.push(StreamSource { iface, node, properties });
-    }
-    let mut pre_placed = Vec::new();
-    for _ in 0..get_u32(b)? {
-        let component = get_str(b)?;
-        let node = NodeId(get_u32(b)?);
-        pre_placed.push(PrePlacement { component, node });
-    }
-    let mut goals = Vec::new();
-    for _ in 0..get_u32(b)? {
-        let component = get_str(b)?;
-        let node = NodeId(get_u32(b)?);
-        goals.push(Goal { component, node });
-    }
-    if !b.is_empty() {
-        return Err(SpecError::wire("trailing bytes after problem"));
-    }
-
-    let problem =
-        CppProblem { network, resources, interfaces, components, sources, pre_placed, goals };
+pub fn decode(buf: &[u8]) -> Result<CppProblem, SpecError> {
+    let problem = get_problem(Reader::new(buf))?;
     problem.validate()?;
     Ok(problem)
+}
+
+fn get_problem(mut r: Reader<'_>) -> Result<CppProblem, DecodeError> {
+    r.magic(MAGIC)?;
+    let resources = r.list(MAX_LEN, |r| {
+        Ok(ResourceDef {
+            name: r.str(MAX_LEN)?,
+            locus: r.tag("locus", &[Locus::Node, Locus::Link])?,
+            consumable: r.u8()? != 0,
+            elasticity: r.tag(
+                "elasticity",
+                &[Elasticity::Degradable, Elasticity::Upgradable, Elasticity::Rigid],
+            )?,
+            levels: get_levels(r)?,
+        })
+    })?;
+    let interfaces = r.list(MAX_LEN, |r| {
+        Ok(InterfaceSpec {
+            name: r.str(MAX_LEN)?,
+            properties: names(r)?,
+            degradable: r.u8()? != 0,
+            cross_conditions: r.list(MAX_LEN, get_cond)?,
+            cross_effects: r.list(MAX_LEN, get_effect)?,
+            cross_cost: get_expr(r, 1)?,
+            levels: r
+                .list(MAX_LEN, |r| Ok((r.str(MAX_LEN)?, get_levels(r)?)))?
+                .into_iter()
+                .collect(),
+        })
+    })?;
+    let components = r.list(MAX_LEN, |r| {
+        Ok(ComponentSpec {
+            name: r.str(MAX_LEN)?,
+            requires: names(r)?,
+            implements: names(r)?,
+            conditions: r.list(MAX_LEN, get_cond)?,
+            effects: r.list(MAX_LEN, get_effect)?,
+            cost: get_expr(r, 1)?,
+            placement: match r.u8()? {
+                0 => Placement::Anywhere,
+                1 => Placement::Only(names(r)?),
+                tag => return Err(DecodeError::BadTag { field: "placement", tag }),
+            },
+        })
+    })?;
+
+    let mut network = Network::new();
+    for (name, res) in r.list(MAX_LEN, |r| Ok((r.str(MAX_LEN)?, r.list(MAX_LEN, get_amount)?)))? {
+        network.add_node(name, res);
+    }
+    let links = r.list(MAX_LEN, |r| {
+        Ok((
+            NodeId(r.u32()?),
+            NodeId(r.u32()?),
+            r.tag("link class", &[LinkClass::Lan, LinkClass::Wan, LinkClass::Other])?,
+            r.list(MAX_LEN, get_amount)?,
+        ))
+    })?;
+    for (a, b, class, res) in links {
+        if a.index() >= network.num_nodes() || b.index() >= network.num_nodes() || a == b {
+            return Err(DecodeError::Invalid("bad link endpoints".into()));
+        }
+        network.add_link(a, b, class, res);
+    }
+
+    let sources = r.list(MAX_LEN, |r| {
+        Ok(StreamSource {
+            iface: r.str(MAX_LEN)?,
+            node: NodeId(r.u32()?),
+            properties: r
+                .list(MAX_LEN, |r| Ok((r.str(MAX_LEN)?, Interval::new(r.f64()?, r.f64()?))))?
+                .into_iter()
+                .collect(),
+        })
+    })?;
+    let pre_placed = r.list(MAX_LEN, |r| {
+        Ok(PrePlacement { component: r.str(MAX_LEN)?, node: NodeId(r.u32()?) })
+    })?;
+    let goals =
+        r.list(MAX_LEN, |r| Ok(Goal { component: r.str(MAX_LEN)?, node: NodeId(r.u32()?) }))?;
+    r.finish()?;
+    Ok(CppProblem { network, resources, interfaces, components, sources, pre_placed, goals })
 }
 
 // --------------------------------------------------------------- outcomes
 
 /// Magic header of the outcome wire form (planner → client direction).
 const OUTCOME_MAGIC: &[u8; 4] = b"SKO1";
+
+/// Cap on the certificate an outcome carries, and on one cached outcome
+/// in an `SKS1` record.
+const MAX_BLOB: usize = 1 << 22;
 
 /// Semantic kind of a plan step, reduced to what crosses the process
 /// boundary. The spec crate sits below the compiler, so it cannot name
@@ -390,38 +292,30 @@ pub struct WireOutcome {
 
 /// Encode an outcome to bytes.
 pub fn encode_outcome(o: &WireOutcome) -> Bytes {
-    let mut b = BytesMut::with_capacity(256);
-    b.put_slice(OUTCOME_MAGIC);
+    let mut w = Writer::with_capacity(256);
+    w.bytes(OUTCOME_MAGIC);
     match &o.plan {
-        None => b.put_u8(0),
+        None => w.u8(0),
         Some(p) => {
-            b.put_u8(1);
-            b.put_u32(p.steps.len() as u32);
-            for s in &p.steps {
-                put_str(&mut b, &s.name);
-                b.put_u8(match s.kind {
+            w.u8(1);
+            w.list(&p.steps, |w, s| {
+                w.str(&s.name);
+                w.u8(match s.kind {
                     WireStepKind::Place => 0,
                     WireStepKind::Cross => 1,
                     WireStepKind::Other => 2,
                 });
-                b.put_f64(s.cost_lb);
-            }
-            b.put_f64(p.cost_lower_bound);
-            b.put_u8(p.degraded as u8);
-            b.put_u32(p.source_values.len() as u32);
-            for &(v, x) in &p.source_values {
-                b.put_u32(v);
-                b.put_f64(x);
-            }
+                w.f64(s.cost_lb);
+            });
+            w.f64(p.cost_lower_bound);
+            w.u8(p.degraded as u8);
+            w.list(&p.source_values, |w, &(v, x)| {
+                w.u32(v);
+                w.f64(x);
+            });
         }
     }
-    match o.best_bound {
-        None => b.put_u8(0),
-        Some(x) => {
-            b.put_u8(1);
-            b.put_f64(x);
-        }
-    }
+    w.opt_f64(o.best_bound);
     let st = &o.stats;
     for v in [
         st.total_actions,
@@ -435,103 +329,58 @@ pub fn encode_outcome(o: &WireOutcome) -> Bytes {
         st.total_time_us,
         st.search_time_us,
     ] {
-        b.put_u64(v);
+        w.u64(v);
     }
-    b.put_u8(st.budget_exhausted as u8);
-    b.put_u8(st.deadline_hit as u8);
-    match o.optimality_gap {
-        None => b.put_u8(0),
-        Some(x) => {
-            b.put_u8(1);
-            b.put_f64(x);
-        }
-    }
+    w.u8(st.budget_exhausted as u8);
+    w.u8(st.deadline_hit as u8);
+    w.opt_f64(o.optimality_gap);
     match &o.certificate {
-        None => b.put_u8(0),
+        None => w.u8(0),
         Some(c) => {
-            b.put_u8(1);
-            b.put_u32(c.len() as u32);
-            b.put_slice(c);
+            w.u8(1);
+            w.prefixed(c);
         }
     }
-    b.freeze()
+    w.into_vec().into()
 }
 
 /// Decode an outcome from bytes.
-pub fn decode_outcome(mut buf: &[u8]) -> Result<WireOutcome, SpecError> {
-    let b = &mut buf;
-    let mut magic = [0u8; 4];
-    take(b, &mut magic)?;
-    if &magic != OUTCOME_MAGIC {
-        return Err(SpecError::wire("bad outcome magic"));
-    }
-    let plan = match get_u8(b)? {
+pub fn decode_outcome(buf: &[u8]) -> Result<WireOutcome, SpecError> {
+    let mut r = Reader::new(buf);
+    r.magic(OUTCOME_MAGIC)?;
+    let plan = match r.u8()? {
         0 => None,
-        1 => {
-            let n = get_u32(b)? as usize;
-            if n > 1 << 20 {
-                return Err(SpecError::wire("plan too long"));
-            }
-            let mut steps = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let name = get_str(b)?;
-                let kind = match get_u8(b)? {
-                    0 => WireStepKind::Place,
-                    1 => WireStepKind::Cross,
-                    2 => WireStepKind::Other,
-                    x => return Err(SpecError::wire(format!("bad step kind {x}"))),
-                };
-                let cost_lb = get_f64(b)?;
-                steps.push(WireStep { name, kind, cost_lb });
-            }
-            let cost_lower_bound = get_f64(b)?;
-            let degraded = get_u8(b)? != 0;
-            let ns = get_u32(b)? as usize;
-            if ns > 1 << 20 {
-                return Err(SpecError::wire("too many sources"));
-            }
-            let mut source_values = Vec::with_capacity(ns.min(1024));
-            for _ in 0..ns {
-                let v = get_u32(b)?;
-                let x = get_f64(b)?;
-                source_values.push((v, x));
-            }
-            Some(WirePlan { steps, cost_lower_bound, degraded, source_values })
-        }
-        x => return Err(SpecError::wire(format!("bad plan tag {x}"))),
+        1 => Some(WirePlan {
+            steps: r.list(MAX_LEN, |r| {
+                Ok(WireStep {
+                    name: r.str(MAX_LEN)?,
+                    kind: r.tag(
+                        "step kind",
+                        &[WireStepKind::Place, WireStepKind::Cross, WireStepKind::Other],
+                    )?,
+                    cost_lb: r.f64()?,
+                })
+            })?,
+            cost_lower_bound: r.f64()?,
+            degraded: r.u8()? != 0,
+            source_values: r.list(MAX_LEN, |r| Ok((r.u32()?, r.f64()?)))?,
+        }),
+        tag => return Err(DecodeError::BadTag { field: "plan", tag }.into()),
     };
-    let best_bound = match get_u8(b)? {
-        0 => None,
-        1 => Some(get_f64(b)?),
-        x => return Err(SpecError::wire(format!("bad bound tag {x}"))),
-    };
+    let best_bound = r.opt_f64()?;
     let mut words = [0u64; 10];
     for w in &mut words {
-        *w = get_u64(b)?;
+        *w = r.u64()?;
     }
-    let budget_exhausted = get_u8(b)? != 0;
-    let deadline_hit = get_u8(b)? != 0;
-    let optimality_gap = match get_u8(b)? {
+    let budget_exhausted = r.u8()? != 0;
+    let deadline_hit = r.u8()? != 0;
+    let optimality_gap = r.opt_f64()?;
+    let certificate = match r.u8()? {
         0 => None,
-        1 => Some(get_f64(b)?),
-        x => return Err(SpecError::wire(format!("bad gap tag {x}"))),
+        1 => Some(r.prefixed(MAX_BLOB)?.to_vec()),
+        tag => return Err(DecodeError::BadTag { field: "certificate", tag }.into()),
     };
-    let certificate = match get_u8(b)? {
-        0 => None,
-        1 => {
-            let n = get_u32(b)? as usize;
-            if n > 1 << 22 {
-                return Err(SpecError::wire("certificate too long"));
-            }
-            let mut c = vec![0u8; n];
-            take(b, &mut c)?;
-            Some(c)
-        }
-        x => return Err(SpecError::wire(format!("bad certificate tag {x}"))),
-    };
-    if !b.is_empty() {
-        return Err(SpecError::wire("trailing bytes after outcome"));
-    }
+    r.finish()?;
     Ok(WireOutcome {
         plan,
         best_bound,
@@ -581,40 +430,25 @@ pub struct WirePhase {
 /// in the serving protocol, this lets `sekitei request --profile` stitch
 /// the server's phase breakdown into the client's own trace.
 pub fn encode_phases(phases: &[WirePhase]) -> Bytes {
-    let mut b = BytesMut::with_capacity(16 + phases.len() * 32);
-    b.put_slice(PHASES_MAGIC);
-    b.put_u32(phases.len() as u32);
-    for p in phases {
-        put_str(&mut b, &p.name);
-        b.put_u64(p.self_ns);
-        b.put_u64(p.count);
-    }
-    b.freeze()
+    let mut w = Writer::with_capacity(16 + phases.len() * 32);
+    w.bytes(PHASES_MAGIC);
+    w.list(phases, |w, p| {
+        w.str(&p.name);
+        w.u64(p.self_ns);
+        w.u64(p.count);
+    });
+    w.into_vec().into()
 }
 
 /// Decode a phase table; strict (trailing bytes and oversized row counts
 /// are rejected).
-pub fn decode_phases(mut buf: &[u8]) -> Result<Vec<WirePhase>, SpecError> {
-    let b = &mut buf;
-    let mut magic = [0u8; 4];
-    take(b, &mut magic)?;
-    if &magic != PHASES_MAGIC {
-        return Err(SpecError::wire("bad phase-table magic"));
-    }
-    let n = get_u32(b)? as usize;
-    if n > MAX_PHASES {
-        return Err(SpecError::wire(format!("phase table too long ({n} rows)")));
-    }
-    let mut phases = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = get_str(b)?;
-        let self_ns = get_u64(b)?;
-        let count = get_u64(b)?;
-        phases.push(WirePhase { name, self_ns, count });
-    }
-    if !b.is_empty() {
-        return Err(SpecError::wire("trailing bytes after phase table"));
-    }
+pub fn decode_phases(buf: &[u8]) -> Result<Vec<WirePhase>, SpecError> {
+    let mut r = Reader::new(buf);
+    r.magic(PHASES_MAGIC)?;
+    let phases = r.list(MAX_PHASES, |r| {
+        Ok(WirePhase { name: r.str(MAX_LEN)?, self_ns: r.u64()?, count: r.u64()? })
+    })?;
+    r.finish()?;
     Ok(phases)
 }
 
@@ -629,10 +463,6 @@ const SNAPSHOT_VERSION: u32 = 1;
 
 /// Byte length of a snapshot file header: magic + version + fingerprint.
 pub const SNAPSHOT_HEADER_LEN: usize = 4 + 4 + 8;
-
-/// Hard cap on one cached outcome payload; mirrors the certificate cap
-/// and keeps a corrupt length field from allocating gigabytes.
-const MAX_SNAPSHOT_PAYLOAD: usize = 1 << 22;
 
 /// One record of an append-only outcome-cache snapshot: the content
 /// fingerprint of the problem, the outcome class (as its stable wire
@@ -651,60 +481,42 @@ pub struct WireSnapshotRecord {
     pub payload: Vec<u8>,
 }
 
-/// FNV-1a over a byte slice; the per-record checksum primitive. Kept
-/// private — callers only see it through encode/decode.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Encode a snapshot file header binding the file to one server build:
 /// `fingerprint` hashes the planner configuration and crate version, so
 /// a cache written under different search settings is never replayed.
 pub fn encode_snapshot_header(fingerprint: u64) -> Bytes {
-    let mut b = BytesMut::with_capacity(SNAPSHOT_HEADER_LEN);
-    b.put_slice(SNAPSHOT_MAGIC);
-    b.put_u32(SNAPSHOT_VERSION);
-    b.put_u64(fingerprint);
-    b.freeze()
+    let mut w = Writer::with_capacity(SNAPSHOT_HEADER_LEN);
+    w.bytes(SNAPSHOT_MAGIC);
+    w.u32(SNAPSHOT_VERSION);
+    w.u64(fingerprint);
+    w.into_vec().into()
 }
 
 /// Decode a snapshot file header, returning the embedded configuration
-/// fingerprint. Strict: bad magic or an unknown version is an error
-/// (loaders treat either as a cold start).
+/// fingerprint; the records that follow it are left unread. Strict: bad
+/// magic or an unknown version is an error (loaders treat either as a
+/// cold start).
 pub fn decode_snapshot_header(buf: &[u8]) -> Result<u64, SpecError> {
-    if buf.len() < SNAPSHOT_HEADER_LEN {
-        return Err(SpecError::wire("snapshot header truncated"));
-    }
-    let mut b = &buf[..SNAPSHOT_HEADER_LEN];
-    let mut magic = [0u8; 4];
-    take(&mut b, &mut magic)?;
-    if &magic != SNAPSHOT_MAGIC {
-        return Err(SpecError::wire("bad snapshot magic"));
-    }
-    let version = get_u32(&mut b)?;
+    let mut r = Reader::new(buf);
+    r.magic(SNAPSHOT_MAGIC)?;
+    let version = r.u32()?;
     if version != SNAPSHOT_VERSION {
         return Err(SpecError::wire(format!("unsupported snapshot version {version}")));
     }
-    get_u64(&mut b)
+    Ok(r.u64()?)
 }
 
 /// Encode one snapshot record with a trailing FNV-1a checksum over the
 /// record body, so torn appends and bit flips are detected per record.
 pub fn encode_snapshot_record(r: &WireSnapshotRecord) -> Bytes {
-    let mut b = BytesMut::with_capacity(29 + r.payload.len() + 8);
-    b.put_u64(r.key);
-    b.put_u8(r.class);
-    b.put_u64(r.rg_nodes);
-    b.put_u32(r.payload.len() as u32);
-    b.put_slice(&r.payload);
-    let sum = fnv1a(&b);
-    b.put_u64(sum);
-    b.freeze()
+    let mut w = Writer::with_capacity(29 + r.payload.len() + 8);
+    w.u64(r.key);
+    w.u8(r.class);
+    w.u64(r.rg_nodes);
+    w.prefixed(&r.payload);
+    let sum = fnv1a(w.as_slice());
+    w.u64(sum);
+    w.into_vec().into()
 }
 
 /// Decode one snapshot record from the front of `buf`, returning the
@@ -714,242 +526,160 @@ pub fn encode_snapshot_record(r: &WireSnapshotRecord) -> Bytes {
 /// error — the loader treats the first failure as the end of the valid
 /// prefix.
 pub fn decode_snapshot_record(buf: &[u8]) -> Result<(WireSnapshotRecord, usize), SpecError> {
-    let b = &mut &buf[..];
-    let key = get_u64(b)?;
-    let class = get_u8(b)?;
+    let mut r = Reader::new(buf);
+    let key = r.u64()?;
+    let class = r.u8()?;
     if class > 5 {
         return Err(SpecError::wire(format!("bad snapshot class {class}")));
     }
-    let rg_nodes = get_u64(b)?;
-    let len = get_u32(b)? as usize;
-    if len > MAX_SNAPSHOT_PAYLOAD {
-        return Err(SpecError::wire(format!("snapshot payload too large ({len} bytes)")));
-    }
-    if b.remaining() < len {
-        return Err(SpecError::wire("snapshot payload truncated"));
-    }
-    let payload = b[..len].to_vec();
-    if payload.len() < 4 || &payload[..4] != OUTCOME_MAGIC {
+    let rg_nodes = r.u64()?;
+    let payload = r.prefixed(MAX_BLOB)?;
+    if !payload.starts_with(OUTCOME_MAGIC) {
         return Err(SpecError::wire("snapshot payload is not an SKO1 outcome"));
     }
-    *b = &b[len..];
-    let body_len = 8 + 1 + 8 + 4 + len;
-    let stored = get_u64(b)?;
-    if stored != fnv1a(&buf[..body_len]) {
+    let body = &buf[..r.position()];
+    if r.u64()? != fnv1a(body) {
         return Err(SpecError::wire("snapshot record checksum mismatch"));
     }
-    Ok((WireSnapshotRecord { key, class, rg_nodes, payload }, body_len + 8))
+    let record = WireSnapshotRecord { key, class, rg_nodes, payload: payload.to_vec() };
+    Ok((record, r.position()))
 }
 
-// ------------------------------------------------------------- primitives
+// ---------------------------------------------------------- formula parts
 
-fn put_str(b: &mut BytesMut, s: &str) {
-    b.put_u32(s.len() as u32);
-    b.put_slice(s.as_bytes());
+fn names(r: &mut Reader<'_>) -> Result<Vec<String>, DecodeError> {
+    r.list(MAX_LEN, |r| r.str(MAX_LEN))
 }
 
-fn put_strs(b: &mut BytesMut, ss: &[String]) {
-    b.put_u32(ss.len() as u32);
-    for s in ss {
-        put_str(b, s);
-    }
+fn put_amount(w: &mut Writer, (k, v): (&String, &f64)) {
+    w.str(k);
+    w.f64(*v);
 }
 
-fn put_levels(b: &mut BytesMut, ls: &LevelSpec) {
-    b.put_u32(ls.cutpoints().len() as u32);
-    for &c in ls.cutpoints() {
-        b.put_f64(c);
-    }
+fn get_amount(r: &mut Reader<'_>) -> Result<(String, f64), DecodeError> {
+    Ok((r.str(MAX_LEN)?, r.f64()?))
 }
 
-fn put_var(b: &mut BytesMut, v: &SpecVar) {
+fn put_levels(w: &mut Writer, ls: &LevelSpec) {
+    w.list(ls.cutpoints(), |w, &c| w.f64(c));
+}
+
+fn get_levels(r: &mut Reader<'_>) -> Result<LevelSpec, DecodeError> {
+    let cuts = r.list(MAX_LEN, |r| r.f64())?;
+    LevelSpec::new(cuts).map_err(|e| DecodeError::Invalid(e.to_string()))
+}
+
+fn put_var(w: &mut Writer, v: &SpecVar) {
     match v {
         SpecVar::Iface { iface, prop } => {
-            b.put_u8(0);
-            put_str(b, iface);
-            put_str(b, prop);
+            w.u8(0);
+            w.str(iface);
+            w.str(prop);
         }
         SpecVar::Node { res } => {
-            b.put_u8(1);
-            put_str(b, res);
+            w.u8(1);
+            w.str(res);
         }
         SpecVar::Link { res } => {
-            b.put_u8(2);
-            put_str(b, res);
+            w.u8(2);
+            w.str(res);
         }
     }
 }
 
-fn put_expr(b: &mut BytesMut, e: &Expr<SpecVar>) {
+fn get_var(r: &mut Reader<'_>) -> Result<SpecVar, DecodeError> {
+    Ok(match r.u8()? {
+        0 => SpecVar::Iface { iface: r.str(MAX_LEN)?, prop: r.str(MAX_LEN)? },
+        1 => SpecVar::Node { res: r.str(MAX_LEN)? },
+        2 => SpecVar::Link { res: r.str(MAX_LEN)? },
+        tag => return Err(DecodeError::BadTag { field: "var", tag }),
+    })
+}
+
+fn put_expr(w: &mut Writer, e: &Expr<SpecVar>) {
     match e {
         Expr::Const(c) => {
-            b.put_u8(0);
-            b.put_f64(*c);
+            w.u8(0);
+            w.f64(*c);
         }
         Expr::Var(v) => {
-            b.put_u8(1);
-            put_var(b, v);
+            w.u8(1);
+            put_var(w, v);
         }
-        Expr::Add(x, y) => bin(b, 2, x, y),
-        Expr::Sub(x, y) => bin(b, 3, x, y),
-        Expr::Mul(x, y) => bin(b, 4, x, y),
-        Expr::Div(x, y) => bin(b, 5, x, y),
-        Expr::Min(x, y) => bin(b, 6, x, y),
-        Expr::Max(x, y) => bin(b, 7, x, y),
+        Expr::Add(x, y) => bin(w, 2, x, y),
+        Expr::Sub(x, y) => bin(w, 3, x, y),
+        Expr::Mul(x, y) => bin(w, 4, x, y),
+        Expr::Div(x, y) => bin(w, 5, x, y),
+        Expr::Min(x, y) => bin(w, 6, x, y),
+        Expr::Max(x, y) => bin(w, 7, x, y),
         Expr::Neg(x) => {
-            b.put_u8(8);
-            put_expr(b, x);
+            w.u8(8);
+            put_expr(w, x);
         }
     }
 }
 
-fn bin(b: &mut BytesMut, tag: u8, x: &Expr<SpecVar>, y: &Expr<SpecVar>) {
-    b.put_u8(tag);
-    put_expr(b, x);
-    put_expr(b, y);
+fn bin(w: &mut Writer, tag: u8, x: &Expr<SpecVar>, y: &Expr<SpecVar>) {
+    w.u8(tag);
+    put_expr(w, x);
+    put_expr(w, y);
 }
 
-fn put_cond(b: &mut BytesMut, c: &Cond<SpecVar>) {
-    put_expr(b, &c.lhs);
-    b.put_u8(match c.op {
+/// Decode the formula whose root sits at `depth` (1 for a whole formula),
+/// refusing any node deeper than [`MAX_EXPR_DEPTH`].
+fn get_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr<SpecVar>, DecodeError> {
+    if depth > MAX_EXPR_DEPTH {
+        return Err(DecodeError::Invalid(format!(
+            "formula nests deeper than {MAX_EXPR_DEPTH} levels"
+        )));
+    }
+    let sub = |r: &mut Reader<'_>| get_expr(r, depth + 1).map(Box::new);
+    Ok(match r.u8()? {
+        0 => Expr::Const(r.f64()?),
+        1 => Expr::Var(get_var(r)?),
+        2 => Expr::Add(sub(r)?, sub(r)?),
+        3 => Expr::Sub(sub(r)?, sub(r)?),
+        4 => Expr::Mul(sub(r)?, sub(r)?),
+        5 => Expr::Div(sub(r)?, sub(r)?),
+        6 => Expr::Min(sub(r)?, sub(r)?),
+        7 => Expr::Max(sub(r)?, sub(r)?),
+        8 => Expr::Neg(sub(r)?),
+        tag => return Err(DecodeError::BadTag { field: "expr", tag }),
+    })
+}
+
+fn put_cond(w: &mut Writer, c: &Cond<SpecVar>) {
+    put_expr(w, &c.lhs);
+    w.u8(match c.op {
         CmpOp::Le => 0,
         CmpOp::Lt => 1,
         CmpOp::Ge => 2,
         CmpOp::Gt => 3,
         CmpOp::Eq => 4,
     });
-    put_expr(b, &c.rhs);
+    put_expr(w, &c.rhs);
 }
 
-fn put_effect(b: &mut BytesMut, e: &Effect<SpecVar>) {
-    put_var(b, &e.target);
-    b.put_u8(match e.op {
+fn get_cond(r: &mut Reader<'_>) -> Result<Cond<SpecVar>, DecodeError> {
+    let lhs = get_expr(r, 1)?;
+    let op = r.tag("cmp", &[CmpOp::Le, CmpOp::Lt, CmpOp::Ge, CmpOp::Gt, CmpOp::Eq])?;
+    Ok(Cond::new(lhs, op, get_expr(r, 1)?))
+}
+
+fn put_effect(w: &mut Writer, e: &Effect<SpecVar>) {
+    put_var(w, &e.target);
+    w.u8(match e.op {
         AssignOp::Set => 0,
         AssignOp::Sub => 1,
         AssignOp::Add => 2,
     });
-    put_expr(b, &e.value);
+    put_expr(w, &e.value);
 }
 
-fn take(b: &mut &[u8], out: &mut [u8]) -> Result<(), SpecError> {
-    if b.remaining() < out.len() {
-        return Err(SpecError::wire("unexpected end of input"));
-    }
-    b.copy_to_slice(out);
-    Ok(())
-}
-
-fn get_u8(b: &mut &[u8]) -> Result<u8, SpecError> {
-    if b.remaining() < 1 {
-        return Err(SpecError::wire("unexpected end of input"));
-    }
-    Ok(b.get_u8())
-}
-
-fn get_u32(b: &mut &[u8]) -> Result<u32, SpecError> {
-    if b.remaining() < 4 {
-        return Err(SpecError::wire("unexpected end of input"));
-    }
-    Ok(b.get_u32())
-}
-
-fn get_u64(b: &mut &[u8]) -> Result<u64, SpecError> {
-    if b.remaining() < 8 {
-        return Err(SpecError::wire("unexpected end of input"));
-    }
-    Ok(b.get_u64())
-}
-
-fn get_f64(b: &mut &[u8]) -> Result<f64, SpecError> {
-    if b.remaining() < 8 {
-        return Err(SpecError::wire("unexpected end of input"));
-    }
-    Ok(b.get_f64())
-}
-
-fn get_str(b: &mut &[u8]) -> Result<String, SpecError> {
-    let len = get_u32(b)? as usize;
-    if len > 1 << 20 {
-        return Err(SpecError::wire("string too long"));
-    }
-    if b.remaining() < len {
-        return Err(SpecError::wire("unexpected end of input"));
-    }
-    let mut bytes = vec![0u8; len];
-    b.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| SpecError::wire("invalid utf-8"))
-}
-
-fn get_strs(b: &mut &[u8]) -> Result<Vec<String>, SpecError> {
-    let n = get_u32(b)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_str(b)?);
-    }
-    Ok(out)
-}
-
-fn get_levels(b: &mut &[u8]) -> Result<LevelSpec, SpecError> {
-    let n = get_u32(b)? as usize;
-    let mut cuts = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        cuts.push(get_f64(b)?);
-    }
-    LevelSpec::new(cuts).map_err(|e| SpecError::wire(e.to_string()))
-}
-
-fn get_var(b: &mut &[u8]) -> Result<SpecVar, SpecError> {
-    Ok(match get_u8(b)? {
-        0 => {
-            let iface = get_str(b)?;
-            let prop = get_str(b)?;
-            SpecVar::Iface { iface, prop }
-        }
-        1 => SpecVar::Node { res: get_str(b)? },
-        2 => SpecVar::Link { res: get_str(b)? },
-        x => return Err(SpecError::wire(format!("bad var tag {x}"))),
-    })
-}
-
-fn get_expr(b: &mut &[u8]) -> Result<Expr<SpecVar>, SpecError> {
-    Ok(match get_u8(b)? {
-        0 => Expr::Const(get_f64(b)?),
-        1 => Expr::Var(get_var(b)?),
-        2 => Expr::Add(Box::new(get_expr(b)?), Box::new(get_expr(b)?)),
-        3 => Expr::Sub(Box::new(get_expr(b)?), Box::new(get_expr(b)?)),
-        4 => Expr::Mul(Box::new(get_expr(b)?), Box::new(get_expr(b)?)),
-        5 => Expr::Div(Box::new(get_expr(b)?), Box::new(get_expr(b)?)),
-        6 => Expr::Min(Box::new(get_expr(b)?), Box::new(get_expr(b)?)),
-        7 => Expr::Max(Box::new(get_expr(b)?), Box::new(get_expr(b)?)),
-        8 => Expr::Neg(Box::new(get_expr(b)?)),
-        x => return Err(SpecError::wire(format!("bad expr tag {x}"))),
-    })
-}
-
-fn get_cond(b: &mut &[u8]) -> Result<Cond<SpecVar>, SpecError> {
-    let lhs = get_expr(b)?;
-    let op = match get_u8(b)? {
-        0 => CmpOp::Le,
-        1 => CmpOp::Lt,
-        2 => CmpOp::Ge,
-        3 => CmpOp::Gt,
-        4 => CmpOp::Eq,
-        x => return Err(SpecError::wire(format!("bad cmp tag {x}"))),
-    };
-    let rhs = get_expr(b)?;
-    Ok(Cond::new(lhs, op, rhs))
-}
-
-fn get_effect(b: &mut &[u8]) -> Result<Effect<SpecVar>, SpecError> {
-    let target = get_var(b)?;
-    let op = match get_u8(b)? {
-        0 => AssignOp::Set,
-        1 => AssignOp::Sub,
-        2 => AssignOp::Add,
-        x => return Err(SpecError::wire(format!("bad assign tag {x}"))),
-    };
-    let value = get_expr(b)?;
-    Ok(Effect::new(target, op, value))
+fn get_effect(r: &mut Reader<'_>) -> Result<Effect<SpecVar>, DecodeError> {
+    let target = get_var(r)?;
+    let op = r.tag("assign", &[AssignOp::Set, AssignOp::Sub, AssignOp::Add])?;
+    Ok(Effect::new(target, op, get_expr(r, 1)?))
 }
 
 #[cfg(test)]
@@ -1011,6 +741,36 @@ mod tests {
         bytes.extend_from_slice(b"garbage");
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
+    /// Tiny/B's SKT1 bytes with its first component's cost replaced by
+    /// the encoded formula `formula`.
+    fn with_cost(formula: &[u8]) -> Vec<u8> {
+        let mut p = scenarios::tiny(LevelScenario::B);
+        p.components[0].cost = Expr::c(-123.25);
+        let bytes = encode(&p).to_vec();
+        let leaf = [&[0u8][..], &(-123.25f64).to_be_bytes()].concat();
+        let at = bytes.windows(leaf.len()).position(|w| w == leaf).expect("marker encoded");
+        [&bytes[..at], formula, &bytes[at + leaf.len()..]].concat()
+    }
+
+    #[test]
+    fn rejects_formulas_deeper_than_the_cap() {
+        let leaf = [&[0u8][..], &1.0f64.to_be_bytes()].concat();
+        // depth-`d` trees: a unary chain, a left-deep sum and a right-deep sum
+        let neg = |d: usize| [vec![8u8; d - 1], leaf.clone()].concat();
+        let left = |d: usize| [vec![2u8; d - 1], leaf.repeat(d)].concat();
+        let right = |d: usize| [[&[2u8][..], &leaf].concat().repeat(d - 1), leaf.clone()].concat();
+        for tree in [neg(MAX_EXPR_DEPTH), left(MAX_EXPR_DEPTH), right(MAX_EXPR_DEPTH)] {
+            let p = decode(&with_cost(&tree)).expect("a formula at the cap decodes");
+            assert_eq!(encode(&p).to_vec(), with_cost(&tree));
+        }
+        for d in [MAX_EXPR_DEPTH + 1, 10_000] {
+            for tree in [neg(d), left(d), right(d)] {
+                let err = decode(&with_cost(&tree)).unwrap_err();
+                assert!(err.to_string().contains("nests deeper"), "depth {d}: {err}");
+            }
+        }
     }
 
     fn sample_outcome(with_plan: bool) -> WireOutcome {

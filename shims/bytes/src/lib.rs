@@ -1,6 +1,6 @@
-//! Offline stand-in for the subset of the `bytes` crate used by the wire
-//! codec: [`Bytes`], [`BytesMut`], big-endian [`Buf`]/[`BufMut`] primitive
-//! accessors, and slice readers.
+//! Offline stand-in for the one type of the `bytes` crate the workspace
+//! uses: [`Bytes`], the immutable buffer `sekitei-spec`'s encoders return.
+//! Encoding and decoding go through `sekitei_model::codec`.
 
 #![allow(clippy::all, clippy::pedantic, clippy::nursery)]
 use std::ops::Deref;
@@ -45,161 +45,17 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-/// Growable byte buffer (stand-in for `bytes::BytesMut`).
-#[derive(Debug, Clone, Default)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    /// New buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    /// Freeze into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes(self.0)
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-/// Byte-sink trait (stand-in for `bytes::BufMut`; all integers big-endian).
-pub trait BufMut {
-    /// Append raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Append a big-endian `u16`.
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian `f64`.
-    fn put_f64(&mut self, v: f64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-/// Byte-source trait (stand-in for `bytes::Buf`; all integers big-endian).
-///
-/// Accessors panic when underrun, exactly like the real crate — callers are
-/// expected to check [`Buf::remaining`] first.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// Copy `dst.len()` bytes out and advance.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-
-    /// Read one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Read a big-endian `u16`.
-    fn get_u16(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_be_bytes(b)
-    }
-
-    /// Read a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_be_bytes(b)
-    }
-
-    /// Read a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_be_bytes(b)
-    }
-
-    /// Read a big-endian `f64`.
-    fn get_f64(&mut self) -> f64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        f64::from_be_bytes(b)
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.len() >= dst.len(), "buffer underrun");
-        let (head, tail) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = tail;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_primitives() {
-        let mut b = BytesMut::with_capacity(32);
-        b.put_u8(7);
-        b.put_u32(0xDEADBEEF);
-        b.put_f64(1.5);
-        b.put_slice(b"xyz");
-        let frozen = b.freeze();
-        let mut r: &[u8] = &frozen;
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u32(), 0xDEADBEEF);
-        assert_eq!(r.get_f64(), 1.5);
-        let mut s = [0u8; 3];
-        r.copy_to_slice(&mut s);
-        assert_eq!(&s, b"xyz");
-        assert_eq!(r.remaining(), 0);
+    fn views_the_vector_it_was_built_from() {
+        let b = Bytes::from(vec![7, 0xDE, 0xAD]);
+        assert_eq!(b.len(), 3);
+        assert!(!b.is_empty());
+        assert_eq!(&b[..], &[7, 0xDE, 0xAD]);
+        assert_eq!(b.as_ref(), b.to_vec().as_slice());
+        assert!(Bytes::default().is_empty());
     }
 }
