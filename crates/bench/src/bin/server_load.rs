@@ -1,8 +1,10 @@
 //! `server_load` — sustained serving throughput and tail latency.
 //!
 //! Starts a planning server in-process on an ephemeral port, drives the
-//! seeded load generator at it, and writes `BENCH_server.json` with the
-//! throughput, latency and outcome-class rows, plus two measured curves:
+//! seeded load generator at it, and writes `BENCH_server.json` — the
+//! run's provenance (commit and source digest, as `perf_trajectory`
+//! writes them), then its throughput, latency and outcome-class rows,
+//! plus two measured curves:
 //!
 //! - `hit_curve` rows — outcome-cache hit rate vs cache capacity under
 //!   the same Zipf mix, one fresh server per capacity point (this is the
@@ -13,7 +15,7 @@
 //!   request `Low` priority).
 //!
 //! The deterministic report goes to stdout (byte-identical per seed),
-//! timing to stderr.
+//! timing to stderr. Run it from the repository root.
 //!
 //! Usage: `server_load [REQUESTS] [CONNECTIONS] [SEED]`
 //! (defaults: 100000 requests, 4 connections, seed 0xC0FFEE).
@@ -130,10 +132,15 @@ fn main() {
     request_shutdown(addr).expect("shutdown");
     join.join().unwrap().expect("server exits cleanly");
 
-    // splice the curve and shed rows into the main run's JSON array
-    let base = report.bench_json.trim_end();
-    let base = base.strip_suffix("\n]").expect("bench json ends with array close");
-    let json = format!("{base}{extra_rows}\n]\n");
+    // the main run's rows, then the curve and shed rows, after the
+    // provenance of the code measured
+    let rows = report.bench_json.trim_end();
+    let rows = rows.strip_prefix("[\n").and_then(|r| r.strip_suffix("\n]"));
+    let rows = rows.expect("bench json is one array");
+    let json = format!(
+        "{{\"provenance\": {},\n\"rows\": [\n{rows}{extra_rows}\n]}}\n",
+        sekitei_bench::provenance_json()
+    );
     std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
     eprintln!("wrote BENCH_server.json");
 }

@@ -98,9 +98,11 @@ impl CppProblem {
         self.resources.iter().find(|r| r.name == name)
     }
 
-    /// Structural validation: referential integrity of every name and
-    /// variable-scope checking of every formula. Run once after
-    /// construction or parsing; the compiler assumes a validated problem.
+    /// Structural validation: referential integrity of every name,
+    /// variable-scope checking of every formula, and no NaN among node and
+    /// link resource amounts or source-interval bounds (`+∞` upper bounds
+    /// are legal). Run once after construction or parsing; the compiler
+    /// assumes a validated problem.
     pub fn validate(&self) -> Result<(), ModelError> {
         // unique names
         let mut seen = HashSet::new();
@@ -123,6 +125,15 @@ impl CppProblem {
         for (_, n) in self.network.nodes() {
             if !node_names.insert(n.name.as_str()) {
                 return Err(ModelError::DuplicateName(n.name.clone()));
+            }
+            if let Some((res, _)) = n.resources.iter().find(|(_, v)| v.is_nan()) {
+                return Err(ModelError::Invalid(format!("node `{}` has a NaN `{res}`", n.name)));
+            }
+        }
+        for (_, l) in self.network.links() {
+            if let Some((res, _)) = l.resources.iter().find(|(_, v)| v.is_nan()) {
+                let (a, b) = (&self.network.node(l.a).name, &self.network.node(l.b).name);
+                return Err(ModelError::Invalid(format!("link `{a} -- {b}` has a NaN `{res}`")));
             }
         }
 
@@ -234,6 +245,14 @@ impl CppProblem {
             if s.node.index() >= self.network.num_nodes() {
                 return Err(ModelError::UnknownNode(s.node.to_string()));
             }
+            if let Some((prop, _)) =
+                s.properties.iter().find(|(_, iv)| iv.lo.is_nan() || iv.hi.is_nan())
+            {
+                return Err(ModelError::Invalid(format!(
+                    "source `{}.{prop}` has a NaN bound",
+                    s.iface
+                )));
+            }
         }
         for p in &self.pre_placed {
             if self.comp_id(&p.component).is_none() {
@@ -339,6 +358,35 @@ mod tests {
             crate::expr::Expr::c(0.0),
         ));
         assert!(matches!(p.validate(), Err(ModelError::VarOutOfScope(_))));
+    }
+
+    #[test]
+    fn rejects_nan_node_resource() {
+        let mut p = tiny_problem();
+        p.network.set_node_capacity(NodeId(0), CPU, f64::NAN);
+        assert!(matches!(p.validate(), Err(ModelError::Invalid(m)) if m.contains("NaN `cpu`")));
+    }
+
+    #[test]
+    fn rejects_nan_link_resource() {
+        let mut p = tiny_problem();
+        p.network.set_link_capacity(crate::ids::LinkId(0), LBW, f64::NAN);
+        assert!(matches!(p.validate(), Err(ModelError::Invalid(m)) if m.contains("NaN `lbw`")));
+    }
+
+    #[test]
+    fn rejects_nan_source_bounds_but_keeps_infinite_upper_bounds() {
+        for (lo, hi) in [(f64::NAN, 200.0), (0.0, f64::NAN)] {
+            let mut p = tiny_problem();
+            p.sources[0].properties.insert("ibw".into(), Interval::new(lo, hi));
+            assert!(
+                matches!(p.validate(), Err(ModelError::Invalid(m)) if m.contains("M.ibw")),
+                "[{lo}, {hi}] must be refused"
+            );
+        }
+        let mut p = tiny_problem();
+        p.sources[0].properties.insert("ibw".into(), Interval::new(0.0, f64::INFINITY));
+        p.validate().unwrap();
     }
 
     #[test]

@@ -1,80 +1,26 @@
-//! Content-addressed caches for the serving path.
+//! The serving path's one cache: completed outcomes, keyed by the FNV-1a
+//! hash of the *encoded* problem bytes (the `SKT1` payload the client
+//! sent — hashing before decoding means a repeat request is recognized
+//! without any parsing work).
 //!
-//! Two tiers, both keyed by the FNV-1a hash of the *encoded* problem bytes
-//! (the `SKT1` payload the client sent — hashing before decoding means a
-//! repeat request is recognized without any parsing work):
+//! An entry is the fully encoded response payload of any run the wall
+//! clock didn't cut short; a hit skips decode, compile and search. Node-
+//! and reject-budget exhaustion is a deterministic function of the
+//! problem and config, so those outcomes cache and replay soundly — only
+//! deadline-tripped outcomes are timing-dependent and never cached. A
+//! miss decodes, compiles and searches a task of its own.
 //!
-//! 1. **compiled-task tier** — the decoded problem plus its compiled
-//!    [`PlanningTask`](sekitei_compile::PlanningTask); a hit skips grounding and leveling and goes
-//!    straight to search.
-//! 2. **outcome tier** — the fully encoded response payload of any run
-//!    the wall clock didn't cut short; a hit skips everything. Node- and
-//!    reject-budget exhaustion is a deterministic function of the problem
-//!    and config, so those outcomes cache and replay soundly — only
-//!    deadline-tripped outcomes are timing-dependent and never cached.
-//!
-//! The compiled-task tier stays FIFO-bounded ([`BoundedCache`]): small,
-//! predictable memory. The outcome tier uses CLOCK eviction
-//! ([`ClockCache`]) — a one-bit approximation of LRU whose second-chance
-//! sweep keeps hot Zipf heads resident under capacity pressure, which is
-//! what the measured hit-rate-vs-capacity curve in `BENCH_server.json`
-//! exercises.
+//! Eviction is CLOCK ([`ClockCache`]) — a one-bit approximation of LRU
+//! whose second-chance sweep keeps hot Zipf heads resident under capacity
+//! pressure, which is what the measured hit-rate-vs-capacity curve in
+//! `BENCH_server.json` exercises.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// The cache key of a problem: FNV-1a ([`sekitei_model::codec::fnv1a`])
 /// over its bytes — deterministic across runs and platforms, and fast
 /// enough to disappear next to a TCP round-trip.
 pub use sekitei_model::codec::fnv1a as content_hash;
-
-/// A FIFO-bounded hash map. Inserting past capacity evicts the oldest
-/// entry; re-inserting an existing key refreshes its value but not its
-/// eviction slot.
-#[derive(Debug)]
-pub struct BoundedCache<V> {
-    cap: usize,
-    map: HashMap<u64, V>,
-    order: VecDeque<u64>,
-}
-
-impl<V: Clone> BoundedCache<V> {
-    /// An empty cache holding at most `cap` entries (`cap = 0` disables
-    /// caching entirely).
-    pub fn new(cap: usize) -> Self {
-        BoundedCache { cap, map: HashMap::new(), order: VecDeque::new() }
-    }
-
-    /// Look up a key.
-    pub fn get(&self, key: u64) -> Option<V> {
-        self.map.get(&key).cloned()
-    }
-
-    /// Insert, evicting the oldest entry if full.
-    pub fn insert(&mut self, key: u64, value: V) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.map.insert(key, value).is_some() {
-            return; // refreshed in place; eviction order unchanged
-        }
-        self.order.push_back(key);
-        while self.map.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
-        }
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
 
 /// One slot of a [`ClockCache`]: key, value, and the reference bit the
 /// sweep hand clears.
@@ -156,13 +102,6 @@ impl<V: Clone> ClockCache<V> {
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
-
-    /// Visit every resident entry (snapshot persistence walks this).
-    pub fn for_each(&self, mut f: impl FnMut(u64, &V)) {
-        for slot in &self.slots {
-            f(slot.key, &slot.value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,36 +113,6 @@ mod tests {
         assert_eq!(content_hash(b""), 0xcbf29ce484222325);
         assert_eq!(content_hash(b"sekitei"), content_hash(b"sekitei"));
         assert_ne!(content_hash(b"sekitei"), content_hash(b"sekitej"));
-    }
-
-    #[test]
-    fn fifo_eviction() {
-        let mut c = BoundedCache::new(2);
-        c.insert(1, "a");
-        c.insert(2, "b");
-        c.insert(3, "c"); // evicts 1
-        assert_eq!(c.len(), 2);
-        assert!(c.get(1).is_none());
-        assert_eq!(c.get(2), Some("b"));
-        assert_eq!(c.get(3), Some("c"));
-    }
-
-    #[test]
-    fn reinsert_refreshes_value_without_growth() {
-        let mut c = BoundedCache::new(2);
-        c.insert(1, "a");
-        c.insert(1, "a2");
-        c.insert(2, "b");
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(1), Some("a2"));
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let mut c: BoundedCache<&str> = BoundedCache::new(0);
-        c.insert(1, "a");
-        assert!(c.is_empty());
-        assert!(c.get(1).is_none());
     }
 
     #[test]
@@ -258,10 +167,5 @@ mod tests {
         z.insert(1, "a");
         assert!(z.is_empty());
         assert!(z.get(1).is_none());
-
-        let mut seen = Vec::new();
-        c.for_each(|k, _| seen.push(k));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2]);
     }
 }

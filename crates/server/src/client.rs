@@ -145,13 +145,11 @@ impl Connection {
 /// client-side summary of the server's metrics exposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    /// Plan requests answered (any tier, including degraded).
+    /// Plan requests answered: cache hits, coalesced joins and searches,
+    /// degraded plans included.
     pub served: u64,
     /// Requests answered straight from the outcome cache.
     pub cache_hits: u64,
-    /// Requests that skipped grounding/leveling via the compiled-task tier
-    /// but still ran the search.
-    pub task_cache_hits: u64,
     /// Requests that paid the full decode + compile + search path.
     pub cache_misses: u64,
     /// Responses served through the graceful-degradation path.
@@ -209,7 +207,6 @@ impl StatsSnapshot {
         Ok(StatsSnapshot {
             served: counter("served")?,
             cache_hits: counter("cache_hits")?,
-            task_cache_hits: counter("task_cache_hits")?,
             cache_misses: counter("cache_misses")?,
             degraded: counter("degraded")?,
             coalesced: counter("coalesced")?,
@@ -235,14 +232,13 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "served {} (cache {} / task {} / full {}), degraded {}, coalesced {}, \
+            "served {} (cache {} / full {}), degraded {}, coalesced {}, \
              rejected {}, shed {}, \
              latency p50 {}µs p95 {}µs p99 {}µs max {}µs, queue p50 {}µs p99 {}µs, \
              classes exact {} / degraded {} / cached {} / budget_exhausted {} / \
              deadline_hit {} / error {}",
             self.served,
             self.cache_hits,
-            self.task_cache_hits,
             self.cache_misses,
             self.degraded,
             self.coalesced,

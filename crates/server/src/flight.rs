@@ -111,8 +111,6 @@ impl fmt::Display for OutcomeClass {
 pub enum CacheTier {
     /// Outcome cache: encoded bytes replayed, no planner run.
     Outcome,
-    /// Compiled-task cache: grounding/leveling skipped, search ran.
-    Task,
     /// Full path: decode + compile + search.
     Full,
 }
@@ -122,7 +120,6 @@ impl CacheTier {
     pub fn as_str(&self) -> &'static str {
         match self {
             CacheTier::Outcome => "outcome",
-            CacheTier::Task => "task",
             CacheTier::Full => "full",
         }
     }
@@ -131,7 +128,6 @@ impl CacheTier {
     pub fn parse(s: &str) -> Option<CacheTier> {
         Some(match s {
             "outcome" => CacheTier::Outcome,
-            "task" => CacheTier::Task,
             "full" => CacheTier::Full,
             _ => return None,
         })
@@ -548,7 +544,7 @@ mod tests {
         ] {
             assert_eq!(OutcomeClass::parse(c.as_str()), Some(c));
         }
-        for t in [CacheTier::Outcome, CacheTier::Task, CacheTier::Full] {
+        for t in [CacheTier::Outcome, CacheTier::Full] {
             assert_eq!(CacheTier::parse(t.as_str()), Some(t));
         }
         assert_eq!(OutcomeClass::parse("nope"), None);

@@ -8,10 +8,9 @@
 //! - [`protocol`] — length-prefixed frames carrying `spec::wire` payloads
 //!   (`SKT1` problems in, `SKO1` outcomes out) plus small control frames
 //!   (metrics, flight recorder, shutdown).
-//! - [`cache`] — two content-addressed tiers keyed by the hash of the
-//!   encoded problem: compiled tasks (skip grounding/leveling) and
-//!   completed outcomes (skip everything), the outcome tier under CLOCK
-//!   eviction.
+//! - [`cache`] — one content-addressed cache of completed outcomes keyed
+//!   by the hash of the encoded problem, under CLOCK eviction; a hit
+//!   skips decode, compile and search.
 //! - [`persist`] — an append-only checksummed snapshot of the outcome
 //!   tier (`SKS1`), replayed on start so a restart keeps its warm hit
 //!   rate.
@@ -50,7 +49,7 @@ pub mod protocol;
 pub mod server;
 pub mod stats;
 
-pub use cache::{content_hash, BoundedCache, ClockCache};
+pub use cache::{content_hash, ClockCache};
 pub use client::{
     request_flight_recorder, request_metrics, request_plan, request_shutdown, request_stats,
     ClientError, Connection, ServedOutcome, StatsSnapshot,

@@ -1,6 +1,6 @@
 //! The serving loop: a nonblocking acceptor feeds one bounded connection
 //! queue, drained by worker threads that share one stats registry, one
-//! flight-recorder ring and one two-tier cache.
+//! flight-recorder ring and one outcome cache.
 //!
 //! The cache carries a single-flight table: concurrent requests for one
 //! fingerprint elect a leader that runs the search while the rest join a
@@ -11,6 +11,12 @@
 //! `--stats` summarizes) exposes the live registry, and `FlightRecorder`
 //! dumps the ring.
 //!
+//! Shutdown: every accepted connection, queued or being served, is
+//! registered at accept time. When the accept loop stops, their read
+//! halves are shut, so a worker blocked on an idle client sees EOF at
+//! once instead of at its read timeout; a reply being written still
+//! goes out.
+//!
 //! Determinism argument: outcomes are pure functions of (problem bytes,
 //! planner config); coalesced fan-out hands every joiner the same encoded
 //! bytes the leader produced; and cached replays are byte replays. So
@@ -18,7 +24,7 @@
 //! the *timing* facets vary run to run: queue waits, latency histograms,
 //! and whether a repeat joined a search in flight or hit the cache.
 
-use crate::cache::{content_hash, BoundedCache, ClockCache};
+use crate::cache::{content_hash, ClockCache};
 use crate::convert::outcome_to_wire;
 use crate::flight::{CacheTier, FlightRecord, FlightRecorder, OutcomeClass};
 use crate::persist::{config_fingerprint, open_snapshot, SnapshotAppender};
@@ -27,13 +33,12 @@ use crate::protocol::{
     Request, Response, ServedVia,
 };
 use crate::stats::ServerStats;
-use sekitei_compile::{compile, PlanningTask};
-use sekitei_model::CppProblem;
+use sekitei_compile::compile;
 use sekitei_planner::PlannerConfig;
 use sekitei_spec::{encode_outcome, WirePhase};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,7 +53,7 @@ pub struct ServerConfig {
     /// Admission control: connections beyond this many waiting in the
     /// queue are turned away with a `Rejected` response.
     pub queue_cap: usize,
-    /// Entries per cache tier (compiled tasks and completed outcomes).
+    /// Entries in the outcome cache (`0` disables it).
     pub cache_cap: usize,
     /// Planner configuration applied to every request. The serve defaults
     /// turn on a per-request deadline and graceful degradation — the two
@@ -128,15 +133,20 @@ struct InFlight {
     done: Condvar,
 }
 
+/// An accepted connection: its registry id, the stream, and when it was
+/// queued (the queue-wait histogram measures accept → worker-pickup).
+type Accepted = (u64, Arc<TcpStream>, Instant);
+
 /// Everything the workers share, borrowed for the lifetime of the scope.
 struct ServeState {
-    /// Accepted connections waiting for a worker, with their enqueue time
-    /// (the queue-wait histogram measures accept → worker-pickup).
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
+    /// Accepted connections waiting for a worker.
+    queue: Mutex<VecDeque<Accepted>>,
     available: Condvar,
+    /// Every accepted connection not yet closed, queued or being served,
+    /// by id; the accept loop shuts their reads when it stops.
+    conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
     stats: ServerStats,
     flight: FlightRecorder,
-    tasks: Mutex<BoundedCache<Arc<(CppProblem, PlanningTask)>>>,
     outcomes: Mutex<ClockCache<Arc<CachedOutcome>>>,
     /// Single-flight table: the search in progress for each fingerprint.
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
@@ -199,9 +209,9 @@ impl Server {
         let state = ServeState {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
+            conns: Mutex::new(HashMap::new()),
             stats: ServerStats::default(),
             flight: FlightRecorder::new(self.cfg.flight_cap),
-            tasks: Mutex::new(BoundedCache::new(self.cfg.cache_cap)),
             outcomes: Mutex::new(outcomes),
             inflight: Mutex::new(HashMap::new()),
             stop: Arc::clone(&self.stop),
@@ -210,6 +220,7 @@ impl Server {
             queue_cap: self.cfg.queue_cap,
         };
         let mut accept_error = None;
+        let mut next_id = 0u64;
         std::thread::scope(|s| {
             for _ in 0..workers {
                 let state = &state;
@@ -226,7 +237,14 @@ impl Server {
                             state.stats.record_rejected();
                             reject(stream);
                         } else {
-                            q.push_back((stream, Instant::now()));
+                            let stream = Arc::new(stream);
+                            next_id += 1;
+                            state
+                                .conns
+                                .lock()
+                                .expect("connection registry poisoned")
+                                .insert(next_id, Arc::clone(&stream));
+                            q.push_back((next_id, stream, Instant::now()));
                             state.stats.set_queue_depth(q.len());
                             drop(q);
                             state.available.notify_one();
@@ -240,6 +258,11 @@ impl Server {
                         self.stop.store(true, Ordering::SeqCst);
                     }
                 }
+            }
+            // EOF for every worker blocked on an idle client; replies
+            // being written still go out
+            for conn in state.conns.lock().expect("connection registry poisoned").values() {
+                let _ = conn.shutdown(Shutdown::Read);
             }
             state.available.notify_all();
         });
@@ -276,18 +299,21 @@ fn worker_loop(state: &ServeState) {
             }
         };
         match conn {
-            Some((stream, enqueued)) => {
+            Some((id, stream, enqueued)) => {
                 let wait_us = enqueued.elapsed().as_micros() as u64;
                 state.stats.record_queue_wait(wait_us);
                 sekitei_obs::event("queue_wait_us", wait_us);
-                handle_conn(state, stream, wait_us)
+                handle_conn(state, &stream, wait_us);
+                state.conns.lock().expect("connection registry poisoned").remove(&id);
             }
             None => break,
         }
     }
 }
 
-/// Serve every frame on one connection until EOF, timeout or shutdown.
+/// Serve every frame on one connection until EOF (the client's, or the
+/// read shutdown the accept loop issues when it stops), timeout or a
+/// `Shutdown` request.
 ///
 /// Reads go through a [`BufReader`]; responses accumulate in an
 /// out-buffer that is flushed with one `write_all` when the reader has
@@ -300,13 +326,10 @@ fn worker_loop(state: &ServeState) {
 /// attributed to every request the connection carries (with pipelining
 /// only the first request actually paid it, but the attribution keeps
 /// "how long did admission stall this client" answerable per record).
-fn handle_conn(state: &ServeState, stream: TcpStream, queue_wait_us: u64) {
+fn handle_conn(state: &ServeState, stream: &TcpStream, queue_wait_us: u64) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let mut writer = stream;
     let mut reader = BufReader::with_capacity(64 * 1024, stream);
     let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
     loop {
@@ -404,14 +427,13 @@ fn shed_threshold(priority: Priority, queue_cap: usize) -> Option<usize> {
 /// What the leader's compute path produced, ready to cache/publish/serve.
 struct Computed {
     cached: Arc<CachedOutcome>,
-    tier: CacheTier,
     cacheable: bool,
 }
 
 /// The serving pipeline for one plan request: priority gate → outcome
-/// tier → single-flight election → (leader) compiled tier → full
-/// decode + compile → search under the configured deadline,
-/// sim-validating any degraded plan before it leaves the process.
+/// cache → single-flight election → (leader) decode + compile → search
+/// under the configured deadline, sim-validating any degraded plan
+/// before it leaves the process.
 /// Joiners skip everything and wait for the leader's published bytes.
 /// Every path — shed, cache hit, coalesced, computed, error — lands one
 /// flight record or shed count and one outcome-class count.
@@ -515,7 +537,7 @@ fn handle_plan(
     // leader: run the compute path, then publish — success or error —
     // *after* the cache insert, so a request arriving as the in-flight
     // entry disappears finds the outcome in the cache instead
-    match compute_plan(state, &mut phases, key, problem_bytes, t_req) {
+    match compute_plan(state, &mut phases, problem_bytes, t_req) {
         Ok(computed) => {
             if computed.cacheable {
                 state
@@ -542,7 +564,7 @@ fn handle_plan(
                 trace_id,
                 fingerprint: key,
                 class,
-                tier: computed.tier,
+                tier: CacheTier::Full,
                 queue_wait_us,
                 rg_nodes: computed.cached.rg_nodes,
                 latency_us,
@@ -621,45 +643,30 @@ fn serve_cached_bytes(
     payload
 }
 
-/// The leader's compute path: compiled tier → full decode + compile,
-/// then search under the configured deadline, sim-validating any
-/// degraded plan before it leaves the process.
+/// The leader's compute path: decode and compile the problem into a task
+/// this request owns, then search it under the configured deadline,
+/// sim-validating any degraded plan before it leaves the process.
 fn compute_plan(
     state: &ServeState,
     phases: &mut PhaseTimes,
-    key: u64,
     problem_bytes: &[u8],
     t_req: Instant,
 ) -> Result<Computed, String> {
-    let entry = state.tasks.lock().expect("task lock poisoned").get(key);
-    let tier = if entry.is_some() { CacheTier::Task } else { CacheTier::Full };
-    let entry = match entry {
-        Some(e) => {
-            sekitei_obs::event("task_cache_hit", 1);
-            state.stats.record_task_cache_hit();
-            e
-        }
-        None => {
-            let decoded = phases.timed("decode", || {
-                let _g = sekitei_obs::span("decode");
-                sekitei_spec::decode(problem_bytes)
-            });
-            let problem = decoded.map_err(|e| e.to_string())?;
-            // compile() opens its own "compile" span under this request
-            let task = phases.timed("compile", || compile(&problem)).map_err(|e| e.to_string())?;
-            sekitei_obs::event("cache_miss", 1);
-            state.stats.record_cache_miss();
-            let arc = Arc::new((problem, task));
-            state.tasks.lock().expect("task lock poisoned").insert(key, Arc::clone(&arc));
-            arc
-        }
-    };
+    let decoded = phases.timed("decode", || {
+        let _g = sekitei_obs::span("decode");
+        sekitei_spec::decode(problem_bytes)
+    });
+    let problem = decoded.map_err(|e| e.to_string())?;
+    // compile() opens its own "compile" span under this request
+    let task = phases.timed("compile", || compile(&problem)).map_err(|e| e.to_string())?;
+    sekitei_obs::event("cache_miss", 1);
+    state.stats.record_cache_miss();
 
     // `t_req` anchors both the reported total time and the deadline, so
-    // whatever the cache tiers saved is returned to the search budget
+    // decode and compile count against the search budget
     let (outcome, incumbent_used) = phases.timed("search", || {
         let _g = sekitei_obs::span("search");
-        let a = sekitei_anytime::plan_task(&entry.0, entry.1.clone(), &state.planner_cfg, t_req);
+        let a = sekitei_anytime::plan_task(&problem, task, &state.planner_cfg, t_req);
         (a.outcome, a.incumbent_used)
     });
     let mut wire = outcome_to_wire(&outcome);
@@ -673,7 +680,7 @@ fn compute_plan(
         let report = phases.timed("validate", || {
             let _g = sekitei_obs::span("validate");
             let plan = outcome.plan.as_ref().expect("checked above");
-            sekitei_sim::validate_plan(&entry.0, &outcome.task, plan)
+            sekitei_sim::validate_plan(&problem, &outcome.task, plan)
         });
         if report.ok {
             state.stats.record_degraded();
@@ -700,7 +707,6 @@ fn compute_plan(
     let cacheable = !outcome.stats.deadline_hit;
     Ok(Computed {
         cached: Arc::new(CachedOutcome { sko, class, rg_nodes: wire.stats.rg_nodes }),
-        tier,
         cacheable,
     })
 }

@@ -23,7 +23,6 @@ pub struct ServerStats {
     registry: MetricsRegistry,
     served: Arc<Counter>,
     cache_hits: Arc<Counter>,
-    task_cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     degraded: Arc<Counter>,
     coalesced: Arc<Counter>,
@@ -48,7 +47,6 @@ impl Default for ServerStats {
         let registry = MetricsRegistry::new();
         let served = registry.counter("served");
         let cache_hits = registry.counter("cache_hits");
-        let task_cache_hits = registry.counter("task_cache_hits");
         let cache_misses = registry.counter("cache_misses");
         let degraded = registry.counter("degraded");
         let coalesced = registry.counter("coalesced");
@@ -69,7 +67,6 @@ impl Default for ServerStats {
             registry,
             served,
             cache_hits,
-            task_cache_hits,
             cache_misses,
             degraded,
             coalesced,
@@ -114,12 +111,7 @@ impl ServerStats {
         self.cache_hits.inc();
     }
 
-    /// Count a compiled-task-tier hit (search still ran).
-    pub fn record_task_cache_hit(&self) {
-        self.task_cache_hits.inc();
-    }
-
-    /// Count a full-path miss.
+    /// Count a miss: the request decoded, compiled and searched.
     pub fn record_cache_miss(&self) {
         self.cache_misses.inc();
     }
@@ -252,7 +244,6 @@ mod tests {
         for name in [
             "served",
             "cache_hits",
-            "task_cache_hits",
             "cache_misses",
             "degraded",
             "rejected",

@@ -2,7 +2,7 @@
 //! actual planner behind them. Every test binds an ephemeral port and
 //! tears the server down before asserting the join result.
 
-use sekitei_model::{Expr, LevelScenario};
+use sekitei_model::{Expr, LevelScenario, NodeId};
 use sekitei_planner::PlannerConfig;
 use sekitei_server::{
     request_plan, request_shutdown, request_stats, ClientError, Connection, Priority, ServedVia,
@@ -11,7 +11,7 @@ use sekitei_server::{
 use sekitei_topology::scenarios;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(cfg: ServerConfig) -> (SocketAddr, ShutdownHandle, JoinHandle<std::io::Result<()>>) {
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind ephemeral port");
@@ -64,9 +64,11 @@ fn serves_64_concurrent_requests_without_rejections() {
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..64)
             .map(|i| {
-                let sc = solvable[i % solvable.len()];
+                // i % 8 draws 8 distinct problems: the scenario from i % 4,
+                // the network from i / 4
+                let sc = solvable[i % 4];
                 s.spawn(move || {
-                    let p = if i % 2 == 0 { scenarios::tiny(sc) } else { scenarios::small(sc) };
+                    let p = if i % 8 < 4 { scenarios::tiny(sc) } else { scenarios::small(sc) };
                     request_plan(addr, &p)
                 })
             })
@@ -79,8 +81,9 @@ fn serves_64_concurrent_requests_without_rejections() {
     let stats = request_stats(addr).unwrap();
     assert_eq!(stats.served, 64);
     assert_eq!(stats.rejected, 0);
-    // 64 requests over 8 distinct problems: at least the repeats must hit
-    assert!(stats.cache_hits + stats.task_cache_hits >= 56, "stats: {stats}");
+    // 64 requests over 8 distinct problems: every repeat is answered from
+    // encoded bytes, a cache hit or a coalesced join
+    assert!(stats.cache_hits + stats.coalesced >= 56, "stats: {stats}");
     request_shutdown(addr).unwrap();
     join.join().unwrap().unwrap();
 }
@@ -217,6 +220,40 @@ fn deeply_nested_formula_gets_an_error_reply_and_the_server_keeps_serving() {
     drop(conn);
     request_shutdown(addr).unwrap();
     join.join().unwrap().unwrap();
+}
+
+/// An SKT1 frame can carry a NaN resource amount, which the text
+/// language cannot write; validation refuses it, so the server answers
+/// `Error` instead of planning over it.
+#[test]
+fn nan_cpu_frame_gets_an_error_reply_and_the_next_request_is_served() {
+    let mut p = scenarios::tiny(LevelScenario::B);
+    p.network.set_node_capacity(NodeId(0), "cpu", f64::NAN);
+    let (addr, _, join) = start(small_cfg());
+    let mut conn = Connection::connect(addr).unwrap();
+    match conn.plan_bytes(&sekitei_spec::encode(&p)) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("NaN `cpu`"), "msg: {msg}"),
+        other => panic!("expected a server-side validation error, got {other:?}"),
+    }
+    let (outcome, _) = conn.plan(&scenarios::tiny(LevelScenario::B)).unwrap();
+    assert_eq!(outcome.plan.expect("Tiny/B is solvable").steps.len(), 7);
+    request_shutdown(addr).unwrap();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn shutdown_returns_promptly_while_a_client_holds_an_idle_connection() {
+    let (addr, _, join) = start(small_cfg());
+    // a served request proves a worker owns the connection, which then
+    // idles with the worker blocked on its next read
+    let mut idle = Connection::connect(addr).unwrap();
+    idle.plan(&scenarios::tiny(LevelScenario::B)).unwrap();
+    let t = Instant::now();
+    request_shutdown(addr).unwrap();
+    join.join().unwrap().unwrap();
+    let took = t.elapsed();
+    assert!(took < Duration::from_secs(2), "run returned {took:?} after Shutdown");
+    drop(idle);
 }
 
 #[test]
