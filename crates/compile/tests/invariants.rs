@@ -7,7 +7,11 @@ use sekitei_compile::{
     compile, compile_full, node_orbits, AchieverIndex, ActionKind, CompileStats, GVarData,
     NodeOrbits, PlanningTask, PropData,
 };
-use sekitei_model::{CppProblem, Expr, GVarId, Interval, LevelScenario, MediaConfig, PropId};
+use sekitei_model::resource::names::{CPU, LBW};
+use sekitei_model::{
+    CppProblem, Expr, GVarId, Interval, LevelScenario, LinkClass, LinkId, MediaConfig, NodeId,
+    PropId,
+};
 use sekitei_topology::scenarios::{self, RandomMediaConfig, RandomModel};
 use std::time::Duration;
 
@@ -467,7 +471,9 @@ impl Digest {
 }
 
 /// Structural digests of the goal-relevant tasks [`compile`] builds for
-/// the Table 2 grid and a seeded random-network grid: each is the task
+/// the Table 2 grid, two instances where no two sites share capacities
+/// (`large/E/distinct`, and `small/C/squeezed`, whose squeezed WAN link
+/// stands alone) and a seeded random-network grid: each is the task
 /// [`compile_full`] builds cut to its goal-relevant slice
 /// (`built_task_is_the_full_task_cut_to_its_goal_relevant_slice`).
 /// Compilation must reproduce every field bit for bit.
@@ -487,6 +493,8 @@ const TASK_DIGESTS: &[(&str, u64)] = &[
     ("tiny/E", 0xb6cbc6dd2553dcbf),
     ("small/E", 0xed5afdb994780e1c),
     ("large/E", 0xf39d2b89e264b684),
+    ("large/E/distinct", 0x768f6d66e81986af),
+    ("small/C/squeezed", 0x75a159c689255c3f),
     ("Waxman10/A", 0x68697348a3942b87),
     ("Waxman10/C", 0x1b8bd7a9bf6c90a3),
     ("Waxman10/E", 0x1396466c20abc562),
@@ -520,6 +528,8 @@ const FULL_DIGESTS: &[(&str, u64)] = &[
     ("tiny/E", 0xbfe5a92a514b6823),
     ("small/E", 0x7808a7d1c8f95f4e),
     ("large/E", 0x629ddd35c08399da),
+    ("large/E/distinct", 0x47a2c3611aa71e94),
+    ("small/C/squeezed", 0x9c97bae00054e242),
     ("Waxman10/A", 0xfd4ec94a4109b477),
     ("Waxman10/C", 0x5fd78fc1157b98e9),
     ("Waxman10/E", 0xdac4144b39e927b3),
@@ -534,8 +544,51 @@ const FULL_DIGESTS: &[(&str, u64)] = &[
     ("BarabasiAlbert16/E", 0x4d8103a8637681ee),
 ];
 
-/// The Table 2 grid, then Waxman and Barabási–Albert networks of 10 and 16
-/// nodes at levels A, C and E.
+/// `p` with every node's `cpu` and every link's `lbw` scaled by a factor
+/// of its own in [0.9, 1.1), drawn from `seed`: no two nodes and no two
+/// links offer a schema the same capacities.
+fn distinct_capacities(mut p: CppProblem, seed: u64) -> CppProblem {
+    let mut state = seed;
+    let mut factor = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        0.9 + 0.2 * (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let net = &mut p.network;
+    for n in 0..net.num_nodes() {
+        let n = NodeId::from_index(n);
+        net.set_node_capacity(n, CPU, net.node_capacity(n, CPU) * factor());
+    }
+    for l in 0..net.num_links() {
+        let l = LinkId::from_index(l);
+        net.set_link_capacity(l, LBW, net.link_capacity(l, LBW) * factor());
+    }
+    let mut cpus: Vec<u64> = net.node_ids().map(|n| net.node_capacity(n, CPU).to_bits()).collect();
+    let mut lbws: Vec<u64> = net.link_ids().map(|l| net.link_capacity(l, LBW).to_bits()).collect();
+    for caps in [&mut cpus, &mut lbws] {
+        let len = caps.len();
+        caps.sort_unstable();
+        caps.dedup();
+        assert_eq!(caps.len(), len, "two sites share a capacity");
+    }
+    p
+}
+
+/// Small/C with its tightest WAN link squeezed to 86% of its bandwidth.
+fn squeezed_small_c() -> CppProblem {
+    let mut p = scenarios::small(LevelScenario::C);
+    let net = &mut p.network;
+    let wan = net
+        .link_ids()
+        .filter(|&l| net.link(l).class == LinkClass::Wan)
+        .min_by(|&a, &b| net.link_capacity(a, LBW).total_cmp(&net.link_capacity(b, LBW)))
+        .unwrap();
+    net.set_link_capacity(wan, LBW, net.link_capacity(wan, LBW) * 0.86);
+    p
+}
+
+/// The Table 2 grid, Large/E with a capacity of its own on every node and
+/// link, squeezed Small/C, then Waxman and Barabási–Albert networks of 10
+/// and 16 nodes at levels A, C and E.
 fn digest_grid() -> Vec<(String, CppProblem)> {
     let mut grid: Vec<(String, CppProblem)> = Vec::new();
     for sc in LevelScenario::ALL {
@@ -543,6 +596,9 @@ fn digest_grid() -> Vec<(String, CppProblem)> {
         grid.push((format!("small/{sc:?}"), scenarios::small(sc)));
         grid.push((format!("large/{sc:?}"), scenarios::large(sc)));
     }
+    let large_e = scenarios::large(LevelScenario::E);
+    grid.push(("large/E/distinct".into(), distinct_capacities(large_e, 7)));
+    grid.push(("small/C/squeezed".into(), squeezed_small_c()));
     for model in [RandomModel::Waxman, RandomModel::BarabasiAlbert] {
         for nodes in [10, 16] {
             for sc in [LevelScenario::A, LevelScenario::C, LevelScenario::E] {
