@@ -11,22 +11,31 @@
 //! combination is one ground action carrying its optimistic resource map
 //! and a lower-bound cost.
 //!
+//! Static pruning reads a site (a node for `place`, a link for `cross`)
+//! only through the capacities of the resources the schema mentions. So
+//! each schema is evaluated once per *capacity class*, the sites whose
+//! capacity intervals have the same bit patterns, over its *slots*: its
+//! variables numbered by first use, standing in for the site's ground
+//! variables. The class's surviving variants, with their optimistic maps,
+//! output claims, level assignments, costs and name suffixes, are then
+//! emitted at each site of the class by binding the slots to the site's
+//! variables. On the paper's networks a schema has one or two classes.
+//!
 //! [`compile`] builds only the actions that can contribute to a goal: the
-//! goal-relevant propositions are computed before grounding starts
-//! (`relevance.rs`), and a level variant that adds none of them, nor a
-//! goal, is still evaluated, counted and has its propositions interned,
-//! but is not built. Every proposition and variable therefore keeps the id
-//! [`compile_full`] gives it, and the built actions keep their relative
-//! order.
+//! goal-relevant propositions are computed from the same class tables
+//! before emission starts (`relevance.rs`). A variant that adds none of
+//! them, nor a goal, is counted and has its propositions interned (one
+//! array read each), but is not built. Every proposition and variable
+//! therefore keeps the id [`compile_full`] gives it, and the built actions
+//! keep their relative order.
 
 use crate::relevance::Relevance;
-use crate::task::{ActionKind, GVarData, GroundAction, PlanningTask, PropData};
+use crate::task::{ActionKind, GVarData, GroundAction, GroundIndex, PlanningTask, PropData};
 use sekitei_model::{
     AssignOp, CompId, ComponentSpec, Cond, CppProblem, DirLink, Effect, Expr, GVarId, IfaceId,
-    InterfaceSpec, Interval, LevelSpec, LinkId, Locus, ModelError, NodeId, Placement, PropId,
-    SpecVar,
+    InterfaceSpec, Interval, LevelSpec, Locus, ModelError, NodeId, Placement, PropId, SpecVar,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::sync::Arc;
@@ -103,40 +112,43 @@ fn build(problem: &CppProblem, slice: bool) -> Result<PlanningTask, CompileError
     problem.validate()?;
     let _span = sekitei_obs::span("compile");
     let start = Instant::now();
-    let places: Vec<PlaceSchema> = (0..problem.components.len())
-        .map(|c| PlaceSchema::new(problem, CompId::from_index(c)))
-        .collect();
-    let crosses: Vec<CrossSchema> = (0..problem.interfaces.len())
-        .map(|i| CrossSchema::new(problem, IfaceId::from_index(i)))
-        .collect();
-    let mut scratch = Scratch::default();
-    let relevant = if slice {
-        let _g = sekitei_obs::span("relevance");
-        Some(Relevance::closure(problem, &places, &crosses, &mut scratch)?)
-    } else {
-        None
+    let (places, crosses) = {
+        let _g = sekitei_obs::span("evaluate");
+        let mut scratch = Scratch::default();
+        let places = (0..problem.components.len())
+            .map(|c| PlaceSchema::new(problem, CompId::from_index(c), &mut scratch))
+            .collect::<Result<Vec<_>, _>>()?;
+        let crosses = (0..problem.interfaces.len())
+            .map(|i| CrossSchema::new(problem, IfaceId::from_index(i), &mut scratch))
+            .collect::<Result<Vec<_>, _>>()?;
+        (places, crosses)
     };
+    let index = GroundIndex::new(problem, crosses.iter().map(CrossSchema::levels));
+    let relevant = slice.then(|| {
+        let _g = sekitei_obs::span("relevance");
+        Relevance::closure(problem, &places, &crosses, index.avail())
+    });
     let mut ctx = Ctx {
         p: problem,
-        task: PlanningTask::default(),
+        task: PlanningTask { index, ..PlanningTask::default() },
         relevant,
         counted: 0,
         pruned: 0,
+        bind: Vec::new(),
         pre: Vec::new(),
         adds: Vec::new(),
-        full: Vec::new(),
         name: String::new(),
     };
     {
         let _g = sekitei_obs::span("ground-place");
         for schema in &places {
-            ctx.ground_place(schema, &mut scratch)?;
+            ctx.ground_place(schema);
         }
     }
     {
         let _g = sekitei_obs::span("ground-cross");
         for schema in &crosses {
-            ctx.ground_cross(schema, &mut scratch)?;
+            ctx.ground_cross(schema);
         }
     }
     {
@@ -151,7 +163,10 @@ fn build(problem: &CppProblem, slice: bool) -> Result<PlanningTask, CompileError
     };
     ctx.task.orbits = symmetry.orbits;
     ctx.task.stats.compile_time = start.elapsed();
+    let evaluated: usize = places.iter().map(|s| s.classes.evaluated()).sum::<usize>()
+        + crosses.iter().map(|s| s.classes.evaluated()).sum::<usize>();
     sekitei_obs::event("ground_actions", ctx.task.stats.actions as u64);
+    sekitei_obs::event("level_combos_evaluated", evaluated as u64);
     sekitei_obs::event("level_combos_pruned", ctx.pruned as u64);
     sekitei_obs::event(
         "symmetry_orbits",
@@ -194,6 +209,18 @@ fn combo_count(dims: &[usize]) -> usize {
     dims.iter().product()
 }
 
+/// Refuse a schema with more than [`MAX_COMBOS`] level combinations,
+/// naming it at its first site, if it has one.
+fn guard(dims: &[usize], first_site: Option<String>) -> Result<(), CompileError> {
+    let count = combo_count(dims);
+    match first_site {
+        Some(schema) if count > MAX_COMBOS => {
+            Err(CompileError::TooManyCombinations { schema, count })
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Values a resource with capacity `cap` may hold: a consumable resource
 /// may have been drained to anything below its capacity, a static
 /// property has exactly its declared value.
@@ -227,39 +254,254 @@ fn primary_levels(p: &CppProblem, iface: IfaceId) -> LevelSpec {
     }
 }
 
-/// The variable of `iface`'s primary property on `node`, if it has one.
-fn primary_var(
-    p: &CppProblem,
-    iface: IfaceId,
-    node: NodeId,
-    var: &mut impl FnMut(GVarData) -> GVarId,
-) -> Option<GVarId> {
-    (!p.iface(iface).properties.is_empty())
-        .then(|| var(GVarData::IfaceProp { iface, prop: 0, node }))
+// ------------------------------------------------------------------ slots
+
+/// A schema variable before a site binds it to a ground variable.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SlotVar {
+    /// Property `prop` of `iface` on the placement's node, or on a
+    /// crossing's sending (`to: false`) or receiving node.
+    Iface { iface: IfaceId, prop: u8, to: bool },
+    /// A resource of the placement's node.
+    Node(u16),
+    /// A resource of the crossed link.
+    Link(u16),
 }
 
-/// A schema instance's numeric formulas, ground once and shared by every
-/// level variant built from it.
-pub(crate) struct Formulas {
-    conditions: Arc<[Cond<GVarId>]>,
-    effects: Arc<[Effect<GVarId>]>,
+/// Where a schema instance sits.
+#[derive(Debug, Clone, Copy)]
+enum Site {
+    Node(NodeId),
+    Dir(DirLink),
+}
+
+impl SlotVar {
+    /// The ground variable this slot is at `site`. Distinct slots are
+    /// distinct variables at every site (a link joins two distinct
+    /// nodes), so a variant evaluated over slots is the variant evaluated
+    /// over any site's variables.
+    fn at(self, site: Site) -> GVarData {
+        match (self, site) {
+            (SlotVar::Iface { iface, prop, .. }, Site::Node(node)) => {
+                GVarData::IfaceProp { iface, prop, node }
+            }
+            (SlotVar::Iface { iface, prop, to }, Site::Dir(d)) => {
+                GVarData::IfaceProp { iface, prop, node: if to { d.to } else { d.from } }
+            }
+            (SlotVar::Node(res), Site::Node(node)) => GVarData::NodeRes { res, node },
+            (SlotVar::Link(res), Site::Dir(d)) => GVarData::LinkRes { res, link: d.link },
+            _ => unreachable!("validated: node resources in place, link resources in cross"),
+        }
+    }
+}
+
+/// A schema's slots, numbered in the order the schema first uses them —
+/// formulas (conditions, effects, cost), then the level variables — which
+/// is the order a site interns their ground variables in.
+#[derive(Default)]
+struct Slots(Vec<SlotVar>);
+
+impl Slots {
+    fn of(&mut self, v: SlotVar) -> GVarId {
+        let k = self.0.iter().position(|&s| s == v).unwrap_or_else(|| {
+            self.0.push(v);
+            self.0.len() - 1
+        });
+        GVarId::from_index(k)
+    }
+
+    /// The slot of `iface`'s primary property, if it has one.
+    fn primary(&mut self, p: &CppProblem, iface: IfaceId, to: bool) -> Option<GVarId> {
+        (!p.iface(iface).properties.is_empty())
+            .then(|| self.of(SlotVar::Iface { iface, prop: 0, to }))
+    }
+}
+
+/// The index of property `prop` of `iface`.
+fn prop_index(p: &CppProblem, iface: IfaceId, prop: &str) -> u8 {
+    p.iface(iface).properties.iter().position(|n| n == prop).expect("validated property") as u8
+}
+
+/// A schema's slots and its numeric formulas over them (a slot's number
+/// stands in for a `GVarId`).
+struct Formulas {
+    slots: Vec<SlotVar>,
+    conditions: Vec<Cond<GVarId>>,
+    effects: Vec<Effect<GVarId>>,
     cost: Expr<GVarId>,
 }
 
-/// Per-combination evaluation scratch, reused by every schema instance.
+/// A site's ground conditions and effects, shared by every level variant
+/// built there.
+type Ground = (Arc<[Cond<GVarId>]>, Arc<[Effect<GVarId>]>);
+
+impl Formulas {
+    /// The conditions and effects at a site whose slot `k` is `bind[k]`.
+    fn ground(&self, bind: &[GVarId]) -> Ground {
+        let mut at = |s: &GVarId| bind[s.index()];
+        (
+            self.conditions.iter().map(|c| c.map_vars(&mut at)).collect(),
+            self.effects.iter().map(|e| e.map_vars(&mut at)).collect(),
+        )
+    }
+}
+
+// ------------------------------------------------------- capacity classes
+
+/// Per-combination evaluation scratch, reused by every class evaluation.
 #[derive(Default)]
 pub(crate) struct Scratch {
     optimistic: Vec<(GVarId, Interval)>,
-    levels: Vec<(GVarId, u8)>,
+    assigned: Vec<(GVarId, u8)>,
     produced: Vec<(GVarId, Interval)>,
+    full: Vec<(GVarId, Interval)>,
     out_ranges: Vec<Range<usize>>,
     out_levels: Vec<usize>,
+}
+
+/// One capacity class's level variants that survive static pruning, in
+/// emission order and over the schema's slots: all a site needs to emit
+/// them but its variable ids and its name. Stored flat; variant `k` owns
+/// `stride` entries of `levels` and runs to `ends[k]` in the other lists.
+#[derive(Default)]
+pub(crate) struct Variants {
+    stride: usize,
+    levels: Vec<usize>,
+    optimistic: Vec<(GVarId, Interval)>,
+    post: Vec<(GVarId, Interval)>,
+    assigned: Vec<(GVarId, u8)>,
+    names: String,
+    ends: Vec<Ends>,
+    /// Level combinations evaluated.
+    evaluated: usize,
+    /// Level combinations static pruning discarded.
+    pruned: usize,
+}
+
+/// Where one variant's lists end, and its cost.
+#[derive(Clone, Copy, Default)]
+struct Ends {
+    optimistic: usize,
+    post: usize,
+    assigned: usize,
+    name: usize,
+    cost: f64,
+}
+
+/// A surviving level variant, borrowed from its class's [`Variants`].
+pub(crate) struct Variant<'a> {
+    /// Interface levels: a placement's inputs then outputs, or a
+    /// crossing's stream on the sending then on the receiving node.
+    pub(crate) levels: &'a [usize],
+    /// Optimistic resource map.
+    optimistic: &'a [(GVarId, Interval)],
+    /// Output claims.
+    post: &'a [(GVarId, Interval)],
+    /// Level assignment.
+    assigned: &'a [(GVarId, u8)],
+    /// Name suffix: the non-trivial levels in brackets, or nothing.
+    name: &'a str,
+    /// Lower-bound cost.
+    cost: f64,
+}
+
+impl Variants {
+    fn new(stride: usize) -> Self {
+        Variants { stride, ..Variants::default() }
+    }
+
+    /// Close the variant whose entries were pushed last.
+    fn close(&mut self, cost: f64) {
+        self.ends.push(Ends {
+            optimistic: self.optimistic.len(),
+            post: self.post.len(),
+            assigned: self.assigned.len(),
+            name: self.names.len(),
+            cost,
+        });
+    }
+
+    /// The interface levels of each variant, as [`Variant::levels`].
+    fn levels(&self) -> impl Iterator<Item = &[usize]> {
+        (0..self.ends.len()).map(|k| &self.levels[k * self.stride..(k + 1) * self.stride])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Variant<'_>> {
+        let starts = std::iter::once(Ends::default()).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).enumerate().map(move |(k, (s, e))| Variant {
+            levels: &self.levels[k * self.stride..(k + 1) * self.stride],
+            optimistic: &self.optimistic[s.optimistic..e.optimistic],
+            post: &self.post[s.post..e.post],
+            assigned: &self.assigned[s.assigned..e.assigned],
+            name: &self.names[s.name..e.name],
+            cost: e.cost,
+        })
+    }
+}
+
+/// A schema's variants per capacity class. Sites (nodes for a placement,
+/// links for a crossing, whose two directions read the same capacities)
+/// whose capacity intervals have the same bit patterns share one
+/// evaluation; the bit patterns, not `==`, so 0.0 and −0.0 stay apart.
+#[derive(Default)]
+pub(crate) struct Classes {
+    /// The class of each site; `None` where the schema has no instance.
+    at: Vec<Option<usize>>,
+    classes: Vec<Variants>,
+}
+
+impl Classes {
+    /// Group `sites` by the capacities `caps` reports (`false` where the
+    /// site has no instance), evaluating each new class with `eval`.
+    fn build(
+        sites: usize,
+        mut caps: impl FnMut(usize, &mut Vec<Interval>) -> bool,
+        mut eval: impl FnMut(&[Interval]) -> Variants,
+    ) -> Classes {
+        let mut by_bits: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        let (mut avail, mut bits) = (Vec::new(), Vec::new());
+        let mut c = Classes { at: Vec::with_capacity(sites), classes: Vec::new() };
+        for site in 0..sites {
+            if !caps(site, &mut avail) {
+                c.at.push(None);
+                continue;
+            }
+            bits.clear();
+            bits.extend(avail.iter().flat_map(|iv| [iv.lo.to_bits(), iv.hi.to_bits()]));
+            let k = match by_bits.get(bits.as_slice()) {
+                Some(&k) => k,
+                None => {
+                    by_bits.insert(bits.clone(), c.classes.len());
+                    c.classes.push(eval(&avail));
+                    c.classes.len() - 1
+                }
+            };
+            c.at.push(Some(k));
+        }
+        c
+    }
+
+    /// The variants at `site`; none where the schema has no instance.
+    pub(crate) fn at(&self, site: usize) -> Option<&Variants> {
+        self.at[site].map(|k| &self.classes[k])
+    }
+
+    /// The interface levels of each variant at `site`.
+    pub(crate) fn levels_at(&self, site: usize) -> impl Iterator<Item = &[usize]> {
+        self.at(site).into_iter().flat_map(Variants::levels)
+    }
+
+    /// Level combinations evaluated, over every class.
+    fn evaluated(&self) -> usize {
+        self.classes.iter().map(|v| v.evaluated).sum()
+    }
 }
 
 // ---------------------------------------------------------- place schemas
 
 /// What every `place(comp, ·)` instance shares: the component's interfaces,
-/// the node resources its formulas mention, and their level specs.
+/// the node resources its formulas mention, their level specs, its
+/// formulas over slots, and its variants per capacity class.
 pub(crate) struct PlaceSchema<'p> {
     pub(crate) comp: CompId,
     spec: &'p ComponentSpec,
@@ -267,39 +509,22 @@ pub(crate) struct PlaceSchema<'p> {
     pub(crate) req: Vec<IfaceId>,
     /// Implemented interfaces, in declaration order.
     pub(crate) outs: Vec<IfaceId>,
-    /// Interface names in scope of the formulas.
-    scope: HashMap<&'p str, IfaceId>,
     node_res: Vec<u16>,
     in_specs: Vec<LevelSpec>,
     res_specs: Vec<&'p LevelSpec>,
     out_specs: Vec<LevelSpec>,
     dims: Vec<usize>,
-}
-
-/// One `place(comp, node)` instance.
-pub(crate) struct PlaceInst {
-    node: NodeId,
     formulas: Formulas,
-    in_vars: Vec<Option<GVarId>>,
-    res_vars: Vec<GVarId>,
-    res_avail: Vec<Interval>,
-    out_vars: Vec<Option<GVarId>>,
-}
-
-/// A level variant of a place instance that survived static pruning,
-/// borrowed from the evaluation scratch.
-pub(crate) struct PlaceVariant<'a> {
-    /// Level of each required interface.
-    pub(crate) in_levels: &'a [usize],
-    /// Level of each implemented interface.
-    pub(crate) out_levels: &'a [usize],
-    optimistic: &'a [(GVarId, Interval)],
-    levels: &'a [(GVarId, u8)],
-    produced: &'a [(GVarId, Interval)],
+    in_slots: Vec<Option<GVarId>>,
+    res_slots: Vec<GVarId>,
+    out_slots: Vec<Option<GVarId>>,
+    /// Surviving variants per node capacity class.
+    pub(crate) classes: Classes,
 }
 
 impl<'p> PlaceSchema<'p> {
-    fn new(p: &'p CppProblem, comp: CompId) -> Self {
+    /// The schema of `comp`, evaluated once per capacity class.
+    fn new(p: &'p CppProblem, comp: CompId, s: &mut Scratch) -> Result<Self, CompileError> {
         let spec = p.component(comp);
         let iface = |n: &String| p.iface_id(n).expect("validated");
         let req: Vec<IfaceId> = spec.requires.iter().map(iface).collect();
@@ -329,10 +554,27 @@ impl<'p> PlaceSchema<'p> {
             .map(LevelSpec::num_levels)
             .chain(res_specs.iter().map(|s| s.num_levels()))
             .collect();
-        PlaceSchema {
+
+        let mut slots = Slots::default();
+        let mut gv = |v: &SpecVar| match v {
+            SpecVar::Iface { iface, prop } => {
+                let iface = p.iface_id(iface).expect("validated");
+                slots.of(SlotVar::Iface { iface, prop: prop_index(p, iface, prop), to: false })
+            }
+            SpecVar::Node { res } => slots.of(SlotVar::Node(res_index(p, res, Locus::Node))),
+            SpecVar::Link { .. } => unreachable!("validated: no link vars in place formulas"),
+        };
+        let conditions = spec.conditions.iter().map(|c| c.map_vars(&mut gv)).collect();
+        let effects = spec.effects.iter().map(|e| e.map_vars(&mut gv)).collect();
+        let cost = spec.cost.map_vars(&mut gv);
+        let in_slots = req.iter().map(|&r| slots.primary(p, r, false)).collect();
+        let res_slots = node_res.iter().map(|&r| slots.of(SlotVar::Node(r))).collect();
+        let out_slots = outs.iter().map(|&o| slots.primary(p, o, false)).collect();
+        let formulas = Formulas { slots: slots.0, conditions, effects, cost };
+
+        let mut schema = PlaceSchema {
             comp,
             spec,
-            scope: spec.scope().map(|n| (n, p.iface_id(n).expect("validated"))).collect(),
             out_specs: outs.iter().map(|&o| primary_levels(p, o)).collect(),
             req,
             outs,
@@ -340,11 +582,36 @@ impl<'p> PlaceSchema<'p> {
             in_specs,
             res_specs,
             dims,
-        }
+            formulas,
+            in_slots,
+            res_slots,
+            out_slots,
+            classes: Classes::default(),
+        };
+        let first = p.network.node_ids().find(|&n| schema.allows(p, n));
+        guard(
+            &schema.dims,
+            first.map(|n| format!("place({},{})", spec.name, p.network.node(n).name)),
+        )?;
+        let nodes = p.network.num_nodes();
+        let classes = Classes::build(
+            nodes,
+            |n, caps| {
+                let node = NodeId::from_index(n);
+                let placeable = schema.allows(p, node);
+                if placeable {
+                    schema.res_avail(p, node, caps);
+                }
+                placeable
+            },
+            |caps| schema.evaluate(p, caps, s),
+        );
+        schema.classes = classes;
+        Ok(schema)
     }
 
     /// Whether the component may be placed on `node`.
-    pub(crate) fn allows(&self, p: &CppProblem, node: NodeId) -> bool {
+    fn allows(&self, p: &CppProblem, node: NodeId) -> bool {
         match &self.spec.placement {
             Placement::Anywhere => true,
             Placement::Only(names) => names.contains(&p.network.node(node).name),
@@ -353,7 +620,7 @@ impl<'p> PlaceSchema<'p> {
 
     /// Values the mentioned node resources may hold on `node` — the only
     /// thing a variant's evaluation reads from the node.
-    pub(crate) fn res_avail(&self, p: &CppProblem, node: NodeId, out: &mut Vec<Interval>) {
+    fn res_avail(&self, p: &CppProblem, node: NodeId, out: &mut Vec<Interval>) {
         out.clear();
         out.extend(self.node_res.iter().map(|&r| {
             let res = &p.resources[r as usize];
@@ -361,99 +628,51 @@ impl<'p> PlaceSchema<'p> {
         }));
     }
 
-    /// Ground the instance on `node`, resolving its variables through
-    /// `var` in a fixed order: formulas (conditions, effects, cost), then
-    /// inputs, resources and outputs.
-    pub(crate) fn instance(
-        &self,
-        p: &CppProblem,
-        node: NodeId,
-        var: &mut impl FnMut(GVarData) -> GVarId,
-    ) -> Result<PlaceInst, CompileError> {
-        let count = combo_count(&self.dims);
-        if count > MAX_COMBOS {
-            return Err(CompileError::TooManyCombinations {
-                schema: format!("place({},{})", self.spec.name, p.network.node(node).name),
-                count,
-            });
-        }
-        let mut gv = |v: &SpecVar| -> GVarId {
-            match v {
-                SpecVar::Iface { iface, prop } => {
-                    let id = self.scope[iface.as_str()];
-                    let pidx = p.iface(id).properties.iter().position(|n| n == prop).unwrap() as u8;
-                    var(GVarData::IfaceProp { iface: id, prop: pidx, node })
-                }
-                SpecVar::Node { res } => {
-                    var(GVarData::NodeRes { res: res_index(p, res, Locus::Node), node })
-                }
-                SpecVar::Link { .. } => unreachable!("validated: no link vars in place formulas"),
-            }
-        };
-        let formulas = Formulas {
-            conditions: self.spec.conditions.iter().map(|c| c.map_vars(&mut gv)).collect(),
-            effects: self.spec.effects.iter().map(|e| e.map_vars(&mut gv)).collect(),
-            cost: self.spec.cost.map_vars(&mut gv),
-        };
-        let in_vars = self.req.iter().map(|&r| primary_var(p, r, node, var)).collect();
-        let res_vars =
-            self.node_res.iter().map(|&r| var(GVarData::NodeRes { res: r, node })).collect();
-        let mut res_avail = Vec::new();
-        self.res_avail(p, node, &mut res_avail);
-        let out_vars = self.outs.iter().map(|&o| primary_var(p, o, node, var)).collect();
-        Ok(PlaceInst { node, formulas, in_vars, res_vars, res_avail, out_vars })
-    }
-
-    /// Evaluate every level combination of `inst` against the static
-    /// pruning procedure, calling `visit` on each surviving variant in
-    /// emission order. Returns how many combinations were pruned.
-    pub(crate) fn variants(
-        &self,
-        inst: &PlaceInst,
-        s: &mut Scratch,
-        mut visit: impl FnMut(&PlaceVariant<'_>),
-    ) -> usize {
-        let Scratch { optimistic, levels, produced, out_ranges, out_levels } = s;
-        let mut pruned = 0;
+    /// Evaluate every level combination against the static pruning
+    /// procedure on nodes whose mentioned resources may hold `avail`.
+    fn evaluate(&self, p: &CppProblem, avail: &[Interval], s: &mut Scratch) -> Variants {
+        let Scratch { optimistic, assigned, produced, full, out_ranges, out_levels } = s;
+        let mut vs = Variants::new(self.req.len() + self.outs.len());
         for_each_combo(&self.dims, |combo| {
+            vs.evaluated += 1;
             let (in_levels, res_levels) = combo.split_at(self.in_specs.len());
 
             // optimistic map for this level assignment
             optimistic.clear();
-            levels.clear();
+            assigned.clear();
             for (k, &l) in in_levels.iter().enumerate() {
-                if let Some(v) = inst.in_vars[k] {
+                if let Some(v) = self.in_slots[k] {
                     optimistic.push((v, self.in_specs[k].requirement(l)));
-                    levels.push((v, l as u8));
+                    assigned.push((v, l as u8));
                 }
             }
             for (k, &l) in res_levels.iter().enumerate() {
-                let iv = self.res_specs[k].requirement(l).intersect(&inst.res_avail[k]);
+                let iv = self.res_specs[k].requirement(l).intersect(&avail[k]);
                 if iv.is_empty() {
-                    pruned += 1;
+                    vs.pruned += 1;
                     return;
                 }
-                optimistic.push((inst.res_vars[k], iv));
+                optimistic.push((self.res_slots[k], iv));
                 if !self.res_specs[k].is_trivial() {
-                    levels.push((inst.res_vars[k], l as u8));
+                    assigned.push((self.res_slots[k], l as u8));
                 }
             }
 
             let mut env = |v: &GVarId| lookup(optimistic, *v);
-            if !inst.formulas.conditions.iter().all(|c| c.possibly(&mut env)) {
-                pruned += 1;
+            if !self.formulas.conditions.iter().all(|c| c.possibly(&mut env)) {
+                vs.pruned += 1;
                 return;
             }
 
             // evaluate effects against the pre-state
             produced.clear();
-            for eff in inst.formulas.effects.iter() {
+            for eff in &self.formulas.effects {
                 let val = eff.value.eval_interval(&mut env);
                 match eff.op {
                     AssignOp::Set => produced.push((eff.target, val)),
                     AssignOp::Sub => {
                         if lookup(optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
-                            pruned += 1;
+                            vs.pruned += 1;
                             return;
                         }
                     }
@@ -463,13 +682,13 @@ impl<'p> PlaceSchema<'p> {
 
             // output levels from the computed ranges
             out_ranges.clear();
-            for (k, ov) in inst.out_vars.iter().enumerate() {
+            for (k, ov) in self.out_slots.iter().enumerate() {
                 let range = match ov {
                     Some(v) => self.out_specs[k].intersecting_half_open(&lookup(produced, *v)),
                     None => 0..1,
                 };
                 if range.is_empty() {
-                    pruned += 1;
+                    vs.pruned += 1;
                     return;
                 }
                 out_ranges.push(range);
@@ -477,20 +696,55 @@ impl<'p> PlaceSchema<'p> {
             out_levels.clear();
             out_levels.extend(out_ranges.iter().map(|r| r.start));
             loop {
-                visit(&PlaceVariant { in_levels, out_levels, optimistic, levels, produced });
+                vs.levels.extend_from_slice(in_levels);
+                vs.levels.extend_from_slice(out_levels);
+                vs.optimistic.extend_from_slice(optimistic);
+                vs.assigned.extend_from_slice(assigned);
+                // full map including produced outputs, for the cost bound
+                full.clear();
+                full.extend_from_slice(optimistic);
+                for (k, ov) in self.out_slots.iter().enumerate() {
+                    if let Some(var) = *ov {
+                        let claimed = self.out_specs[k].requirement(out_levels[k]);
+                        full.push((var, lookup(produced, var).intersect(&claimed)));
+                        vs.post.push((var, claimed));
+                        vs.assigned.push((var, out_levels[k] as u8));
+                    }
+                }
+                let cost = self.formulas.cost.eval_interval(&mut |x| lookup(full, *x)).lo.max(0.0);
+
+                let name = &mut vs.names;
+                let mut sep = '[';
+                for (k, &l) in in_levels.iter().enumerate() {
+                    if !self.in_specs[k].is_trivial() {
+                        let _ = write!(name, "{sep}{}={l}", p.iface(self.req[k]).name);
+                        sep = ',';
+                    }
+                }
+                for (k, &o) in self.outs.iter().enumerate() {
+                    if !self.out_specs[k].is_trivial() {
+                        let _ = write!(name, "{sep}→{}={}", p.iface(o).name, out_levels[k]);
+                        sep = ',';
+                    }
+                }
+                if sep == ',' {
+                    name.push(']');
+                }
+                vs.close(cost);
                 if !advance(out_levels, |k| out_ranges[k].clone()) {
                     break;
                 }
             }
         });
-        pruned
+        vs
     }
 }
 
 // ---------------------------------------------------------- cross schemas
 
 /// What every `cross(iface, ·)` instance shares: the link resources its
-/// formulas mention and the level specs.
+/// formulas mention, the level specs, its formulas over slots, and its
+/// variants per capacity class.
 pub(crate) struct CrossSchema<'p> {
     pub(crate) iface: IfaceId,
     spec: &'p InterfaceSpec,
@@ -498,33 +752,17 @@ pub(crate) struct CrossSchema<'p> {
     level_spec: LevelSpec,
     res_specs: Vec<&'p LevelSpec>,
     dims: Vec<usize>,
-}
-
-/// One `cross(iface, link)` instance in one direction.
-pub(crate) struct CrossInst {
-    dir: DirLink,
     formulas: Formulas,
-    in_var: Option<GVarId>,
-    out_var: Option<GVarId>,
-    res_vars: Vec<GVarId>,
-    res_avail: Vec<Interval>,
-}
-
-/// A level variant of a cross instance that survived static pruning,
-/// borrowed from the evaluation scratch.
-pub(crate) struct CrossVariant<'a> {
-    /// Level of the stream on the sending node.
-    pub(crate) l_in: usize,
-    /// Level of the stream delivered to the receiving node.
-    pub(crate) l_out: usize,
-    link_levels: &'a [usize],
-    optimistic: &'a [(GVarId, Interval)],
-    levels: &'a [(GVarId, u8)],
-    cost: f64,
+    in_slot: Option<GVarId>,
+    out_slot: Option<GVarId>,
+    res_slots: Vec<GVarId>,
+    /// Surviving variants per link capacity class.
+    pub(crate) classes: Classes,
 }
 
 impl<'p> CrossSchema<'p> {
-    fn new(p: &'p CppProblem, iface: IfaceId) -> Self {
+    /// The schema of `iface`, evaluated once per capacity class.
+    fn new(p: &'p CppProblem, iface: IfaceId, s: &mut Scratch) -> Result<Self, CompileError> {
         let spec = p.iface(iface);
         // link resources mentioned in cross formulas
         let mut link_res: Vec<u16> = Vec::new();
@@ -549,7 +787,60 @@ impl<'p> CrossSchema<'p> {
         let dims = std::iter::once(level_spec.num_levels())
             .chain(res_specs.iter().map(|s| s.num_levels()))
             .collect();
-        CrossSchema { iface, spec, link_res, level_spec, res_specs, dims }
+
+        // readers reference the sending side; effect targets on the
+        // interface reference the receiving side (the stream after
+        // crossing); link-resource targets are consumed in place
+        let mut slots = Slots::default();
+        let mut gv = |v: &SpecVar, to: bool| match v {
+            SpecVar::Iface { prop, .. } => {
+                slots.of(SlotVar::Iface { iface, prop: prop_index(p, iface, prop), to })
+            }
+            SpecVar::Link { res } => slots.of(SlotVar::Link(res_index(p, res, Locus::Link))),
+            SpecVar::Node { .. } => unreachable!("validated: no node vars in cross formulas"),
+        };
+        let conditions =
+            spec.cross_conditions.iter().map(|c| c.map_vars(&mut |v| gv(v, false))).collect();
+        let effects = spec
+            .cross_effects
+            .iter()
+            .map(|e| {
+                let value = e.value.map_vars(&mut |v| gv(v, false));
+                let target = gv(&e.target, matches!(e.target, SpecVar::Iface { .. }));
+                Effect { target, op: e.op, value }
+            })
+            .collect();
+        let cost = spec.cross_cost.map_vars(&mut |v| gv(v, false));
+        let in_slot = slots.primary(p, iface, false);
+        let out_slot = slots.primary(p, iface, true);
+        let res_slots = link_res.iter().map(|&r| slots.of(SlotVar::Link(r))).collect();
+        let formulas = Formulas { slots: slots.0, conditions, effects, cost };
+
+        let mut schema = CrossSchema {
+            iface,
+            spec,
+            link_res,
+            level_spec,
+            res_specs,
+            dims,
+            formulas,
+            in_slot,
+            out_slot,
+            res_slots,
+            classes: Classes::default(),
+        };
+        let first = p.network.directed_links().next();
+        guard(&schema.dims, first.map(|dir| format!("cross({},{dir})", spec.name)))?;
+        let classes = Classes::build(
+            p.network.num_links(),
+            |l, caps| {
+                schema.res_avail(p, sekitei_model::LinkId::from_index(l), caps);
+                true
+            },
+            |caps| schema.evaluate(p, caps, s),
+        );
+        schema.classes = classes;
+        Ok(schema)
     }
 
     /// Number of levels of the stream's primary property.
@@ -559,7 +850,7 @@ impl<'p> CrossSchema<'p> {
 
     /// Values the mentioned link resources may hold on `link` — the only
     /// thing a variant's evaluation reads from the link.
-    pub(crate) fn res_avail(&self, p: &CppProblem, link: LinkId, out: &mut Vec<Interval>) {
+    fn res_avail(&self, p: &CppProblem, link: sekitei_model::LinkId, out: &mut Vec<Interval>) {
         out.clear();
         out.extend(self.link_res.iter().map(|&r| {
             let res = &p.resources[r as usize];
@@ -567,120 +858,55 @@ impl<'p> CrossSchema<'p> {
         }));
     }
 
-    /// Ground the instance on `dir`, resolving its variables through `var`
-    /// in a fixed order: formulas (conditions, effects, cost), then the
-    /// stream on both ends and the link resources.
-    pub(crate) fn instance(
-        &self,
-        p: &CppProblem,
-        dir: DirLink,
-        var: &mut impl FnMut(GVarData) -> GVarId,
-    ) -> Result<CrossInst, CompileError> {
-        let count = combo_count(&self.dims);
-        if count > MAX_COMBOS {
-            return Err(CompileError::TooManyCombinations {
-                schema: format!("cross({},{dir})", self.spec.name),
-                count,
-            });
-        }
-        // readers reference the `from` side; effect targets on the
-        // interface reference the `to` side (the stream after crossing)
-        let iface = self.iface;
-        let mut gv = |v: &SpecVar, write: bool| -> GVarId {
-            match v {
-                SpecVar::Iface { prop, .. } => {
-                    let pidx = self.spec.properties.iter().position(|n| n == prop).unwrap() as u8;
-                    let node = if write { dir.to } else { dir.from };
-                    var(GVarData::IfaceProp { iface, prop: pidx, node })
-                }
-                SpecVar::Link { res } => {
-                    var(GVarData::LinkRes { res: res_index(p, res, Locus::Link), link: dir.link })
-                }
-                SpecVar::Node { .. } => unreachable!("validated: no node vars in cross formulas"),
-            }
-        };
-        let conditions =
-            self.spec.cross_conditions.iter().map(|c| c.map_vars(&mut |v| gv(v, false))).collect();
-        let effects = self
-            .spec
-            .cross_effects
-            .iter()
-            .map(|e| {
-                let value = e.value.map_vars(&mut |v| gv(v, false));
-                // link-resource targets are consumed in place; interface
-                // targets materialize on the destination node
-                let target = gv(&e.target, matches!(e.target, SpecVar::Iface { .. }));
-                Effect { target, op: e.op, value }
-            })
-            .collect();
-        let cost = self.spec.cross_cost.map_vars(&mut |v| gv(v, false));
-        let formulas = Formulas { conditions, effects, cost };
-        let in_var = primary_var(p, iface, dir.from, var);
-        let out_var = primary_var(p, iface, dir.to, var);
-        let res_vars = self
-            .link_res
-            .iter()
-            .map(|&r| var(GVarData::LinkRes { res: r, link: dir.link }))
-            .collect();
-        let mut res_avail = Vec::new();
-        self.res_avail(p, dir.link, &mut res_avail);
-        Ok(CrossInst { dir, formulas, in_var, out_var, res_vars, res_avail })
-    }
-
-    /// Evaluate every level combination of `inst` against the static
-    /// pruning procedure, calling `visit` on each surviving variant in
-    /// emission order. Returns how many combinations were pruned.
-    pub(crate) fn variants(
-        &self,
-        inst: &CrossInst,
-        s: &mut Scratch,
-        mut visit: impl FnMut(&CrossVariant<'_>),
-    ) -> usize {
-        let Scratch { optimistic, levels, .. } = s;
-        let mut pruned = 0;
+    /// Evaluate every level combination against the static pruning
+    /// procedure on links whose mentioned resources may hold `avail`.
+    fn evaluate(&self, p: &CppProblem, avail: &[Interval], s: &mut Scratch) -> Variants {
+        let Scratch { optimistic, assigned, .. } = s;
+        let mut vs = Variants::new(2);
         for_each_combo(&self.dims, |combo| {
+            vs.evaluated += 1;
             let l_in = combo[0];
             let link_levels = &combo[1..];
 
             optimistic.clear();
-            levels.clear();
-            if let Some(v) = inst.in_var {
+            assigned.clear();
+            if let Some(v) = self.in_slot {
                 optimistic.push((v, self.level_spec.requirement(l_in)));
                 if !self.level_spec.is_trivial() {
-                    levels.push((v, l_in as u8));
+                    assigned.push((v, l_in as u8));
                 }
             }
             for (k, &l) in link_levels.iter().enumerate() {
-                let iv = self.res_specs[k].requirement(l).intersect(&inst.res_avail[k]);
+                let iv = self.res_specs[k].requirement(l).intersect(&avail[k]);
                 if iv.is_empty() {
-                    pruned += 1;
+                    vs.pruned += 1;
                     return;
                 }
-                optimistic.push((inst.res_vars[k], iv));
+                optimistic.push((self.res_slots[k], iv));
                 if !self.res_specs[k].is_trivial() {
-                    levels.push((inst.res_vars[k], l as u8));
+                    assigned.push((self.res_slots[k], l as u8));
                 }
             }
 
             let mut env = |v: &GVarId| lookup(optimistic, *v);
-            if !inst.formulas.conditions.iter().all(|c| c.possibly(&mut env)) {
-                pruned += 1;
+            if !self.formulas.conditions.iter().all(|c| c.possibly(&mut env)) {
+                vs.pruned += 1;
                 return;
             }
 
             // computed delivery range of the primary property
             let mut delivered = Interval::nonneg();
-            for eff in inst.formulas.effects.iter() {
+            for eff in &self.formulas.effects {
                 let val = eff.value.eval_interval(&mut env);
                 match eff.op {
                     AssignOp::Set => {
-                        if Some(eff.target) == inst.out_var {
+                        if Some(eff.target) == self.out_slot {
                             delivered = val;
                         }
                     }
                     AssignOp::Sub => {
                         if lookup(optimistic, eff.target).sub(&val).clamp_nonneg().is_empty() {
-                            pruned += 1;
+                            vs.pruned += 1;
                             return;
                         }
                     }
@@ -688,22 +914,47 @@ impl<'p> CrossSchema<'p> {
                 }
             }
 
-            let cost = inst.formulas.cost.eval_interval(&mut env).lo.max(0.0);
+            let cost = self.formulas.cost.eval_interval(&mut env).lo.max(0.0);
 
-            let out_range = if inst.out_var.is_some() {
+            let out_range = if self.out_slot.is_some() {
                 self.level_spec.intersecting_half_open(&delivered)
             } else {
                 0..1
             };
             if out_range.is_empty() {
-                pruned += 1;
+                vs.pruned += 1;
                 return;
             }
             for l_out in out_range {
-                visit(&CrossVariant { l_in, l_out, link_levels, optimistic, levels, cost });
+                vs.levels.extend([l_in, l_out]);
+                vs.optimistic.extend_from_slice(optimistic);
+                vs.assigned.extend_from_slice(assigned);
+                if let Some(var) = self.out_slot {
+                    vs.post.push((var, self.level_spec.requirement(l_out)));
+                    if !self.level_spec.is_trivial() {
+                        vs.assigned.push((var, l_out as u8));
+                    }
+                }
+                let name = &mut vs.names;
+                let mut sep = '[';
+                if !self.level_spec.is_trivial() {
+                    let _ = write!(name, "{sep}in={l_in},out={l_out}");
+                    sep = ',';
+                }
+                for (k, &l) in link_levels.iter().enumerate() {
+                    if !self.res_specs[k].is_trivial() {
+                        let res = &p.resources[self.link_res[k] as usize].name;
+                        let _ = write!(name, "{sep}{res}={l}");
+                        sep = ',';
+                    }
+                }
+                if sep == ',' {
+                    name.push(']');
+                }
+                vs.close(cost);
             }
         });
-        pruned
+        vs
     }
 }
 
@@ -718,10 +969,11 @@ struct Ctx<'p> {
     counted: usize,
     /// Level combinations discarded by static pruning.
     pruned: usize,
+    /// The current site's variable of each slot.
+    bind: Vec<GVarId>,
     // emission scratch; each built action copies out what it keeps
     pre: Vec<PropId>,
     adds: Vec<PropId>,
-    full: Vec<(GVarId, Interval)>,
     name: String,
 }
 
@@ -729,24 +981,22 @@ impl<'p> Ctx<'p> {
     // ------------------------------------------------------------- interning
 
     fn intern_prop(&mut self, data: PropData) -> PropId {
-        if let Some(&id) = self.task.prop_index.get(&data) {
-            return id;
+        let (id, new) = self.task.index.intern_prop(&data, self.task.props.len());
+        if new {
+            self.task.props.push(data);
+            let name = self.render_prop(&data);
+            self.task.prop_names.push(name);
         }
-        let id = PropId::from_index(self.task.props.len());
-        self.task.props.push(data);
-        self.task.prop_names.push(self.render_prop(&data));
-        self.task.prop_index.insert(data, id);
         id
     }
 
     fn intern_gvar(&mut self, data: GVarData) -> GVarId {
-        if let Some(&id) = self.task.gvar_index.get(&data) {
-            return id;
+        let (id, new) = self.task.index.intern_gvar(&data, self.task.gvars.len());
+        if new {
+            self.task.gvars.push(data);
+            let name = self.render_gvar(&data);
+            self.task.gvar_names.push(name);
         }
-        let id = GVarId::from_index(self.task.gvars.len());
-        self.task.gvars.push(data);
-        self.task.gvar_names.push(self.render_gvar(&data));
-        self.task.gvar_index.insert(data, id);
         id
     }
 
@@ -794,6 +1044,17 @@ impl<'p> Ctx<'p> {
         }
     }
 
+    /// Bind a schema's slots at `site`, interning the site's variables in
+    /// slot order: the order its instance first uses them, which fixes
+    /// every `GVarId`.
+    fn bind(&mut self, slots: &[SlotVar], site: Site) {
+        self.bind.clear();
+        for &s in slots {
+            let v = self.intern_gvar(s.at(site));
+            self.bind.push(v);
+        }
+    }
+
     /// Push onto `self.adds` the `Avail` effect propositions of producing
     /// `iface` at `level` on `node`, with degradable downward closure.
     fn avail_adds(&mut self, iface: IfaceId, node: NodeId, level: usize) {
@@ -804,179 +1065,128 @@ impl<'p> Ctx<'p> {
         }
     }
 
-    // ------------------------------------------------------ place grounding
-
-    /// Ground every `place(comp, node)` instance of one schema: its
-    /// formulas once per node, then each feasible level variant.
-    fn ground_place(
+    /// Emit one site's variants of a schema. Bind the schema's slots
+    /// there, count and intern each variant with `intern`, which says
+    /// whether it can contribute to a goal, and build those that can as
+    /// `kind`, named `self.name` (the site's prefix) and their suffix. The
+    /// site's formulas are ground once, for the first built variant.
+    fn emit_site(
         &mut self,
-        schema: &PlaceSchema<'_>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CompileError> {
-        let p = self.p;
-        for node in p.network.node_ids() {
-            if schema.allows(p, node) {
-                let inst = schema.instance(p, node, &mut |d| self.intern_gvar(d))?;
-                let pruned =
-                    schema.variants(&inst, scratch, |v| self.place_variant(schema, &inst, v));
-                self.pruned += pruned;
+        formulas: &Formulas,
+        site: Site,
+        variants: &Variants,
+        kind: ActionKind,
+        mut intern: impl FnMut(&mut Self, &Variant<'_>) -> bool,
+    ) {
+        self.pruned += variants.pruned;
+        self.bind(&formulas.slots, site);
+        let prefix = self.name.len();
+        let mut ground = None;
+        for v in variants.iter() {
+            if intern(self, &v) {
+                let f = ground.get_or_insert_with(|| formulas.ground(&self.bind));
+                self.name.truncate(prefix);
+                self.push_action(kind.clone(), f, &v);
             }
         }
-        Ok(())
     }
 
-    /// Count one place variant and intern its propositions in emission
-    /// order (preconditions, `placed`, output closure) — that order fixes
-    /// every `PropId` — then build it if it can contribute to a goal.
-    fn place_variant(&mut self, schema: &PlaceSchema<'_>, inst: &PlaceInst, v: &PlaceVariant<'_>) {
-        let (p, comp, node) = (self.p, schema.comp, inst.node);
-        self.counted += 1;
-        self.pre.clear();
-        for (&r, &l) in schema.req.iter().zip(v.in_levels) {
-            let id = self.intern_prop(PropData::Avail { iface: r, node, level: l as u8 });
-            self.pre.push(id);
-        }
-        self.adds.clear();
-        let placed = self.intern_prop(PropData::Placed { comp, node });
-        self.adds.push(placed);
-        for (&o, &l) in schema.outs.iter().zip(v.out_levels) {
-            self.avail_adds(o, node, l);
-        }
-        if self.relevant.as_ref().is_some_and(|r| !r.place(comp, node, &schema.outs, v.out_levels))
-        {
-            return;
-        }
-
-        // full map including produced outputs, for the cost bound
-        self.full.clear();
-        self.full.extend_from_slice(v.optimistic);
-        let mut post = Vec::with_capacity(schema.outs.len());
-        let mut lv = Vec::with_capacity(v.levels.len() + schema.outs.len());
-        lv.extend_from_slice(v.levels);
-        for (k, ov) in inst.out_vars.iter().enumerate() {
-            if let Some(var) = *ov {
-                let claimed = schema.out_specs[k].requirement(v.out_levels[k]);
-                self.full.push((var, lookup(v.produced, var).intersect(&claimed)));
-                post.push((var, claimed));
-                lv.push((var, v.out_levels[k] as u8));
-            }
-        }
-        let cost = inst.formulas.cost.eval_interval(&mut |x| lookup(&self.full, *x)).lo.max(0.0);
-
-        let name = &mut self.name;
-        name.clear();
-        let _ = write!(name, "place({},{})", schema.spec.name, p.network.node(node).name);
-        let mut sep = '[';
-        for (k, &l) in v.in_levels.iter().enumerate() {
-            if !schema.in_specs[k].is_trivial() {
-                let _ = write!(name, "{sep}{}={l}", p.iface(schema.req[k]).name);
-                sep = ',';
-            }
-        }
-        for (k, &o) in schema.outs.iter().enumerate() {
-            if !schema.out_specs[k].is_trivial() {
-                let _ = write!(name, "{sep}→{}={}", p.iface(o).name, v.out_levels[k]);
-                sep = ',';
-            }
-        }
-        if sep == ',' {
-            name.push(']');
-        }
-
+    /// Build variant `v` as `kind`: named `self.name` and its suffix, with
+    /// `self.pre`/`self.adds`, the site's formulas, and its slots bound.
+    fn push_action(&mut self, kind: ActionKind, formulas: &Ground, v: &Variant<'_>) {
+        let bind = &self.bind;
+        self.name.push_str(v.name);
         self.pre.sort_unstable();
         self.pre.dedup();
         self.adds.sort_unstable();
         self.adds.dedup();
         self.task.actions.push(GroundAction {
             name: self.name.clone(),
-            kind: ActionKind::Place { comp, node },
+            kind,
             preconds: self.pre.clone(),
             adds: self.adds.clone(),
-            conditions: Arc::clone(&inst.formulas.conditions),
-            effects: Arc::clone(&inst.formulas.effects),
-            optimistic: v.optimistic.to_vec(),
-            post,
-            levels: lv,
-            cost,
+            conditions: Arc::clone(&formulas.0),
+            effects: Arc::clone(&formulas.1),
+            optimistic: v.optimistic.iter().map(|&(s, iv)| (bind[s.index()], iv)).collect(),
+            post: v.post.iter().map(|&(s, iv)| (bind[s.index()], iv)).collect(),
+            levels: v.assigned.iter().map(|&(s, l)| (bind[s.index()], l)).collect(),
+            cost: v.cost,
         });
+    }
+
+    // ------------------------------------------------------ place grounding
+
+    /// Emit every `place(comp, node)` instance of one schema.
+    fn ground_place(&mut self, schema: &PlaceSchema<'_>) {
+        let (p, comp) = (self.p, schema.comp);
+        for node in p.network.node_ids() {
+            let Some(variants) = schema.classes.at(node.index()) else { continue };
+            self.name.clear();
+            let _ = write!(self.name, "place({},{})", schema.spec.name, p.network.node(node).name);
+            self.emit_site(
+                &schema.formulas,
+                Site::Node(node),
+                variants,
+                ActionKind::Place { comp, node },
+                |ctx, v| ctx.place_variant(schema, node, v),
+            );
+        }
+    }
+
+    /// Count one place variant and intern its propositions in emission
+    /// order (preconditions, `placed`, output closure) — that order fixes
+    /// every `PropId` — and say whether it can contribute to a goal.
+    fn place_variant(&mut self, schema: &PlaceSchema<'_>, node: NodeId, v: &Variant<'_>) -> bool {
+        let comp = schema.comp;
+        self.counted += 1;
+        let (in_levels, out_levels) = v.levels.split_at(schema.req.len());
+        self.pre.clear();
+        for (&r, &l) in schema.req.iter().zip(in_levels) {
+            let id = self.intern_prop(PropData::Avail { iface: r, node, level: l as u8 });
+            self.pre.push(id);
+        }
+        self.adds.clear();
+        let placed = self.intern_prop(PropData::Placed { comp, node });
+        self.adds.push(placed);
+        for (&o, &l) in schema.outs.iter().zip(out_levels) {
+            self.avail_adds(o, node, l);
+        }
+        self.relevant.as_ref().is_none_or(|r| r.place(comp, node, &schema.outs, out_levels))
     }
 
     // ------------------------------------------------------ cross grounding
 
-    /// Ground every `cross(iface, link)` instance of one schema, in both
-    /// directions: its formulas once per direction, then each feasible
-    /// level variant.
-    fn ground_cross(
-        &mut self,
-        schema: &CrossSchema<'_>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CompileError> {
-        let p = self.p;
+    /// Emit every `cross(iface, link)` instance of one schema, in both
+    /// directions.
+    fn ground_cross(&mut self, schema: &CrossSchema<'_>) {
+        let (p, iface) = (self.p, schema.iface);
         for dir in p.network.directed_links() {
-            let inst = schema.instance(p, dir, &mut |d| self.intern_gvar(d))?;
-            let pruned = schema.variants(&inst, scratch, |v| self.cross_variant(schema, &inst, v));
-            self.pruned += pruned;
+            let Some(variants) = schema.classes.at(dir.link.index()) else { continue };
+            let (from, to) = (&p.network.node(dir.from).name, &p.network.node(dir.to).name);
+            self.name.clear();
+            let _ = write!(self.name, "cross({},{from}→{to})", schema.spec.name);
+            self.emit_site(
+                &schema.formulas,
+                Site::Dir(dir),
+                variants,
+                ActionKind::Cross { iface, dir },
+                |ctx, v| ctx.cross_variant(iface, dir, v),
+            );
         }
-        Ok(())
     }
 
     /// Count one cross variant and intern its propositions in emission
-    /// order (precondition, then output closure), then build it if it can
+    /// order (precondition, then output closure), and say whether it can
     /// contribute to a goal.
-    fn cross_variant(&mut self, schema: &CrossSchema<'_>, inst: &CrossInst, v: &CrossVariant<'_>) {
-        let (p, iface, dir) = (self.p, schema.iface, inst.dir);
+    fn cross_variant(&mut self, iface: IfaceId, dir: DirLink, v: &Variant<'_>) -> bool {
+        let (l_in, l_out) = (v.levels[0], v.levels[1]);
         self.counted += 1;
-        let pre = self.intern_prop(PropData::Avail { iface, node: dir.from, level: v.l_in as u8 });
+        self.pre.clear();
+        let pre = self.intern_prop(PropData::Avail { iface, node: dir.from, level: l_in as u8 });
+        self.pre.push(pre);
         self.adds.clear();
-        self.avail_adds(iface, dir.to, v.l_out);
-        if self.relevant.as_ref().is_some_and(|r| !r.cross(iface, dir.to, v.l_out)) {
-            return;
-        }
-
-        let post = match inst.out_var {
-            Some(var) => vec![(var, schema.level_spec.requirement(v.l_out))],
-            None => Vec::new(),
-        };
-        let mut lv = Vec::with_capacity(v.levels.len() + 1);
-        lv.extend_from_slice(v.levels);
-        if let (Some(var), false) = (inst.out_var, schema.level_spec.is_trivial()) {
-            lv.push((var, v.l_out as u8));
-        }
-
-        let name = &mut self.name;
-        name.clear();
-        let from = &p.network.node(dir.from).name;
-        let to = &p.network.node(dir.to).name;
-        let _ = write!(name, "cross({},{from}→{to})", schema.spec.name);
-        let mut sep = '[';
-        if !schema.level_spec.is_trivial() {
-            let _ = write!(name, "{sep}in={},out={}", v.l_in, v.l_out);
-            sep = ',';
-        }
-        for (k, &l) in v.link_levels.iter().enumerate() {
-            if !schema.res_specs[k].is_trivial() {
-                let _ = write!(name, "{sep}{}={l}", p.resources[schema.link_res[k] as usize].name);
-                sep = ',';
-            }
-        }
-        if sep == ',' {
-            name.push(']');
-        }
-
-        self.adds.sort_unstable();
-        self.adds.dedup();
-        self.task.actions.push(GroundAction {
-            name: self.name.clone(),
-            kind: ActionKind::Cross { iface, dir },
-            preconds: vec![pre],
-            adds: self.adds.clone(),
-            conditions: Arc::clone(&inst.formulas.conditions),
-            effects: Arc::clone(&inst.formulas.effects),
-            optimistic: v.optimistic.to_vec(),
-            post,
-            levels: lv,
-            cost: v.cost,
-        });
+        self.avail_adds(iface, dir.to, l_out);
+        self.relevant.as_ref().is_none_or(|r| r.cross(iface, dir.to, l_out))
     }
 
     // --------------------------------------------------------- init & goals

@@ -14,10 +14,9 @@
 
 use sekitei_model::codec::Fnv1a;
 use sekitei_model::{
-    ActionId, CompId, Cond, DirLink, Effect, GVarId, IfaceId, Interval, LevelIdx, LinkId, NodeId,
-    PropId,
+    ActionId, CompId, Cond, CppProblem, DirLink, Effect, GVarId, IfaceId, Interval, LevelIdx,
+    LinkId, NodeId, PropId,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -226,8 +225,151 @@ pub struct PlanningTask {
     pub orbits: crate::symmetry::NodeOrbits,
     /// Compilation statistics.
     pub stats: CompileStats,
-    pub(crate) prop_index: HashMap<PropData, PropId>,
-    pub(crate) gvar_index: HashMap<GVarData, GVarId>,
+    pub(crate) index: GroundIndex,
+}
+
+/// Layout of a table holding `width[i]` slots per node for each interface
+/// `i`, interface-major: the shape of `avail(i, n, level)` and of
+/// `IfaceProp(i, prop, n)`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeBlocks {
+    nodes: usize,
+    base: Vec<usize>,
+    width: Vec<usize>,
+}
+
+impl NodeBlocks {
+    pub(crate) fn new(nodes: usize, widths: impl IntoIterator<Item = usize>) -> Self {
+        let width: Vec<usize> = widths.into_iter().collect();
+        let mut base = Vec::with_capacity(width.len() + 1);
+        base.push(0);
+        for w in &width {
+            base.push(base[base.len() - 1] + nodes * w);
+        }
+        NodeBlocks { nodes, base, width }
+    }
+
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.base.last().copied().unwrap_or(0)
+    }
+
+    /// The slot of entry `k` of interface `i` on `node`; `None` outside
+    /// the table.
+    pub(crate) fn slot(&self, i: IfaceId, node: NodeId, k: usize) -> Option<usize> {
+        let width = *self.width.get(i.index())?;
+        (node.index() < self.nodes && k < width)
+            .then(|| self.base[i.index()] + node.index() * width + k)
+    }
+}
+
+/// Marks a slot no datum has been interned at.
+const NONE: u32 = u32::MAX;
+
+/// Dense id tables of the ground propositions and variables, one slot for
+/// every datum the problem's dimensions allow, so a lookup is a
+/// range-checked array read. Propositions: `placed` (components × nodes),
+/// then `avail` (nodes × levels per interface). Variables: interface
+/// properties (nodes × properties per interface), then node resources
+/// (catalog × nodes), then link resources (catalog × links).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroundIndex {
+    comps: usize,
+    nodes: usize,
+    links: usize,
+    resources: usize,
+    avail: NodeBlocks,
+    iface_props: NodeBlocks,
+    props: Vec<u32>,
+    gvars: Vec<u32>,
+}
+
+impl GroundIndex {
+    /// Empty tables for `p`, whose interfaces carry `levels` levels each.
+    pub(crate) fn new(p: &CppProblem, levels: impl IntoIterator<Item = usize>) -> Self {
+        let (comps, nodes, links) =
+            (p.components.len(), p.network.num_nodes(), p.network.num_links());
+        let resources = p.resources.len();
+        let avail = NodeBlocks::new(nodes, levels);
+        let iface_props = NodeBlocks::new(nodes, p.interfaces.iter().map(|i| i.properties.len()));
+        GroundIndex {
+            props: vec![NONE; comps * nodes + avail.len()],
+            gvars: vec![NONE; iface_props.len() + resources * (nodes + links)],
+            comps,
+            nodes,
+            links,
+            resources,
+            avail,
+            iface_props,
+        }
+    }
+
+    /// The `avail` block layout.
+    pub(crate) fn avail(&self) -> &NodeBlocks {
+        &self.avail
+    }
+
+    fn prop_slot(&self, data: &PropData) -> Option<usize> {
+        match *data {
+            PropData::Placed { comp, node } => (comp.index() < self.comps
+                && node.index() < self.nodes)
+                .then(|| comp.index() * self.nodes + node.index()),
+            PropData::Avail { iface, node, level } => {
+                Some(self.comps * self.nodes + self.avail.slot(iface, node, level as usize)?)
+            }
+        }
+    }
+
+    fn gvar_slot(&self, data: &GVarData) -> Option<usize> {
+        let node_res = self.iface_props.len();
+        let link_res = node_res + self.resources * self.nodes;
+        match *data {
+            GVarData::IfaceProp { iface, prop, node } => {
+                self.iface_props.slot(iface, node, prop as usize)
+            }
+            GVarData::NodeRes { res, node } => (usize::from(res) < self.resources
+                && node.index() < self.nodes)
+                .then(|| node_res + usize::from(res) * self.nodes + node.index()),
+            GVarData::LinkRes { res, link } => (usize::from(res) < self.resources
+                && link.index() < self.links)
+                .then(|| link_res + usize::from(res) * self.links + link.index()),
+        }
+    }
+
+    fn prop(&self, data: &PropData) -> Option<PropId> {
+        let id = *self.props.get(self.prop_slot(data)?)?;
+        (id != NONE).then_some(PropId(id))
+    }
+
+    fn gvar(&self, data: &GVarData) -> Option<GVarId> {
+        let id = *self.gvars.get(self.gvar_slot(data)?)?;
+        (id != NONE).then_some(GVarId(id))
+    }
+
+    /// The id of `data`, entering `next` for it when it has none yet;
+    /// true when it is new. Panics outside the problem's dimensions,
+    /// which the grounder never leaves.
+    pub(crate) fn intern_prop(&mut self, data: &PropData, next: usize) -> (PropId, bool) {
+        let slot = self.prop_slot(data).expect("proposition within the problem's dimensions");
+        let (id, new) = enter(&mut self.props[slot], next);
+        (PropId(id), new)
+    }
+
+    /// The id of `data`, as [`GroundIndex::intern_prop`].
+    pub(crate) fn intern_gvar(&mut self, data: &GVarData, next: usize) -> (GVarId, bool) {
+        let slot = self.gvar_slot(data).expect("variable within the problem's dimensions");
+        let (id, new) = enter(&mut self.gvars[slot], next);
+        (GVarId(id), new)
+    }
+}
+
+/// The id in `entry`, or `next` entered there; true when it is new.
+fn enter(entry: &mut u32, next: usize) -> (u32, bool) {
+    let new = *entry == NONE;
+    if new {
+        *entry = u32::try_from(next).ok().filter(|&id| id != NONE).expect("id overflow");
+    }
+    (*entry, new)
 }
 
 impl PlanningTask {
@@ -291,14 +433,16 @@ impl PlanningTask {
         self.props[p.index()]
     }
 
-    /// Proposition id lookup.
+    /// Proposition id lookup: `None` for a proposition the task does not
+    /// have, whatever its components, nodes or levels.
     pub fn prop_id(&self, data: &PropData) -> Option<PropId> {
-        self.prop_index.get(data).copied()
+        self.index.prop(data)
     }
 
-    /// Ground variable id lookup.
+    /// Ground variable id lookup: `None` for a variable the task does not
+    /// have, whatever its interfaces, nodes, links or resources.
     pub fn gvar_id(&self, data: &GVarData) -> Option<GVarId> {
-        self.gvar_index.get(data).copied()
+        self.index.gvar(data)
     }
 
     /// True iff `p` holds initially.
@@ -337,6 +481,7 @@ impl fmt::Display for GroundAction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn prop_data_hash_and_eq() {

@@ -396,6 +396,12 @@ impl Parser {
                 let nb = net
                     .node_by_name(&b)
                     .ok_or_else(|| SpecError::parse(line, format!("unknown node `{b}`")))?;
+                if na == nb {
+                    return Err(SpecError::parse(
+                        line,
+                        format!("link `{a} -- {b}` joins a node to itself"),
+                    ));
+                }
                 net.add_link(na, nb, class, res);
             } else {
                 return Err(SpecError::parse(line, "expected `node` or `link`"));
@@ -792,6 +798,16 @@ mod tests {
         assert!(parse_problem("network { link a -- b { } }").is_err());
         assert!(parse_problem("problem { goal C at nowhere; }").is_err());
         assert!(parse_problem("bogus").is_err());
+    }
+
+    #[test]
+    fn self_link_is_a_parse_error() {
+        let looped = MERGER.replace("link n0 -- n1 wan", "link n1 -- n1 wan");
+        let err = parse_problem(&looped).unwrap_err();
+        assert!(
+            matches!(&err, SpecError::Parse { line, msg } if *line > 0 && msg.contains("itself")),
+            "{err}"
+        );
     }
 
     #[test]
