@@ -30,10 +30,13 @@
 //! keep their relative order.
 
 use crate::relevance::Relevance;
-use crate::task::{ActionKind, GVarData, GroundAction, GroundIndex, PlanningTask, PropData};
+use crate::task::{
+    ActionKind, GVarData, GroundAction, GroundIndex, PlanningTask, PropData, MAX_SLOTS,
+};
 use sekitei_model::{
     AssignOp, CompId, ComponentSpec, Cond, CppProblem, DirLink, Effect, Expr, GVarId, IfaceId,
-    InterfaceSpec, Interval, LevelSpec, Locus, ModelError, NodeId, Placement, PropId, SpecVar,
+    InterfaceSpec, Interval, LevelSpec, LinkId, Locus, ModelError, NodeId, Placement, PropId,
+    SpecVar,
 };
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -123,7 +126,12 @@ fn build(problem: &CppProblem, slice: bool) -> Result<PlanningTask, CompileError
             .collect::<Result<Vec<_>, _>>()?;
         (places, crosses)
     };
-    let index = GroundIndex::new(problem, crosses.iter().map(CrossSchema::levels));
+    let index =
+        GroundIndex::new(problem, crosses.iter().map(CrossSchema::levels)).ok_or_else(|| {
+            ModelError::Invalid(format!(
+                "too large to ground: more than {MAX_SLOTS} proposition and variable slots"
+            ))
+        })?;
     let relevant = slice.then(|| {
         let _g = sekitei_obs::span("relevance");
         Relevance::closure(problem, &places, &crosses, index.avail())
@@ -421,11 +429,6 @@ impl Variants {
         });
     }
 
-    /// The interface levels of each variant, as [`Variant::levels`].
-    fn levels(&self) -> impl Iterator<Item = &[usize]> {
-        (0..self.ends.len()).map(|k| &self.levels[k * self.stride..(k + 1) * self.stride])
-    }
-
     fn iter(&self) -> impl Iterator<Item = Variant<'_>> {
         let starts = std::iter::once(Ends::default()).chain(self.ends.iter().copied());
         starts.zip(&self.ends).enumerate().map(move |(k, (s, e))| Variant {
@@ -486,9 +489,11 @@ impl Classes {
         self.at[site].map(|k| &self.classes[k])
     }
 
-    /// The interface levels of each variant at `site`.
-    pub(crate) fn levels_at(&self, site: usize) -> impl Iterator<Item = &[usize]> {
-        self.at(site).into_iter().flat_map(Variants::levels)
+    /// The interface levels of each variant at `site` (none listed for a
+    /// schema without interfaces, which has no levels to propagate).
+    pub(crate) fn levels_at(&self, site: usize) -> std::slice::Chunks<'_, usize> {
+        let (levels, stride) = self.at(site).map_or((&[][..], 1), |v| (&v.levels[..], v.stride));
+        levels.chunks(stride.max(1))
     }
 
     /// Level combinations evaluated, over every class.
@@ -834,7 +839,7 @@ impl<'p> CrossSchema<'p> {
         let classes = Classes::build(
             p.network.num_links(),
             |l, caps| {
-                schema.res_avail(p, sekitei_model::LinkId::from_index(l), caps);
+                schema.res_avail(p, LinkId::from_index(l), caps);
                 true
             },
             |caps| schema.evaluate(p, caps, s),
@@ -850,7 +855,7 @@ impl<'p> CrossSchema<'p> {
 
     /// Values the mentioned link resources may hold on `link` — the only
     /// thing a variant's evaluation reads from the link.
-    fn res_avail(&self, p: &CppProblem, link: sekitei_model::LinkId, out: &mut Vec<Interval>) {
+    fn res_avail(&self, p: &CppProblem, link: LinkId, out: &mut Vec<Interval>) {
         out.clear();
         out.extend(self.link_res.iter().map(|&r| {
             let res = &p.resources[r as usize];
@@ -1450,6 +1455,36 @@ mod tests {
         let mut p = scenarios::tiny(LevelScenario::C);
         p.goals.clear();
         assert!(matches!(compile(&p), Err(CompileError::Model(_))));
+    }
+
+    #[test]
+    fn oversized_index_is_refused_before_grounding() {
+        // 4 096 nodes × 4 096 levels of `X` is 2^24 `avail` slots, and the
+        // placements push the index past `MAX_SLOTS`
+        use sekitei_model::{
+            ComponentSpec, Goal, InterfaceSpec, LevelSpec, Network, ResourceDef, StreamSource,
+        };
+        let mut network = Network::new();
+        let nodes: Vec<NodeId> =
+            (0..4096).map(|i| network.add_node(format!("n{i}"), [("cpu", 1.0)])).collect();
+        let cuts = LevelSpec::new((1..4096).map(f64::from).collect()).unwrap();
+        let p = CppProblem {
+            network,
+            resources: vec![ResourceDef::node("cpu"), ResourceDef::link("lbw")],
+            interfaces: vec![
+                InterfaceSpec::bandwidth_stream("X", "ibw", "lbw").with_levels("ibw", cuts)
+            ],
+            components: vec![ComponentSpec::new("C").requires("X")],
+            sources: vec![StreamSource::up_to("X", nodes[0], "ibw", 10.0)],
+            pre_placed: vec![],
+            goals: vec![Goal { component: "C".into(), node: nodes[1] }],
+        };
+        match compile(&p) {
+            Err(CompileError::Model(ModelError::Invalid(msg))) => {
+                assert!(msg.contains("too large to ground"), "{msg}")
+            }
+            other => panic!("expected the size guard, got {other:?}"),
+        }
     }
 
     #[test]

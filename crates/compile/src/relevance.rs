@@ -90,7 +90,7 @@ impl Relevance {
     }
 
     fn index(&self, i: IfaceId, node: NodeId, level: usize) -> usize {
-        self.layout.slot(i, node, level).expect("avail within the problem's levels")
+        self.layout.at(i, node, level)
     }
 
     fn mark(

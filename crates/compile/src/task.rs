@@ -2,7 +2,7 @@
 //! and leveled ground actions with optimistic resource maps.
 //!
 //! The compilation (see [`crate::ground`]) turns a validated
-//! [`CppProblem`](sekitei_model::CppProblem) into the AI-style planning
+//! [`CppProblem`] into the AI-style planning
 //! problem of paper §2.2/§3.1: `place(component, node)` and
 //! `cross(interface, link)` actions, each instantiated once per feasible
 //! combination of resource levels, carrying
@@ -239,14 +239,17 @@ pub(crate) struct NodeBlocks {
 }
 
 impl NodeBlocks {
-    pub(crate) fn new(nodes: usize, widths: impl IntoIterator<Item = usize>) -> Self {
+    /// The layout, or `None` when its size overflows.
+    fn new(nodes: usize, widths: impl IntoIterator<Item = usize>) -> Option<Self> {
         let width: Vec<usize> = widths.into_iter().collect();
         let mut base = Vec::with_capacity(width.len() + 1);
-        base.push(0);
+        let mut len = 0usize;
+        base.push(len);
         for w in &width {
-            base.push(base[base.len() - 1] + nodes * w);
+            len = len.checked_add(nodes.checked_mul(*w)?)?;
+            base.push(len);
         }
-        NodeBlocks { nodes, base, width }
+        Some(NodeBlocks { nodes, base, width })
     }
 
     /// Number of slots.
@@ -258,13 +261,24 @@ impl NodeBlocks {
     /// the table.
     pub(crate) fn slot(&self, i: IfaceId, node: NodeId, k: usize) -> Option<usize> {
         let width = *self.width.get(i.index())?;
-        (node.index() < self.nodes && k < width)
-            .then(|| self.base[i.index()] + node.index() * width + k)
+        (node.index() < self.nodes && k < width).then(|| self.at(i, node, k))
+    }
+
+    /// The slot of entry `k` of interface `i` on `node`, all three within
+    /// the table.
+    pub(crate) fn at(&self, i: IfaceId, node: NodeId, k: usize) -> usize {
+        debug_assert!(node.index() < self.nodes && k < self.width[i.index()]);
+        self.base[i.index()] + node.index() * self.width[i.index()] + k
     }
 }
 
 /// Marks a slot no datum has been interned at.
 const NONE: u32 = u32::MAX;
+
+/// Most slots a [`GroundIndex`] may hold (64 MiB of ids): far above any
+/// problem the planner can ground, and a bound on what a problem read
+/// from outside can make it allocate.
+pub(crate) const MAX_SLOTS: usize = 1 << 24;
 
 /// Dense id tables of the ground propositions and variables, one slot for
 /// every datum the problem's dimensions allow, so a lookup is a
@@ -285,23 +299,30 @@ pub(crate) struct GroundIndex {
 }
 
 impl GroundIndex {
-    /// Empty tables for `p`, whose interfaces carry `levels` levels each.
-    pub(crate) fn new(p: &CppProblem, levels: impl IntoIterator<Item = usize>) -> Self {
+    /// Empty tables for `p`, whose interfaces carry `levels` levels each;
+    /// `None` when they would hold more than [`MAX_SLOTS`] slots.
+    pub(crate) fn new(p: &CppProblem, levels: impl IntoIterator<Item = usize>) -> Option<Self> {
         let (comps, nodes, links) =
             (p.components.len(), p.network.num_nodes(), p.network.num_links());
         let resources = p.resources.len();
-        let avail = NodeBlocks::new(nodes, levels);
-        let iface_props = NodeBlocks::new(nodes, p.interfaces.iter().map(|i| i.properties.len()));
-        GroundIndex {
-            props: vec![NONE; comps * nodes + avail.len()],
-            gvars: vec![NONE; iface_props.len() + resources * (nodes + links)],
+        let avail = NodeBlocks::new(nodes, levels)?;
+        let iface_props = NodeBlocks::new(nodes, p.interfaces.iter().map(|i| i.properties.len()))?;
+        let props = comps.checked_mul(nodes)?.checked_add(avail.len())?;
+        let gvars =
+            resources.checked_mul(nodes.checked_add(links)?)?.checked_add(iface_props.len())?;
+        if props.checked_add(gvars)? > MAX_SLOTS {
+            return None;
+        }
+        Some(GroundIndex {
+            props: vec![NONE; props],
+            gvars: vec![NONE; gvars],
             comps,
             nodes,
             links,
             resources,
             avail,
             iface_props,
-        }
+        })
     }
 
     /// The `avail` block layout.
@@ -367,7 +388,7 @@ impl GroundIndex {
 fn enter(entry: &mut u32, next: usize) -> (u32, bool) {
     let new = *entry == NONE;
     if new {
-        *entry = u32::try_from(next).ok().filter(|&id| id != NONE).expect("id overflow");
+        *entry = u32::try_from(next).expect("fewer ids than `MAX_SLOTS`");
     }
     (*entry, new)
 }
