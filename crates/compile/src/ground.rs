@@ -358,7 +358,7 @@ impl Formulas {
 
 /// Per-combination evaluation scratch, reused by every class evaluation.
 #[derive(Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     optimistic: Vec<(GVarId, Interval)>,
     assigned: Vec<(GVarId, u8)>,
     produced: Vec<(GVarId, Interval)>,
@@ -372,7 +372,7 @@ pub(crate) struct Scratch {
 /// them but its variable ids and its name. Stored flat; variant `k` owns
 /// `stride` entries of `levels` and runs to `ends[k]` in the other lists.
 #[derive(Default)]
-pub(crate) struct Variants {
+struct Variants {
     stride: usize,
     levels: Vec<usize>,
     optimistic: Vec<(GVarId, Interval)>,
@@ -397,10 +397,10 @@ struct Ends {
 }
 
 /// A surviving level variant, borrowed from its class's [`Variants`].
-pub(crate) struct Variant<'a> {
+struct Variant<'a> {
     /// Interface levels: a placement's inputs then outputs, or a
     /// crossing's stream on the sending then on the receiving node.
-    pub(crate) levels: &'a [usize],
+    levels: &'a [usize],
     /// Optimistic resource map.
     optimistic: &'a [(GVarId, Interval)],
     /// Output claims.
@@ -485,7 +485,7 @@ impl Classes {
     }
 
     /// The variants at `site`; none where the schema has no instance.
-    pub(crate) fn at(&self, site: usize) -> Option<&Variants> {
+    fn at(&self, site: usize) -> Option<&Variants> {
         self.at[site].map(|k| &self.classes[k])
     }
 
@@ -508,7 +508,7 @@ impl Classes {
 /// the node resources its formulas mention, their level specs, its
 /// formulas over slots, and its variants per capacity class.
 pub(crate) struct PlaceSchema<'p> {
-    pub(crate) comp: CompId,
+    comp: CompId,
     spec: &'p ComponentSpec,
     /// Required interfaces, in declaration order.
     pub(crate) req: Vec<IfaceId>,
@@ -751,7 +751,7 @@ impl<'p> PlaceSchema<'p> {
 /// formulas mention, the level specs, its formulas over slots, and its
 /// variants per capacity class.
 pub(crate) struct CrossSchema<'p> {
-    pub(crate) iface: IfaceId,
+    iface: IfaceId,
     spec: &'p InterfaceSpec,
     link_res: Vec<u16>,
     level_spec: LevelSpec,
@@ -849,7 +849,7 @@ impl<'p> CrossSchema<'p> {
     }
 
     /// Number of levels of the stream's primary property.
-    pub(crate) fn levels(&self) -> usize {
+    fn levels(&self) -> usize {
         self.level_spec.num_levels()
     }
 

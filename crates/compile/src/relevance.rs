@@ -22,7 +22,7 @@ use sekitei_model::{CompId, CppProblem, IfaceId, NodeId};
 /// Which `avail` propositions, and so which ground actions, can contribute
 /// to a goal.
 pub(crate) struct Relevance {
-    /// `avail[layout.slot(i, n, l)]`: `avail(i, n, l)` is relevant.
+    /// `avail[layout.at(i, n, l)]`: `avail(i, n, l)` is relevant.
     avail: Vec<bool>,
     layout: NodeBlocks,
     degradable: Vec<bool>,

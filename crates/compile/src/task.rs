@@ -259,7 +259,7 @@ impl NodeBlocks {
 
     /// The slot of entry `k` of interface `i` on `node`; `None` outside
     /// the table.
-    pub(crate) fn slot(&self, i: IfaceId, node: NodeId, k: usize) -> Option<usize> {
+    fn slot(&self, i: IfaceId, node: NodeId, k: usize) -> Option<usize> {
         let width = *self.width.get(i.index())?;
         (node.index() < self.nodes && k < width).then(|| self.at(i, node, k))
     }
