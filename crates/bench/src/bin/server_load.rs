@@ -10,9 +10,9 @@
 //!   the same Zipf mix, one fresh server per capacity point (this is the
 //!   CLOCK eviction policy earning its keep: hot heads stay resident
 //!   well below corpus size).
-//! - a `shed` row — priority shedding under deliberate queue pressure
-//!   (more connections than workers, a small queue cap, every 3rd
-//!   request `Low` priority).
+//! - a `shed` row — priority shedding under deliberate search pressure
+//!   (no outcome cache, more distinct searches in flight than search
+//!   permits, a small queue cap, every 3rd request `Low` priority).
 //!
 //! The deterministic report goes to stdout (byte-identical per seed),
 //! timing to stderr. Run it from the repository root.
@@ -105,15 +105,19 @@ fn main() {
         join.join().unwrap().expect("server exits cleanly");
     }
 
-    // shed run: deliberate queue pressure (4x more connections than
-    // workers, small queue cap) with every 3rd request Low priority —
-    // measures that the priority gate sheds the low class first
+    // shed run: search pressure with every 3rd request Low priority —
+    // measures that the priority gate sheds the low class first. With no
+    // outcome cache every request searches or joins a search, so the 5
+    // keys keep up to 3 searches waiting for the 2 permits, past the Low
+    // threshold (half the queue cap); the connections stay within the cap
+    // of workers + queue_cap.
     let shed_requests = (requests / 25).clamp(1_000, 4_000);
+    let (workers, queue_cap, connections) = (2, 4, 6);
     let (addr, join) =
-        spawn_server(ServerConfig { workers: 2, queue_cap: 8, ..ServerConfig::default() });
+        spawn_server(ServerConfig { workers, queue_cap, cache_cap: 0, ..ServerConfig::default() });
     let cfg = LoadgenConfig {
         requests: shed_requests,
-        connections: 8,
+        connections,
         seed,
         zipf_s: 1.1,
         pipeline: 4,
@@ -125,8 +129,9 @@ fn main() {
     let r = loadgen::run(&cfg, addr, &corpus).expect("shed run");
     eprintln!("shed low_every=3: {} shed / {} requests ({} errors)", r.shed, r.completed, r.errors);
     extra_rows.push_str(&format!(
-        ",\n  {{\"row\": \"shed\", \"low_every\": 3, \"queue_cap\": 8, \"workers\": 2, \
-\"connections\": 8, \"requests\": {}, \"shed\": {}, \"errors\": {}}}",
+        ",\n  {{\"row\": \"shed\", \"low_every\": 3, \"queue_cap\": {queue_cap}, \
+\"cache_cap\": 0, \"workers\": {workers}, \"connections\": {connections}, \"requests\": {}, \
+\"shed\": {}, \"errors\": {}}}",
         r.completed, r.shed, r.errors
     ));
     request_shutdown(addr).expect("shutdown");

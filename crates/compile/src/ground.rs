@@ -1459,23 +1459,27 @@ mod tests {
 
     #[test]
     fn oversized_index_is_refused_before_grounding() {
-        // 4 096 nodes × 4 096 levels of `X` is 2^24 `avail` slots, and the
-        // placements push the index past `MAX_SLOTS`
+        // 4 096 nodes × 17 interfaces × 256 levels is 17.8M `avail` slots,
+        // past `MAX_SLOTS` (2^24), though no level spec is wider than the
+        // 256 levels `validate` allows
         use sekitei_model::{
             ComponentSpec, Goal, InterfaceSpec, LevelSpec, Network, ResourceDef, StreamSource,
         };
         let mut network = Network::new();
         let nodes: Vec<NodeId> =
             (0..4096).map(|i| network.add_node(format!("n{i}"), [("cpu", 1.0)])).collect();
-        let cuts = LevelSpec::new((1..4096).map(f64::from).collect()).unwrap();
+        let cuts = LevelSpec::new((1..256).map(f64::from).collect()).unwrap();
         let p = CppProblem {
             network,
             resources: vec![ResourceDef::node("cpu"), ResourceDef::link("lbw")],
-            interfaces: vec![
-                InterfaceSpec::bandwidth_stream("X", "ibw", "lbw").with_levels("ibw", cuts)
-            ],
-            components: vec![ComponentSpec::new("C").requires("X")],
-            sources: vec![StreamSource::up_to("X", nodes[0], "ibw", 10.0)],
+            interfaces: (0..17)
+                .map(|k| {
+                    InterfaceSpec::bandwidth_stream(format!("X{k}"), "ibw", "lbw")
+                        .with_levels("ibw", cuts.clone())
+                })
+                .collect(),
+            components: vec![ComponentSpec::new("C").requires("X0")],
+            sources: vec![StreamSource::up_to("X0", nodes[0], "ibw", 10.0)],
             pre_placed: vec![],
             goals: vec![Goal { component: "C".into(), node: nodes[1] }],
         };

@@ -2,7 +2,7 @@
 
 use crate::component::{ComponentSpec, InterfaceSpec, Placement, SpecVar};
 use crate::error::ModelError;
-use crate::ids::{CompId, IfaceId, NodeId};
+use crate::ids::{CompId, IfaceId, LevelIdx, NodeId};
 use crate::interval::Interval;
 use crate::network::Network;
 use crate::resource::{Locus, ResourceDef};
@@ -72,6 +72,10 @@ pub struct CppProblem {
     pub goals: Vec<Goal>,
 }
 
+/// Most levels a level spec may have, and most properties an interface may
+/// carry: the grounder stores both indices in one byte ([`LevelIdx`]).
+const MAX_INDEX: usize = LevelIdx::MAX as usize + 1;
+
 impl CppProblem {
     /// Find an interface id by name.
     pub fn iface_id(&self, name: &str) -> Option<IfaceId> {
@@ -99,16 +103,31 @@ impl CppProblem {
     }
 
     /// Structural validation: referential integrity of every name,
-    /// variable-scope checking of every formula, and no NaN among node and
+    /// variable-scope checking of every formula, no NaN among node and
     /// link resource amounts or source-interval bounds (`+∞` upper bounds
-    /// are legal). Run once after construction or parsing; the compiler
-    /// assumes a validated problem.
+    /// are legal), and no level spec of more than 256 levels nor interface
+    /// of more than 256 properties. Run once after construction or
+    /// parsing; the compiler assumes a validated problem.
     pub fn validate(&self) -> Result<(), ModelError> {
-        // unique names
+        // unique names, and level and property counts that fit a byte index
         let mut seen = HashSet::new();
         for i in &self.interfaces {
             if !seen.insert(format!("iface:{}", i.name)) {
                 return Err(ModelError::DuplicateName(i.name.clone()));
+            }
+            if i.properties.len() > MAX_INDEX {
+                return Err(ModelError::Invalid(format!(
+                    "interface `{}` has {} properties, more than {MAX_INDEX}",
+                    i.name,
+                    i.properties.len()
+                )));
+            }
+            if let Some((prop, l)) = i.levels.iter().find(|(_, l)| l.num_levels() > MAX_INDEX) {
+                return Err(ModelError::Invalid(format!(
+                    "interface `{}.{prop}` has {} levels, more than {MAX_INDEX}",
+                    i.name,
+                    l.num_levels()
+                )));
             }
         }
         for c in &self.components {
@@ -119,6 +138,13 @@ impl CppProblem {
         for r in &self.resources {
             if !seen.insert(format!("res:{}:{:?}", r.name, r.locus)) {
                 return Err(ModelError::DuplicateName(r.name.clone()));
+            }
+            if r.levels.num_levels() > MAX_INDEX {
+                return Err(ModelError::Invalid(format!(
+                    "resource `{}` has {} levels, more than {MAX_INDEX}",
+                    r.name,
+                    r.levels.num_levels()
+                )));
             }
         }
         let mut node_names = HashSet::new();
@@ -280,6 +306,7 @@ impl CppProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::levels::LevelSpec;
     use crate::media::{media_domain, LevelScenario};
     use crate::network::LinkClass;
     use crate::resource::names::{CPU, LBW};
@@ -387,6 +414,46 @@ mod tests {
         let mut p = tiny_problem();
         p.sources[0].properties.insert("ibw".into(), Interval::new(0.0, f64::INFINITY));
         p.validate().unwrap();
+    }
+
+    /// `n` levels: cutpoints 1, 2, …, n − 1.
+    fn levels(n: usize) -> LevelSpec {
+        LevelSpec::new((1..n).map(|c| c as f64).collect()).unwrap()
+    }
+
+    #[test]
+    fn refuses_more_than_256_interface_levels() {
+        let mut p = tiny_problem();
+        p.interfaces[0].levels.insert("ibw".into(), levels(256));
+        p.validate().unwrap();
+        p.interfaces[0].levels.insert("ibw".into(), levels(257));
+        assert!(
+            matches!(p.validate(), Err(ModelError::Invalid(m)) if m.contains("`M.ibw` has 257 levels"))
+        );
+    }
+
+    #[test]
+    fn refuses_more_than_256_resource_levels() {
+        let mut p = tiny_problem();
+        let lbw = p.resources.iter().position(|r| r.name == LBW).unwrap();
+        p.resources[lbw].levels = levels(256);
+        p.validate().unwrap();
+        p.resources[lbw].levels = levels(257);
+        assert!(
+            matches!(p.validate(), Err(ModelError::Invalid(m)) if m.contains("`lbw` has 257 levels"))
+        );
+    }
+
+    #[test]
+    fn refuses_more_than_256_interface_properties() {
+        let mut p = tiny_problem();
+        let m = &mut p.interfaces[0];
+        m.properties.extend((m.properties.len()..256).map(|k| format!("p{k}")));
+        p.validate().unwrap();
+        p.interfaces[0].properties.push("p256".into());
+        assert!(
+            matches!(p.validate(), Err(ModelError::Invalid(m)) if m.contains("`M` has 257 properties"))
+        );
     }
 
     #[test]

@@ -87,7 +87,8 @@ pub struct PlannerConfig {
     /// turning it off is the ablation showing why Figure 8 matters.
     pub replay_pruning: bool,
     /// Wall-clock budget for one planning run, measured from the `t0`
-    /// anchor (request arrival; includes compilation). The RG checks it
+    /// anchor (request arrival; includes compilation, and in the server
+    /// the request's wait for a search permit). The RG checks it
     /// amortized, every [`rg::DEADLINE_CHECK_STRIDE`] units of search
     /// work; tripping it sets [`PlannerStats::budget_exhausted`] and
     /// [`PlannerStats::deadline_hit`]. `None` (the default) never reads

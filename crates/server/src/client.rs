@@ -54,7 +54,7 @@ impl From<SpecError> for ClientError {
 }
 
 /// A persistent connection to a planning server. Requests on one
-/// connection are served in order by a single worker; open several
+/// connection are served in order by one server thread; open several
 /// connections for parallelism.
 #[derive(Debug)]
 pub struct Connection {
@@ -158,10 +158,10 @@ pub struct StatsSnapshot {
     /// fingerprint (single-flight coalescing): one search ran, its
     /// encoded bytes fanned out to these joiners.
     pub coalesced: u64,
-    /// Connections turned away by admission control (queue full).
+    /// Connections turned away by admission control (connection cap).
     pub rejected: u64,
-    /// Plan requests shed by the priority gate under queue pressure
-    /// (answered `Rejected` without running the planner).
+    /// Plan requests shed by the priority gate while searches wait for a
+    /// permit (answered `Rejected` without running the planner).
     pub queue_shed: u64,
     /// Median plan latency since startup, microseconds (histogram bucket
     /// lower bound; see `sekitei_obs::HistogramSnapshot::quantile`).
@@ -172,9 +172,10 @@ pub struct StatsSnapshot {
     pub p99_us: u64,
     /// Slowest plan latency observed, microseconds.
     pub max_us: u64,
-    /// Median time connections waited in the accept queue, microseconds.
+    /// Median time plan requests waited for a search permit (0 when
+    /// answered from encoded bytes), microseconds.
     pub queue_p50_us: u64,
-    /// 99th-percentile queue wait, microseconds.
+    /// 99th-percentile permit wait, microseconds.
     pub queue_p99_us: u64,
     /// Outcome-class partition of served plan requests: each request lands
     /// in exactly one class (precedence: error > cached > deadline_hit >

@@ -154,7 +154,7 @@ pub struct FlightRecord {
     pub class: OutcomeClass,
     /// Cache tier that answered.
     pub tier: CacheTier,
-    /// Accept-queue wait of the carrying connection, microseconds.
+    /// Search-permit wait, microseconds (0 for answers from encoded bytes).
     pub queue_wait_us: u64,
     /// RG nodes the search created (0 for cache hits and errors).
     pub rg_nodes: u64,

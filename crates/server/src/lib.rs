@@ -14,11 +14,11 @@
 //! - [`persist`] — an append-only checksummed snapshot of the outcome
 //!   tier (`SKS1`), replayed on start so a restart keeps its warm hit
 //!   rate.
-//! - [`server`] — a nonblocking acceptor feeding one bounded connection
-//!   queue, drained by worker threads that share one cache with
-//!   single-flight request coalescing, one stats registry and one flight
-//!   ring; every request plans under a wall-clock deadline with graceful
-//!   degradation and priority-aware shedding under pressure.
+//! - [`server`] — a nonblocking acceptor giving each connection a thread
+//!   of its own, with searches bounded by a pool of permits; the threads
+//!   share one cache with single-flight request coalescing, one stats
+//!   registry and one flight ring; every request plans under a wall-clock
+//!   deadline with graceful degradation and priority-aware shedding.
 //! - [`client`] — blocking request helpers used by `sekitei request` and
 //!   the benches.
 //! - [`flight`] — a bounded ring of per-request records with

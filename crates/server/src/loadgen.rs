@@ -20,9 +20,8 @@
 //! what the queue does under bursty load rather than what the server
 //! can absorb.
 //!
-//! Note: the server dedicates one worker to each live connection, so
-//! `connections` must not exceed the server's worker count or the extra
-//! connections wait in the accept queue for the whole run.
+//! Note: the server turns away connections past its cap of `workers +
+//! queue_cap`, so `connections` must stay within it.
 
 use crate::client::ClientError;
 use crate::flight::OutcomeClass;
@@ -64,7 +63,7 @@ impl ScenarioItem {
 pub struct LoadgenConfig {
     /// Total requests across all connections.
     pub requests: u64,
-    /// Persistent connections (each served by one dedicated worker).
+    /// Persistent connections (each served in order by one server thread).
     pub connections: usize,
     /// Seed for every per-connection schedule stream.
     pub seed: u64,

@@ -59,17 +59,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 
 /// Admission-control priority of a plan request. Under queue pressure
 /// the server sheds low-priority requests first: `Low` sheds once the
-/// connection queue is half full, `Normal` only once it is completely full,
-/// `High` is never shed by the priority gate (only by the hard
-/// connection-level admission cap).
+/// searches waiting for a permit reach half the queue cap, `Normal` once
+/// they reach the cap, `High` never (only the connection cap turns a
+/// connection away).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
     /// Never shed by the priority gate.
     High,
-    /// Shed only when the connection queue is completely full.
+    /// Shed only when the queue of waiting searches is completely full.
     #[default]
     Normal,
-    /// Shed once the connection queue is half full.
+    /// Shed once the queue of waiting searches is half full.
     Low,
 }
 

@@ -1,6 +1,14 @@
-//! The serving loop: a nonblocking acceptor feeds one bounded connection
-//! queue, drained by worker threads that share one stats registry, one
-//! flight-recorder ring and one outcome cache.
+//! The serving loop: a nonblocking acceptor gives each admitted
+//! connection a thread of its own, which serves its frames in order; the
+//! threads share one stats registry, one flight-recorder ring and one
+//! outcome cache.
+//!
+//! Admission is per request: a plan request that must search holds one of
+//! `workers` search permits through decode, compile, search and encode,
+//! and the requests waiting for one are the queue depth that the priority
+//! gate sheds against. Control frames, cache hits and coalesced joins
+//! never wait, so an idle client costs a blocked thread, never a permit.
+//! Open connections are capped at `workers + queue_cap`.
 //!
 //! The cache carries a single-flight table: concurrent requests for one
 //! fingerprint elect a leader that runs the search while the rest join a
@@ -11,17 +19,16 @@
 //! `--stats` summarizes) exposes the live registry, and `FlightRecorder`
 //! dumps the ring.
 //!
-//! Shutdown: every accepted connection, queued or being served, is
-//! registered at accept time. When the accept loop stops, their read
-//! halves are shut, so a worker blocked on an idle client sees EOF at
-//! once instead of at its read timeout; a reply being written still
-//! goes out.
+//! Shutdown: every open connection is registered at accept time. When the
+//! accept loop stops, their read halves are shut, so a thread blocked on
+//! an idle client sees EOF at once instead of at its read timeout; a reply
+//! being written still goes out.
 //!
 //! Determinism argument: outcomes are pure functions of (problem bytes,
 //! planner config); coalesced fan-out hands every joiner the same encoded
 //! bytes the leader produced; and cached replays are byte replays. So
 //! per-request responses are byte-identical for every schedule, and only
-//! the *timing* facets vary run to run: queue waits, latency histograms,
+//! the *timing* facets vary run to run: permit waits, latency histograms,
 //! and whether a repeat joined a search in flight or hit the cache.
 
 use crate::cache::{content_hash, ClockCache};
@@ -36,22 +43,23 @@ use crate::stats::ServerStats;
 use sekitei_compile::compile;
 use sekitei_planner::PlannerConfig;
 use sekitei_spec::{encode_outcome, WirePhase};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads draining the connection queue (`0` = one per
-    /// available core).
+    /// Search permits: plan requests that may decode, compile, search and
+    /// encode at once (`0` = one per available core).
     pub workers: usize,
-    /// Admission control: connections beyond this many waiting in the
-    /// queue are turned away with a `Rejected` response.
+    /// Admission control: while this many searches wait for a permit,
+    /// `Normal` plan requests are shed (`Low` at half, `High` never); open
+    /// connections are capped at `workers + queue_cap`.
     pub queue_cap: usize,
     /// Entries in the outcome cache (`0` disables it).
     pub cache_cap: usize,
@@ -133,18 +141,20 @@ struct InFlight {
     done: Condvar,
 }
 
-/// An accepted connection: its registry id, the stream, and when it was
-/// queued (the queue-wait histogram measures accept → worker-pickup).
-type Accepted = (u64, Arc<TcpStream>, Instant);
+/// Search permits free, and leaders waiting for one (the queue depth).
+struct Permits {
+    free: usize,
+    waiting: usize,
+}
 
-/// Everything the workers share, borrowed for the lifetime of the scope.
+/// Everything the connection threads share, borrowed for the lifetime of
+/// the scope.
 struct ServeState {
-    /// Accepted connections waiting for a worker.
-    queue: Mutex<VecDeque<Accepted>>,
-    available: Condvar,
-    /// Every accepted connection not yet closed, queued or being served,
-    /// by id; the accept loop shuts their reads when it stops.
+    /// Every open connection, by id; the accept loop shuts their reads
+    /// when it stops.
     conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    permits: Mutex<Permits>,
+    permit_freed: Condvar,
     stats: ServerStats,
     flight: FlightRecorder,
     outcomes: Mutex<ClockCache<Arc<CachedOutcome>>>,
@@ -174,8 +184,8 @@ impl Server {
         ShutdownHandle(Arc::clone(&self.stop))
     }
 
-    /// Serve until shutdown. Workers run on scoped threads; returning
-    /// means every worker has drained and exited.
+    /// Serve until shutdown. Connections are served on scoped threads;
+    /// returning means every one of them has exited.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let workers = if self.cfg.workers == 0 {
@@ -207,9 +217,9 @@ impl Server {
         };
 
         let state = ServeState {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
             conns: Mutex::new(HashMap::new()),
+            permits: Mutex::new(Permits { free: workers, waiting: 0 }),
+            permit_freed: Condvar::new(),
             stats: ServerStats::default(),
             flight: FlightRecorder::new(self.cfg.flight_cap),
             outcomes: Mutex::new(outcomes),
@@ -219,35 +229,37 @@ impl Server {
             persist,
             queue_cap: self.cfg.queue_cap,
         };
+        // a thread per connection: the cap keeps the server from starting
+        // threads without bound
+        let max_conns = workers.saturating_add(self.cfg.queue_cap);
         let mut accept_error = None;
         let mut next_id = 0u64;
+        let state = &state;
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                let state = &state;
-                s.spawn(move || worker_loop(state));
-            }
             while !self.stop.load(Ordering::SeqCst) {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nonblocking(false);
                         let _ = stream.set_nodelay(true);
-                        let mut q = state.queue.lock().expect("queue lock poisoned");
-                        if q.len() >= self.cfg.queue_cap {
-                            drop(q);
-                            state.stats.record_rejected();
-                            reject(stream);
+                        let stream = Arc::new(stream);
+                        next_id += 1;
+                        let id = next_id;
+                        let conn = Arc::clone(&stream);
+                        let serve = move || {
+                            handle_conn(state, &conn);
+                            state.conns.lock().expect("connection registry poisoned").remove(&id);
+                        };
+                        // registered under the lock the thread needs to
+                        // deregister, so it cannot finish first
+                        let mut conns = state.conns.lock().expect("connection registry poisoned");
+                        if conns.len() < max_conns
+                            && std::thread::Builder::new().spawn_scoped(s, serve).is_ok()
+                        {
+                            conns.insert(id, stream);
                         } else {
-                            let stream = Arc::new(stream);
-                            next_id += 1;
-                            state
-                                .conns
-                                .lock()
-                                .expect("connection registry poisoned")
-                                .insert(next_id, Arc::clone(&stream));
-                            q.push_back((next_id, stream, Instant::now()));
-                            state.stats.set_queue_depth(q.len());
-                            drop(q);
-                            state.available.notify_one();
+                            drop(conns);
+                            state.stats.record_rejected();
+                            reject(&stream);
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -259,12 +271,12 @@ impl Server {
                     }
                 }
             }
-            // EOF for every worker blocked on an idle client; replies
+            // EOF for every thread blocked on an idle client; replies
             // being written still go out
             for conn in state.conns.lock().expect("connection registry poisoned").values() {
                 let _ = conn.shutdown(Shutdown::Read);
             }
-            state.available.notify_all();
+            state.permit_freed.notify_all();
         });
         match accept_error {
             Some(e) => Err(e),
@@ -274,59 +286,22 @@ impl Server {
 }
 
 /// Best-effort admission-control rejection: one frame, then drop.
-fn reject(mut stream: TcpStream) {
+fn reject(mut stream: &TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let _ = write_frame(&mut stream, &encode_response(&Response::Rejected("queue full".into())));
 }
 
-fn worker_loop(state: &ServeState) {
-    loop {
-        let conn = {
-            let mut q = state.queue.lock().expect("queue lock poisoned");
-            loop {
-                if let Some(c) = q.pop_front() {
-                    state.stats.set_queue_depth(q.len());
-                    break Some(c);
-                }
-                if state.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = state
-                    .available
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("queue lock poisoned");
-                q = guard;
-            }
-        };
-        match conn {
-            Some((id, stream, enqueued)) => {
-                let wait_us = enqueued.elapsed().as_micros() as u64;
-                state.stats.record_queue_wait(wait_us);
-                sekitei_obs::event("queue_wait_us", wait_us);
-                handle_conn(state, &stream, wait_us);
-                state.conns.lock().expect("connection registry poisoned").remove(&id);
-            }
-            None => break,
-        }
-    }
-}
-
-/// Serve every frame on one connection until EOF (the client's, or the
-/// read shutdown the accept loop issues when it stops), timeout or a
-/// `Shutdown` request.
+/// Serve every frame on one connection, in order, until EOF (the client's,
+/// or the read shutdown the accept loop issues when it stops), the idle
+/// read timeout or a `Shutdown` request.
 ///
 /// Reads go through a [`BufReader`]; responses accumulate in an
 /// out-buffer that is flushed with one `write_all` when the reader has
-/// no more buffered requests (i.e. just before the worker would block).
+/// no more buffered requests (i.e. just before the thread would block).
 /// For a pipelined batch of K requests this is 2 syscalls instead of
-/// 2K — on a single core, where the workers and the kernel share the
+/// 2K — on a single core, where the server and the kernel share the
 /// CPU, that syscall count *is* the throughput ceiling.
-///
-/// `queue_wait_us` is the accept-queue wait of this connection; it is
-/// attributed to every request the connection carries (with pipelining
-/// only the first request actually paid it, but the attribution keeps
-/// "how long did admission stall this client" answerable per record).
-fn handle_conn(state: &ServeState, stream: &TcpStream, queue_wait_us: u64) {
+fn handle_conn(state: &ServeState, stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut writer = stream;
@@ -351,11 +326,10 @@ fn handle_conn(state: &ServeState, stream: &TcpStream, queue_wait_us: u64) {
             }
             Ok(Request::Shutdown) => {
                 state.stop.store(true, Ordering::SeqCst);
-                state.available.notify_all();
                 (encode_response(&Response::Bye), true)
             }
             Ok(Request::Plan { trace_id, profile, priority, problem }) => {
-                (handle_plan(state, trace_id, profile, priority, queue_wait_us, &problem), false)
+                (handle_plan(state, trace_id, profile, priority, &problem), false)
             }
         };
         if frame_into(&mut out, &payload).is_err() {
@@ -386,18 +360,6 @@ struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    fn new(enabled: bool, queue_wait_us: u64) -> Self {
-        let mut rows = Vec::new();
-        if enabled {
-            rows.push(WirePhase {
-                name: "queue_wait".into(),
-                self_ns: queue_wait_us * 1_000,
-                count: 1,
-            });
-        }
-        PhaseTimes { enabled, rows }
-    }
-
     /// Run `f`, timing it as phase `name` when profiling is on.
     fn timed<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
         if !self.enabled {
@@ -431,9 +393,9 @@ struct Computed {
 }
 
 /// The serving pipeline for one plan request: priority gate → outcome
-/// cache → single-flight election → (leader) decode + compile → search
-/// under the configured deadline, sim-validating any degraded plan
-/// before it leaves the process.
+/// cache → single-flight election → (leader) search permit → decode +
+/// compile → search under the configured deadline, sim-validating any
+/// degraded plan before it leaves the process.
 /// Joiners skip everything and wait for the leader's published bytes.
 /// Every path — shed, cache hit, coalesced, computed, error — lands one
 /// flight record or shed count and one outcome-class count.
@@ -442,7 +404,6 @@ fn handle_plan(
     trace_id: u64,
     profile: bool,
     priority: Priority,
-    queue_wait_us: u64,
     problem_bytes: &[u8],
 ) -> Vec<u8> {
     let _span = sekitei_obs::span("request");
@@ -453,12 +414,10 @@ fn handle_plan(
     }
     let t_req = Instant::now();
 
-    // priority gate: under queue pressure, shed lower priorities before
-    // doing any work for them. A zero threshold means a zero queue cap,
-    // where connection-level admission control already rejects
-    // everything — the gate stays out of it.
+    // priority gate: while searches wait for a permit, shed lower
+    // priorities before doing any work for them
     if let Some(threshold) = shed_threshold(priority, state.queue_cap) {
-        if threshold > 0 && state.queue.lock().expect("queue lock poisoned").len() >= threshold {
+        if state.permits.lock().expect("permit lock poisoned").waiting >= threshold {
             state.stats.record_shed(priority);
             sekitei_obs::event("queue_shed", 1);
             return encode_response(&Response::Rejected(format!(
@@ -473,23 +432,14 @@ fn handle_plan(
     }
 
     let key = content_hash(problem_bytes);
-    let mut phases = PhaseTimes::new(profile, queue_wait_us);
+    let mut phases = PhaseTimes { enabled: profile, rows: Vec::new() };
 
     let cached =
         phases.timed("cache", || state.outcomes.lock().expect("outcome lock poisoned").get(key));
     if let Some(c) = cached {
         sekitei_obs::event("outcome_cache_hit", 1);
         state.stats.record_cache_hit();
-        return serve_cached_bytes(
-            state,
-            &c,
-            ServedVia::Cache,
-            trace_id,
-            key,
-            queue_wait_us,
-            t_req,
-            &phases.rows,
-        );
+        return serve_cached_bytes(state, &c, ServedVia::Cache, trace_id, key, t_req, &phases.rows);
     }
 
     // single-flight election: first request for a fingerprint leads, the
@@ -510,20 +460,12 @@ fn handle_plan(
                             ServedVia::Coalesced,
                             trace_id,
                             key,
-                            queue_wait_us,
                             t_req,
                             &phases.rows,
                         )
                     }
-                    Some(Err(msg)) => plan_error(state, trace_id, key, queue_wait_us, t_req, &msg),
-                    None => plan_error(
-                        state,
-                        trace_id,
-                        key,
-                        queue_wait_us,
-                        t_req,
-                        "server shutting down",
-                    ),
+                    Some(Err(msg)) => plan_error(state, trace_id, key, 0, t_req, &msg),
+                    None => plan_error(state, trace_id, key, 0, t_req, "server shutting down"),
                 };
             }
             None => {
@@ -534,10 +476,19 @@ fn handle_plan(
         }
     };
 
-    // leader: run the compute path, then publish — success or error —
-    // *after* the cache insert, so a request arriving as the in-flight
-    // entry disappears finds the outcome in the cache instead
-    match compute_plan(state, &mut phases, problem_bytes, t_req) {
+    // leader: wait for a search permit (after the election, so requests
+    // arriving meanwhile join), run the compute path, then publish —
+    // success or error — *after* the cache insert, so a request arriving
+    // as the in-flight entry disappears finds the outcome in the cache
+    let t_wait = Instant::now();
+    let permit = phases.timed("queue_wait", || acquire_permit(state));
+    let queue_wait_us = t_wait.elapsed().as_micros() as u64;
+    sekitei_obs::event("queue_wait_us", queue_wait_us);
+    let computed = match permit {
+        Some(_permit) => compute_plan(state, &mut phases, problem_bytes, t_req),
+        None => Err("server shutting down".to_string()),
+    };
+    match computed {
         Ok(computed) => {
             if computed.cacheable {
                 state
@@ -557,6 +508,7 @@ fn handle_plan(
             publish(state, &flight_entry, key, Ok(Arc::clone(&computed.cached)));
             let class = computed.cached.class;
             state.stats.record_class(class);
+            state.stats.record_queue_wait(queue_wait_us);
             let latency_us = t_req.elapsed().as_micros() as u64;
             state.stats.record_served(latency_us);
             state.flight.record(FlightRecord {
@@ -578,6 +530,44 @@ fn handle_plan(
             plan_error(state, trace_id, key, queue_wait_us, t_req, &msg)
         }
     }
+}
+
+/// A held search permit; dropping it frees the permit and wakes a waiter.
+struct Permit<'a>(&'a ServeState);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // the counters are valid after every update, even behind a poison
+        let mut p = self.0.permits.lock().unwrap_or_else(PoisonError::into_inner);
+        p.free += 1;
+        if p.waiting > 0 {
+            self.0.permit_freed.notify_one();
+        }
+    }
+}
+
+/// Leader wait for a search permit, counted in the queue depth. Returns
+/// `None` only on shutdown, polling the stop flag as [`wait_for_leader`] does.
+fn acquire_permit(state: &ServeState) -> Option<Permit<'_>> {
+    let mut p = state.permits.lock().expect("permit lock poisoned");
+    if p.free == 0 {
+        p.waiting += 1;
+        state.stats.set_queue_depth(p.waiting);
+        while p.free == 0 && !state.stop.load(Ordering::SeqCst) {
+            let (guard, _) = state
+                .permit_freed
+                .wait_timeout(p, Duration::from_millis(50))
+                .expect("permit lock poisoned");
+            p = guard;
+        }
+        p.waiting -= 1;
+        state.stats.set_queue_depth(p.waiting);
+        if p.free == 0 {
+            return None;
+        }
+    }
+    p.free -= 1;
+    Some(Permit(state))
 }
 
 /// Leader publication: set the slot, wake every joiner, then retire the
@@ -611,21 +601,20 @@ fn wait_for_leader(f: &InFlight, stop: &AtomicBool) -> Option<Result<Arc<CachedO
 }
 
 /// Answer a request from already-encoded outcome bytes (outcome-cache hit
-/// or coalesced fan-out): class partition records `Cached` — how the
-/// request was *answered* — while the flight record keeps the cached
-/// outcome's content class.
-#[allow(clippy::too_many_arguments)]
+/// or coalesced fan-out, never a permit wait): class partition records
+/// `Cached` — how the request was *answered* — while the flight record
+/// keeps the cached outcome's content class.
 fn serve_cached_bytes(
     state: &ServeState,
     c: &CachedOutcome,
     via: ServedVia,
     trace_id: u64,
     key: u64,
-    queue_wait_us: u64,
     t_req: Instant,
     phase_rows: &[WirePhase],
 ) -> Vec<u8> {
     state.stats.record_class(OutcomeClass::Cached);
+    state.stats.record_queue_wait(0);
     let latency_us = t_req.elapsed().as_micros() as u64;
     state.stats.record_served(latency_us);
     state.flight.record(FlightRecord {
@@ -634,7 +623,7 @@ fn serve_cached_bytes(
         fingerprint: key,
         class: c.class,
         tier: CacheTier::Outcome,
-        queue_wait_us,
+        queue_wait_us: 0,
         rg_nodes: c.rg_nodes,
         latency_us,
     });
@@ -712,7 +701,8 @@ fn compute_plan(
 }
 
 /// A failed plan request still lands in the telemetry plane: one
-/// `class_error` count and one flight record, then the error response.
+/// `class_error` count, one queue-wait sample and one flight record, then
+/// the error response.
 fn plan_error(
     state: &ServeState,
     trace_id: u64,
@@ -722,6 +712,7 @@ fn plan_error(
     msg: &str,
 ) -> Vec<u8> {
     state.stats.record_class(OutcomeClass::Error);
+    state.stats.record_queue_wait(queue_wait_us);
     state.flight.record(FlightRecord {
         seq: 0,
         trace_id,

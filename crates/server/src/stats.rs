@@ -100,8 +100,8 @@ impl ServerStats {
         self.latency_us.record(latency_us);
     }
 
-    /// Record how long a connection waited in the accept queue before a
-    /// worker picked it up.
+    /// Record how long a plan request waited for a search permit (0 for
+    /// one answered from encoded bytes).
     pub fn record_queue_wait(&self, wait_us: u64) {
         self.queue_wait_us.record(wait_us);
     }
@@ -158,8 +158,8 @@ impl ServerStats {
         }
     }
 
-    /// Publish the current accept-queue depth (connections waiting for a
-    /// worker).
+    /// Publish the queue depth: plan requests waiting for a search
+    /// permit.
     pub fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.set(depth as i64);
     }

@@ -1,15 +1,17 @@
-//! End-to-end serving tests: real sockets, a real worker pool, and the
-//! actual planner behind them. Every test binds an ephemeral port and
+//! End-to-end serving tests: real sockets, a thread per connection, and
+//! the actual planner behind them. Every test binds an ephemeral port and
 //! tears the server down before asserting the join result.
 
 use sekitei_model::{Expr, LevelScenario, NodeId};
 use sekitei_planner::PlannerConfig;
 use sekitei_server::{
-    request_plan, request_shutdown, request_stats, ClientError, Connection, Priority, ServedVia,
-    Server, ServerConfig, ShutdownHandle,
+    decode_response, encode_request, read_frame, request_plan, request_shutdown, request_stats,
+    write_frame, ClientError, Connection, Priority, Request, Response, ServedVia, Server,
+    ServerConfig, ShutdownHandle,
 };
 use sekitei_topology::scenarios;
-use std::net::SocketAddr;
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -176,7 +178,7 @@ fn zero_queue_cap_rejects_every_request() {
             other => panic!("expected admission rejection, got {other:?}"),
         }
     }
-    // the shutdown connection is rejected too — stop via the handle
+    // every Normal plan is turned away — stop via the handle
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
@@ -244,8 +246,8 @@ fn nan_cpu_frame_gets_an_error_reply_and_the_next_request_is_served() {
 #[test]
 fn shutdown_returns_promptly_while_a_client_holds_an_idle_connection() {
     let (addr, _, join) = start(small_cfg());
-    // a served request proves a worker owns the connection, which then
-    // idles with the worker blocked on its next read
+    // a served request proves the connection has its thread, which then
+    // idles blocked on its next read
     let mut idle = Connection::connect(addr).unwrap();
     idle.plan(&scenarios::tiny(LevelScenario::B)).unwrap();
     let t = Instant::now();
@@ -311,37 +313,52 @@ fn concurrent_identical_requests_coalesce_onto_one_search() {
 
 #[test]
 fn low_priority_sheds_first_under_queue_pressure() {
-    // one worker, queue cap 4 → the Low shed threshold is 2. The worker
-    // is busy with the active connection, so two extra idle connections
-    // sit in the queue; once the depth gauge reads 2, a Low request on
-    // the active connection is shed while High and Normal still serve.
-    let (addr, _, join) = start(ServerConfig { workers: 1, queue_cap: 4, ..small_cfg() });
+    // one search permit, queue cap 4 → the Low shed threshold is 2. Three
+    // distinct searches, each on its own connection, make the pressure:
+    // one holds the permit until the 150 ms deadline cuts it, and two wait
+    // for it. Their deadlines count from each frame's read, so the waiters
+    // end as soon as they get the permit. Once the depth gauge reads 2, a
+    // Low request on the active connection is shed while High and Normal
+    // still serve.
+    let planner = PlannerConfig {
+        deadline: Some(Duration::from_millis(150)),
+        max_candidate_rejects: usize::MAX,
+        ..PlannerConfig::default()
+    };
+    let (addr, _, join) = start(ServerConfig { workers: 1, queue_cap: 4, planner, ..small_cfg() });
+    let mut shrunk = scenarios::large(LevelScenario::A);
+    for range in shrunk.sources[0].properties.values_mut() {
+        range.hi /= 2.0;
+    }
+    let searches = [scenarios::large(LevelScenario::A), scenarios::small(LevelScenario::A), shrunk];
     let mut active = Connection::connect(addr).unwrap();
-    // a request proves the worker owns this connection before the idlers
+    // the active connection is served before the pressure builds
     let (_, via) = active.plan(&scenarios::tiny(LevelScenario::B)).unwrap();
     assert_eq!(via, ServedVia::Computed);
-
-    let _idle_a = Connection::connect(addr).unwrap();
-    let _idle_b = Connection::connect(addr).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let parsed = sekitei_obs::parse_exposition(&active.metrics().unwrap()).unwrap();
-        if parsed.gauges.get("queue_depth").copied().unwrap_or(0) >= 2 {
-            break;
+    std::thread::scope(|s| {
+        for p in &searches {
+            s.spawn(move || Connection::connect(addr).unwrap().plan(p).unwrap());
         }
-        assert!(std::time::Instant::now() < deadline, "queue never reached depth 2");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let parsed = sekitei_obs::parse_exposition(&active.metrics().unwrap()).unwrap();
+            if parsed.gauges.get("queue_depth").copied().unwrap_or(0) >= 2 {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "queue never reached depth 2");
+            std::thread::sleep(Duration::from_millis(10));
+        }
 
-    let bytes = sekitei_spec::encode(&scenarios::tiny(LevelScenario::C));
-    match active.plan_bytes_traced(&bytes, 0, false, Priority::Low) {
-        Err(ClientError::Rejected(msg)) => assert!(msg.contains("shed"), "msg: {msg}"),
-        other => panic!("low priority must shed under pressure, got {other:?}"),
-    }
-    // the same request at High (never shed) and Normal (threshold 4 > 2)
-    // priority still serves on the same connection
-    active.plan_bytes_traced(&bytes, 0, false, Priority::High).unwrap();
-    active.plan_bytes_traced(&bytes, 0, false, Priority::Normal).unwrap();
+        let bytes = sekitei_spec::encode(&scenarios::tiny(LevelScenario::C));
+        match active.plan_bytes_traced(&bytes, 0, false, Priority::Low) {
+            Err(ClientError::Rejected(msg)) => assert!(msg.contains("shed"), "msg: {msg}"),
+            other => panic!("low priority must shed under pressure, got {other:?}"),
+        }
+        // the same request at High (never shed) and Normal (threshold 4 > 2)
+        // priority still serves on the same connection
+        active.plan_bytes_traced(&bytes, 0, false, Priority::High).unwrap();
+        active.plan_bytes_traced(&bytes, 0, false, Priority::Normal).unwrap();
+    });
 
     let stats = active.stats().unwrap();
     assert_eq!(stats.queue_shed, 1, "stats: {stats}");
@@ -350,6 +367,58 @@ fn low_priority_sheds_first_under_queue_pressure() {
     assert_eq!(parsed.counters.get("queue_shed_normal").copied(), Some(0));
     drop(active);
     request_shutdown(addr).unwrap();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn idle_clients_do_not_hold_search_permits() {
+    // one search permit and three clients idle after a reply: an idle
+    // client costs a blocked thread, never the permit
+    let (addr, _, join) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let idle: Vec<Connection> = (0..3)
+        .map(|_| {
+            let mut conn = Connection::connect(addr).unwrap();
+            conn.plan(&scenarios::tiny(LevelScenario::B)).unwrap();
+            conn
+        })
+        .collect();
+    let t = Instant::now();
+    let (outcome, via) = request_plan(addr, &scenarios::tiny(LevelScenario::C)).unwrap();
+    let took = t.elapsed();
+    assert_eq!(via, ServedVia::Computed);
+    assert!(outcome.plan.is_some());
+    assert!(took < Duration::from_secs(1), "a search behind idle clients took {took:?}");
+    let t = Instant::now();
+    request_shutdown(addr).unwrap();
+    join.join().unwrap().unwrap();
+    let took = t.elapsed();
+    assert!(took < Duration::from_secs(2), "run returned {took:?} after Shutdown");
+    drop(idle);
+}
+
+#[test]
+fn connections_past_the_cap_are_rejected() {
+    // one permit plus a queue cap of one: two open connections at most
+    let (addr, handle, join) = start(ServerConfig { workers: 1, queue_cap: 1, ..small_cfg() });
+    let mut first = TcpStream::connect(addr).unwrap();
+    write_frame(&mut first, &encode_request(&Request::Metrics)).unwrap();
+    read_frame(&mut first).unwrap();
+    let mut second = Connection::connect(addr).unwrap();
+    second.metrics().unwrap();
+
+    let mut third = TcpStream::connect(addr).unwrap();
+    match decode_response(&read_frame(&mut third).unwrap()).unwrap() {
+        Response::Rejected(msg) => assert_eq!(msg, "queue full"),
+        other => panic!("a third connection must be rejected, got {other:?}"),
+    }
+    // the server closes its end only after deregistering the connection,
+    // so once the client reads EOF the slot is free
+    first.shutdown(Shutdown::Write).unwrap();
+    assert_eq!(first.read(&mut [0u8; 1]).unwrap(), 0);
+    let (outcome, _) = request_plan(addr, &scenarios::tiny(LevelScenario::B)).unwrap();
+    assert!(outcome.plan.is_some());
+    assert_eq!(second.stats().unwrap().rejected, 1);
+    handle.shutdown();
     join.join().unwrap().unwrap();
 }
 
@@ -418,15 +487,14 @@ fn stale_cache_file_cold_starts_after_config_change() {
 fn workers_share_one_cache_registry_and_flight_ring() {
     let (addr, _, join) =
         start(ServerConfig { workers: 2, cache_cap: 4, ..ServerConfig::default() });
-    // one-shot requests: each opens its own connection, which any
-    // worker may take
+    // one-shot requests: each opens its own connection and thread
     let solvable = [LevelScenario::B, LevelScenario::C, LevelScenario::D, LevelScenario::E];
     for sc in solvable {
         let (outcome, _) = request_plan(addr, &scenarios::tiny(sc)).unwrap();
         assert!(outcome.plan.is_some());
     }
     // a four-entry outcome tier holds all four fingerprints, whichever
-    // worker computed them
+    // thread computed them
     for sc in solvable {
         let (_, via) = request_plan(addr, &scenarios::tiny(sc)).unwrap();
         assert_eq!(via, ServedVia::Cache, "every repeat is an outcome-tier hit");
