@@ -110,7 +110,7 @@ fn main() {
     // outcome cache every request searches or joins a search, so the 5
     // keys keep up to 3 searches waiting for the 2 permits, past the Low
     // threshold (half the queue cap); the connections stay within the cap
-    // of workers + queue_cap.
+    // of workers + queue_cap + 1.
     let shed_requests = (requests / 25).clamp(1_000, 4_000);
     let (workers, queue_cap, connections) = (2, 4, 6);
     let (addr, join) =

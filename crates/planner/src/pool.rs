@@ -165,6 +165,11 @@ impl SetPool {
         self.spans.len()
     }
 
+    /// Every interned set's id, in interning order.
+    pub fn ids(&self) -> impl Iterator<Item = SetId> {
+        (0..self.spans.len() as u32).map(SetId)
+    }
+
     /// True iff only the empty set is interned.
     pub fn is_empty(&self) -> bool {
         self.spans.len() <= 1

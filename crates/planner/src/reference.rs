@@ -49,19 +49,58 @@ pub struct ReferenceOutcome {
     pub slrg_cache_hits: usize,
 }
 
-/// The original memoizing SLRG, keyed on boxed [`SetKey`]s.
+/// The original memoizing SLRG, keyed on boxed [`SetKey`]s, with the same
+/// two work-sharing rules as [`crate::slrg::Slrg`]: P−g hints and solution
+/// path memo entries.
 struct RefSlrg<'t> {
     task: &'t PlanningTask,
     plrg: &'t Plrg,
     budget: usize,
     cache: HashMap<SetKey, (f64, bool)>,
+    hint: HashMap<SetKey, f64>,
     nodes: usize,
     cache_hits: usize,
 }
 
 impl<'t> RefSlrg<'t> {
     fn h(&self, key: &SetKey) -> f64 {
-        self.plrg.set_cost(key.props())
+        let h_max = self.plrg.set_cost(key.props());
+        self.hint.get(key).map_or(h_max, |&hint| h_max.max(hint))
+    }
+
+    /// Record an exact answer `cost` from `start`: the hint `cost − g` on
+    /// every generated set, and a memo entry on every set of the solution
+    /// path, at its suffix cost summed from the set toward ∅.
+    fn share(
+        &mut self,
+        start: &SetKey,
+        cost: f64,
+        best_g: &HashMap<SetKey, f64>,
+        parent: &HashMap<SetKey, (SetKey, ActionId)>,
+    ) {
+        for (key, &g) in best_g {
+            let hint = self.hint.entry(key.clone()).or_insert(0.0);
+            *hint = hint.max(cost - g);
+        }
+        if !cost.is_finite() {
+            return;
+        }
+        let mut path: Vec<(SetKey, ActionId)> = Vec::new();
+        let mut cur = SetKey::empty();
+        while &cur != start {
+            let (set, a) = parent[&cur].clone();
+            cur = set.clone();
+            path.push((set, a));
+        }
+        // path[i] is the set i + 1 steps before ∅; a fresh query from it
+        // adds path[i]'s action first and path[0]'s last
+        for i in 0..path.len() {
+            let mut bound = 0.0;
+            for (_, a) in path[..=i].iter().rev() {
+                bound += self.task.action(*a).cost;
+            }
+            self.cache.entry(path[i].0.clone()).or_insert((bound, true));
+        }
     }
 
     fn select_prop(&self, key: &SetKey) -> PropId {
@@ -93,6 +132,7 @@ impl<'t> RefSlrg<'t> {
     fn astar(&mut self, start: &SetKey) -> (f64, bool) {
         let mut open: BinaryHeap<(Reverse<u64>, Reverse<u64>, u64, SetKey)> = BinaryHeap::new();
         let mut best_g: HashMap<SetKey, f64> = HashMap::new();
+        let mut parent: HashMap<SetKey, (SetKey, ActionId)> = HashMap::new();
         let mut counter = 0u64;
 
         let h0 = self.h(start);
@@ -109,6 +149,7 @@ impl<'t> RefSlrg<'t> {
                 _ => continue,
             }
             if key.is_empty() {
+                self.share(start, g, &best_g, &parent);
                 return (g, true);
             }
             expansions += 1;
@@ -133,6 +174,7 @@ impl<'t> RefSlrg<'t> {
                     Entry::Occupied(mut e) => {
                         if g2 + 1e-12 < *e.get() {
                             e.insert(g2);
+                            parent.insert(child.clone(), (key.clone(), a));
                             counter += 1;
                             open.push((
                                 Reverse((g2 + hc).to_bits()),
@@ -144,6 +186,7 @@ impl<'t> RefSlrg<'t> {
                     }
                     Entry::Vacant(e) => {
                         e.insert(g2);
+                        parent.insert(child.clone(), (key.clone(), a));
                         self.nodes += 1;
                         counter += 1;
                         open.push((
@@ -156,6 +199,7 @@ impl<'t> RefSlrg<'t> {
                 }
             }
         }
+        self.share(start, f64::INFINITY, &best_g, &parent);
         (f64::INFINITY, true)
     }
 }
@@ -217,7 +261,15 @@ fn select_prop(plrg: &Plrg, set: &SetKey) -> PropId {
 /// reads the clock either.
 pub fn search_reference(task: &PlanningTask, plrg: &Plrg, cfg: &PlannerConfig) -> ReferenceOutcome {
     let budget = cfg.slrg_budget;
-    let mut slrg = RefSlrg { task, plrg, budget, cache: HashMap::new(), nodes: 0, cache_hits: 0 };
+    let mut slrg = RefSlrg {
+        task,
+        plrg,
+        budget,
+        cache: HashMap::new(),
+        hint: HashMap::new(),
+        nodes: 0,
+        cache_hits: 0,
+    };
     let mut result = ReferenceOutcome {
         plan: None,
         nodes_created: 0,

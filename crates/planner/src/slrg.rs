@@ -7,8 +7,7 @@
 //! crossings are costed additively (the paper's 18-vs-19 example).
 //!
 //! Implementation: A* regression from the queried set toward the initial
-//! state, using the PLRG max-bound as the (admissible, consistent)
-//! heuristic, branching on the achievers of a single selected open
+//! state, branching on the achievers of a single selected open
 //! proposition — complete and optimality-preserving in the delete-free
 //! propositional projection, because any plan can be reordered to end with
 //! an achiever of any chosen proposition it achieves. Query results are
@@ -16,17 +15,32 @@
 //! admissible lower bound discovered (the minimum f-value left in the open
 //! list) instead of blowing up.
 //!
+//! Queries share their work, as in Hierarchical A* (Holte et al., AAAI
+//! 1996). The RG branches exactly as the SLRG does, so the sets it asks
+//! about are mostly sets an earlier query already generated:
+//!
+//! - **P−g hints.** A query from `S` that ends exactly at cost `C` proves
+//!   that every set `n` it generated at best cost `g(n)` costs at least
+//!   `C − g(n)`. Each set keeps the largest such hint, and later queries
+//!   take `max(h_max, hint)` as their heuristic.
+//! - **Path memo entries.** Per-query parent pointers let an exact answer
+//!   walk its solution path; every set on it is memoized as exact, at the
+//!   cost of its own suffix toward ∅ summed in the order a fresh query
+//!   from that set would add it, so the entry is bit-identical to that
+//!   query's answer.
+//!
 //! The oracle owns the search core's [`SetPool`]: every set is interned
-//! once and addressed by a copyable [`SetId`], so the memo table is a
-//! dense `Vec` lookup, heap entries are `Copy`, and the per-query `best_g`
-//! map is an epoch-stamped array — no hashing of boxed slices anywhere on
-//! the hot path (see DESIGN.md, "Search-core performance").
+//! once and addressed by a copyable [`SetId`], so the memo table and the
+//! hints are dense `Vec` lookups, heap entries are `Copy`, and the
+//! per-query `best_g` map and parent pointers are epoch-stamped arrays — no
+//! hashing of boxed slices anywhere on the hot path (see DESIGN.md,
+//! "Search-core performance").
 
 use crate::plrg::Plrg;
 use crate::pool::{SetId, SetPool};
 use crate::setkey::SetKey;
 use sekitei_compile::PlanningTask;
-use sekitei_model::PropId;
+use sekitei_model::{ActionId, PropId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -42,9 +56,12 @@ pub struct SetCost {
 /// SLRG statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SlrgStats {
-    /// Distinct set nodes generated across all queries (Table 2 col 7).
+    /// Set nodes generated, summed over all queries (Table 2 col 7): each
+    /// query counts the distinct sets it generates. Hints from earlier
+    /// queries shrink later ones, so the count depends on query history.
     pub nodes: usize,
-    /// Queries answered from the memo table.
+    /// Queries answered from the memo table, whether by an earlier query's
+    /// own result or by a path entry an earlier query left.
     pub cache_hits: usize,
     /// Queries that exhausted their expansion budget.
     pub budget_exhausted: usize,
@@ -62,12 +79,20 @@ pub struct Slrg<'t> {
     /// The shared set arena (also used by the RG, which borrows it through
     /// [`Slrg::pool`]/[`Slrg::pool_mut`]).
     pool: SetPool,
-    /// Memoized query results, indexed by [`SetId`].
+    /// Memoized query results and solution-path entries, indexed by
+    /// [`SetId`].
     cache: Vec<Option<SetCost>>,
-    /// Epoch-stamped per-query `best_g`, indexed by [`SetId`].
+    /// P−g hints, indexed by [`SetId`]: each a lower bound on the set's
+    /// exact cost (0 where no query has left one).
+    hint: Vec<f64>,
+    /// Epoch-stamped per-query `best_g` and the step that reached it (the
+    /// parent set and the action regressed), indexed by [`SetId`].
     gval: Vec<f64>,
+    gparent: Vec<(SetId, ActionId)>,
     gstamp: Vec<u32>,
     gepoch: u32,
+    /// Sets the current query generated, in generation order.
+    generated: Vec<SetId>,
     stats: SlrgStats,
 }
 
@@ -80,9 +105,12 @@ impl<'t> Slrg<'t> {
             budget,
             pool: SetPool::new(),
             cache: Vec::new(),
+            hint: Vec::new(),
             gval: Vec::new(),
+            gparent: Vec::new(),
             gstamp: Vec::new(),
             gepoch: 0,
+            generated: Vec::new(),
             stats: SlrgStats::default(),
         }
     }
@@ -103,12 +131,27 @@ impl<'t> Slrg<'t> {
         &mut self.pool
     }
 
-    /// In-search heuristic. Deliberately the plain PLRG max (not cached
-    /// query results): h_max is *consistent* on the regression graph, which
-    /// guarantees the first goal pop is optimal; mixing in memoized values
-    /// would keep admissibility but lose consistency.
+    /// The memo entry of a set: a query's answer or a path entry, `None`
+    /// when neither exists yet. Read-only; it counts no memo hit.
+    pub fn memo(&self, id: SetId) -> Option<SetCost> {
+        self.cache.get(id.index()).copied().flatten()
+    }
+
+    /// The P−g hint of a set: the largest `C − g` an exact query has proved
+    /// for it, 0 when none has.
+    pub fn hint(&self, id: SetId) -> f64 {
+        self.hint.get(id.index()).copied().unwrap_or(0.0)
+    }
+
+    /// In-search heuristic: the PLRG max bound, raised to the set's P−g
+    /// hint. Both are admissible, but the hint is not consistent: a hinted
+    /// set's heuristic can exceed an action's cost plus that of the child
+    /// it regresses to. A* still returns the optimum on its first pop of ∅
+    /// because it reopens sets: [`Slrg::astar`] re-pushes a set reached on
+    /// a cheaper `g`, whether or not it was expanded, and skips the stale
+    /// entry.
     fn h(&self, id: SetId) -> f64 {
-        self.plrg.set_cost(self.pool.props_of(id))
+        self.plrg.set_cost(self.pool.props_of(id)).max(self.hint(id))
     }
 
     /// Pick the open proposition to branch on: the one with the largest
@@ -170,16 +213,53 @@ impl<'t> Slrg<'t> {
         }
     }
 
-    /// `best_g` store for the current query epoch (grows the arrays to the
-    /// pool's current size on demand).
-    fn bg_set(&mut self, id: SetId, g: f64) {
+    /// `best_g` store for the current query epoch, with the step that
+    /// reached it (grows the arrays to the pool's current size on demand).
+    fn bg_set(&mut self, id: SetId, g: f64, parent: (SetId, ActionId)) {
         if self.gval.len() <= id.index() {
             let n = self.pool.len().max(id.index() + 1);
             self.gval.resize(n, 0.0);
+            self.gparent.resize(n, (SetId::EMPTY, ActionId(0)));
             self.gstamp.resize(n, 0);
         }
         self.gval[id.index()] = g;
+        self.gparent[id.index()] = parent;
         self.gstamp[id.index()] = self.gepoch;
+    }
+
+    /// Leave an exact answer's work to later queries: a P−g hint on every
+    /// set this query generated, and a memo entry on every set of the
+    /// solution path (none when `cost` is infinite: there is no path).
+    fn share(&mut self, start: SetId, cost: f64) {
+        if self.hint.len() < self.pool.len() {
+            self.hint.resize(self.pool.len(), 0.0);
+        }
+        for &n in &self.generated {
+            let hint = &mut self.hint[n.index()];
+            *hint = hint.max(cost - self.gval[n.index()]);
+        }
+        if !cost.is_finite() {
+            return;
+        }
+        // the path back from ∅: steps[i] is the set i + 1 steps before ∅
+        // and the action regressed from it
+        let mut steps = Vec::new();
+        let mut cur = SetId::EMPTY;
+        while cur != start {
+            let step = self.gparent[cur.index()];
+            steps.push(step);
+            cur = step.0;
+        }
+        for i in 0..steps.len() {
+            // a fresh query from steps[i].0 adds its suffix from the set
+            // outward: steps[i].1 first, the action reaching ∅ last
+            let bound =
+                steps[..=i].iter().rev().fold(0.0, |g, &(_, a)| g + self.task.action(a).cost);
+            let set = steps[i].0;
+            if self.memo(set).is_none() {
+                self.cache_put(set, SetCost { bound, exact: true });
+            }
+        }
     }
 
     fn astar(&mut self, start: SetId) -> SetCost {
@@ -196,7 +276,9 @@ impl<'t> Slrg<'t> {
 
         let h0 = self.h(start);
         open.push((Reverse(h0.to_bits()), Reverse(counter), 0f64.to_bits(), start));
-        self.bg_set(start, 0.0);
+        self.bg_set(start, 0.0, (start, ActionId(0)));
+        self.generated.clear();
+        self.generated.push(start);
         self.stats.nodes += 1;
 
         let mut expansions = 0usize;
@@ -208,6 +290,7 @@ impl<'t> Slrg<'t> {
                 _ => continue, // a cheaper path to this set superseded us
             }
             if key == SetId::EMPTY {
+                self.share(start, g);
                 return SetCost { bound: g, exact: true };
             }
             expansions += 1;
@@ -235,7 +318,7 @@ impl<'t> Slrg<'t> {
                 match self.bg_get(child) {
                     Some(bg) => {
                         if g2 + 1e-12 < bg {
-                            self.bg_set(child, g2);
+                            self.bg_set(child, g2, (key, a));
                             counter += 1;
                             open.push((
                                 Reverse((g2 + hc).to_bits()),
@@ -246,7 +329,8 @@ impl<'t> Slrg<'t> {
                         }
                     }
                     None => {
-                        self.bg_set(child, g2);
+                        self.bg_set(child, g2, (key, a));
+                        self.generated.push(child);
                         self.stats.nodes += 1;
                         counter += 1;
                         open.push((
@@ -259,7 +343,9 @@ impl<'t> Slrg<'t> {
                 }
             }
         }
-        // open exhausted without reaching the initial state
+        // open exhausted without reaching the initial state: no set this
+        // query generated reaches it either
+        self.share(start, f64::INFINITY);
         SetCost { bound: f64::INFINITY, exact: true }
     }
 }
@@ -322,6 +408,25 @@ mod tests {
         let b = slrg.achievement_cost(&goal);
         assert_eq!(a, b);
         assert_eq!(slrg.stats().cache_hits, before + 1);
+    }
+
+    #[test]
+    fn solution_path_sets_hit_the_memo() {
+        let (task, plrg) = setup(LevelScenario::C);
+        let mut slrg = Slrg::new(&task, &plrg, 100_000);
+        let goal = slrg.pool_mut().intern(task.goal_props.clone());
+        let c = slrg.achievement_cost_id(goal);
+        let path: Vec<SetId> =
+            slrg.pool().ids().filter(|&id| id != goal && slrg.memo(id).is_some()).collect();
+        assert!(!path.is_empty(), "an exact answer memoizes its solution path");
+        let nodes = slrg.stats().nodes;
+        for &id in &path {
+            let entry = slrg.achievement_cost_id(id);
+            assert!(entry.exact && entry.bound <= c.bound);
+            assert!(slrg.hint(id) <= entry.bound + 1e-9);
+        }
+        assert_eq!(slrg.stats().nodes, nodes, "path entries answer without a search");
+        assert_eq!(slrg.stats().cache_hits, path.len());
     }
 
     #[test]

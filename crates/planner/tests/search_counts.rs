@@ -14,21 +14,21 @@ use sekitei_topology::scenarios::{self, NetSize};
 type Row = (&'static str, usize, usize, usize, usize, usize, usize, bool, f64);
 
 const COUNTS: &[Row] = &[
-    ("Tiny/A", 115, 0, 80, 20, 2, 0, false, 7.0),
-    ("Tiny/B", 35, 17, 190, 2, 31, 0, false, 7.0),
-    ("Tiny/C", 29, 12, 197, 2, 27, 0, false, 49.3),
-    ("Tiny/D", 29, 12, 197, 2, 27, 0, false, 49.3),
-    ("Tiny/E", 16, 4, 189, 1, 54, 0, false, 49.3),
-    ("Small/A", 18128, 9660, 3644, 2000, 601, 0, true, 10.0),
-    ("Small/B", 326, 238, 3545, 11, 250, 0, false, 10.0),
-    ("Small/C", 90, 68, 4680, 1, 62, 0, false, 72.85000000000001),
-    ("Small/D", 90, 68, 4680, 1, 62, 0, false, 72.85000000000001),
-    ("Small/E", 739, 477, 4423, 53, 2004, 0, false, 72.85000000000001),
-    ("Large/A", 214021, 165800, 54480, 2000, 19869, 3097, true, 11.0),
-    ("Large/B", 32898, 28877, 100150, 48, 23232, 270, false, 11.0),
-    ("Large/C", 194, 172, 31868, 1, 109, 12, false, 72.85000000000001),
-    ("Large/D", 194, 172, 31868, 1, 109, 12, false, 72.85000000000001),
-    ("Large/E", 1843, 1641, 30863, 35, 2616, 228, false, 72.85000000000001),
+    ("Tiny/A", 115, 0, 71, 20, 2, 0, false, 7.0),
+    ("Tiny/B", 35, 17, 154, 2, 31, 0, false, 7.0),
+    ("Tiny/C", 29, 12, 110, 2, 27, 0, false, 49.3),
+    ("Tiny/D", 29, 12, 110, 2, 27, 0, false, 49.3),
+    ("Tiny/E", 16, 4, 106, 1, 54, 0, false, 49.3),
+    ("Small/A", 18128, 9660, 2913, 2000, 601, 0, true, 10.0),
+    ("Small/B", 326, 238, 2927, 11, 250, 0, false, 10.0),
+    ("Small/C", 90, 68, 2054, 1, 62, 0, false, 72.85000000000001),
+    ("Small/D", 90, 68, 2054, 1, 62, 0, false, 72.85000000000001),
+    ("Small/E", 739, 477, 1887, 53, 2004, 0, false, 72.85000000000001),
+    ("Large/A", 214021, 165800, 39261, 2000, 19869, 3097, true, 11.0),
+    ("Large/B", 32898, 28877, 77299, 48, 23232, 270, false, 11.0),
+    ("Large/C", 194, 172, 15859, 1, 109, 12, false, 72.85000000000001),
+    ("Large/D", 194, 172, 15859, 1, 109, 12, false, 72.85000000000001),
+    ("Large/E", 1843, 1641, 15094, 35, 2616, 228, false, 72.85000000000001),
 ];
 
 /// One scenario's row, printed as its `COUNTS` entry would be.

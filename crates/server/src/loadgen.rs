@@ -21,7 +21,7 @@
 //! can absorb.
 //!
 //! Note: the server turns away connections past its cap of `workers +
-//! queue_cap`, so `connections` must stay within it.
+//! queue_cap + 1`, so `connections` must stay within it.
 
 use crate::client::ClientError;
 use crate::flight::OutcomeClass;

@@ -8,7 +8,9 @@
 //! and the requests waiting for one are the queue depth that the priority
 //! gate sheds against. Control frames, cache hits and coalesced joins
 //! never wait, so an idle client costs a blocked thread, never a permit.
-//! Open connections are capped at `workers + queue_cap`.
+//! Open connections are capped at `workers + queue_cap + 1`: room for
+//! `queue_cap` waiting searches, `workers` running ones and one more
+//! request, which the gate then sheds at the `Normal` threshold.
 //!
 //! The cache carries a single-flight table: concurrent requests for one
 //! fingerprint elect a leader that runs the search while the rest join a
@@ -59,7 +61,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission control: while this many searches wait for a permit,
     /// `Normal` plan requests are shed (`Low` at half, `High` never); open
-    /// connections are capped at `workers + queue_cap`.
+    /// connections are capped at `workers + queue_cap + 1`, so a `Normal`
+    /// request can arrive while `queue_cap` searches wait.
     pub queue_cap: usize,
     /// Entries in the outcome cache (`0` disables it).
     pub cache_cap: usize,
@@ -230,8 +233,10 @@ impl Server {
             queue_cap: self.cfg.queue_cap,
         };
         // a thread per connection: the cap keeps the server from starting
-        // threads without bound
-        let max_conns = workers.saturating_add(self.cfg.queue_cap);
+        // threads without bound. Each connection serves one request at a
+        // time, so `workers` running and `queue_cap` waiting searches leave
+        // one connection for a request the gate can shed at `queue_cap`
+        let max_conns = workers.saturating_add(self.cfg.queue_cap).saturating_add(1);
         let mut accept_error = None;
         let mut next_id = 0u64;
         let state = &state;

@@ -371,6 +371,55 @@ fn low_priority_sheds_first_under_queue_pressure() {
 }
 
 #[test]
+fn normal_priority_sheds_at_the_queue_cap() {
+    // one permit, queue cap 1, no cache: one search runs and one waits,
+    // and a third connection still fits under the cap of workers +
+    // queue_cap + 1, so its Normal plan meets the gate at depth 1 and is
+    // shed there instead of being turned away at the door
+    let planner = PlannerConfig {
+        deadline: Some(Duration::from_millis(150)),
+        max_candidate_rejects: usize::MAX,
+        ..PlannerConfig::default()
+    };
+    let cfg = ServerConfig { workers: 1, queue_cap: 1, cache_cap: 0, planner, ..small_cfg() };
+    let (addr, _, join) = start(cfg);
+    let mut shrunk = scenarios::large(LevelScenario::A);
+    for range in shrunk.sources[0].properties.values_mut() {
+        range.hi /= 2.0;
+    }
+    let searches = [scenarios::large(LevelScenario::A), shrunk];
+    // connect in order, so the server accepts the searches' connections first
+    let conns: Vec<Connection> = (0..2).map(|_| Connection::connect(addr).unwrap()).collect();
+    std::thread::scope(|s| {
+        for (mut conn, p) in conns.into_iter().zip(&searches) {
+            s.spawn(move || conn.plan(p).unwrap());
+        }
+        let mut third = Connection::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let parsed = sekitei_obs::parse_exposition(&third.metrics().unwrap()).unwrap();
+            if parsed.gauges.get("queue_depth").copied().unwrap_or(0) >= 1 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "queue never reached depth 1");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        match third.plan(&scenarios::tiny(LevelScenario::C)) {
+            Err(ClientError::Rejected(msg)) => {
+                assert!(msg.starts_with("queue pressure: "), "msg: {msg}")
+            }
+            other => panic!("a Normal plan at the queue cap must shed, got {other:?}"),
+        }
+        let parsed = sekitei_obs::parse_exposition(&third.metrics().unwrap()).unwrap();
+        assert_eq!(parsed.counters.get("queue_shed_normal").copied(), Some(1));
+        assert_eq!(parsed.counters.get("queue_shed_low").copied(), Some(0));
+        assert_eq!(third.stats().unwrap().rejected, 0);
+    });
+    request_shutdown(addr).unwrap();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
 fn idle_clients_do_not_hold_search_permits() {
     // one search permit and three clients idle after a reply: an idle
     // client costs a blocked thread, never the permit
@@ -398,18 +447,20 @@ fn idle_clients_do_not_hold_search_permits() {
 
 #[test]
 fn connections_past_the_cap_are_rejected() {
-    // one permit plus a queue cap of one: two open connections at most
+    // one permit plus a queue cap of one: three open connections at most
     let (addr, handle, join) = start(ServerConfig { workers: 1, queue_cap: 1, ..small_cfg() });
     let mut first = TcpStream::connect(addr).unwrap();
     write_frame(&mut first, &encode_request(&Request::Metrics)).unwrap();
     read_frame(&mut first).unwrap();
     let mut second = Connection::connect(addr).unwrap();
     second.metrics().unwrap();
+    let mut third = Connection::connect(addr).unwrap();
+    third.metrics().unwrap();
 
-    let mut third = TcpStream::connect(addr).unwrap();
-    match decode_response(&read_frame(&mut third).unwrap()).unwrap() {
+    let mut fourth = TcpStream::connect(addr).unwrap();
+    match decode_response(&read_frame(&mut fourth).unwrap()).unwrap() {
         Response::Rejected(msg) => assert_eq!(msg, "queue full"),
-        other => panic!("a third connection must be rejected, got {other:?}"),
+        other => panic!("a fourth connection must be rejected, got {other:?}"),
     }
     // the server closes its end only after deregistering the connection,
     // so once the client reads EOF the slot is free
